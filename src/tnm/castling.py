@@ -5,7 +5,9 @@ the product over all factors except the largest.  Whenever N > d_k the
 largest dimension may be traded for N - d_k without changing the stability
 margin R, the excess Delta, the pairwise gcd bound g_max, or the stability
 classification.  Repeating the move while it strictly shrinks the datum
-(N/2 < d_k < N) reaches a minimal representative, which is unique.
+(N/2 < d_k < N) reaches a minimal representative, which is unique.  N and
+the shrink rule live here only: one walk serves `reduce_to_minimal` and the
+recursive classifier.
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ def castle_step(datum: Datum) -> Datum:
     return normalize(Datum(cur.dims[:-1] + (n - d_k,), cur.m))
 
 
+def _walk(datum: Datum) -> tuple[list[Datum], int]:
+    """The data visited by reduce_to_minimal, and the endpoint's partner N."""
+    cur = normalize(datum)
+    steps = [cur]
+    while True:
+        n = _partner(cur)
+        d_k = cur.dims[-1]
+        if not d_k < n < 2 * d_k:
+            return steps, n
+        cur = castle_step(cur)
+        steps.append(cur)
+
+
 @dataclass(frozen=True)
 class CastlingTrace:
     """Chain of data visited while reducing to the minimal representative.
@@ -71,17 +86,7 @@ def reduce_to_minimal(datum: Datum) -> CastlingTrace:
     exact integers).  At the end exactly one of d_k > N, d_k = N, or
     2*d_k <= N holds, and no further shrinking move exists.
     """
-    cur = normalize(datum)
-    steps = [cur]
-    while True:
-        n = _partner(cur)
-        d_k = cur.dims[-1]
-        if d_k < n and 2 * d_k > n:
-            cur = castle_step(cur)
-            steps.append(cur)
-        else:
-            break
-    return CastlingTrace(tuple(steps))
+    return CastlingTrace(tuple(_walk(datum)[0]))
 
 
 def castling_equivalent(a: Datum, b: Datum) -> bool:

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .castling import CastlingTrace, castle_step, reduce_to_minimal
+from .castling import CastlingTrace, _partner, _walk
 from .datum import (
     Datum,
     big_r,
@@ -89,36 +89,32 @@ def _is_exceptional(datum: Datum) -> bool:
     return False
 
 
-def classify_recursive(datum: Datum) -> StabilityClass:
-    """Classify by the castling recursion, no closed formulas.
+def _classify_endpoint(end: Datum, n: int) -> StabilityClass:
+    """Class of the endpoint `end` of the castling walk, whose partner is n."""
+    d_k = end.dims[-1]
+    if d_k > n:
+        return StabilityClass.UNSTABLE
+    if d_k == n:
+        return StabilityClass.STABLE if end.k == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
+    return StabilityClass.POLYSTABLE_NOT_STABLE if _is_exceptional(end) else StabilityClass.STABLE
 
-    After normalizing, compare the largest dimension d_k with
-    N = m * d_1 * ... * d_{k-1}:
+
+def classify_recursive(datum: Datum) -> StabilityClass:
+    """Classify the endpoint of the castling walk, no closed formulas.
+
+    The walk castles while the move strictly shrinks the datum (see
+    `reduce_to_minimal`); castling preserves the class.  At the endpoint,
+    with N = m * d_1 * ... * d_{k-1}:
 
     * d_k > N: unstable.
     * d_k = N: stable only for a single-dimension datum, else polystable.
-    * N/2 < d_k < N: castle and repeat.
     * 2*d_k <= N: stable unless the datum is one of the exceptional shapes
       (2, d, d; 1) or (d, d; 2) with d >= 2, which are polystable.
 
-    Iterative; the number of castling moves is at most log2(prod d_i).
+    The number of castling moves is at most log2(prod d_i).
     """
-    cur = normalize(datum)
-    while True:
-        n = cur.m * math.prod(cur.dims[:-1])
-        d_k = cur.dims[-1]
-        if d_k > n:
-            return StabilityClass.UNSTABLE
-        if d_k == n:
-            if len(cur.dims) == 1:
-                return StabilityClass.STABLE
-            return StabilityClass.POLYSTABLE_NOT_STABLE
-        if 2 * d_k > n:
-            cur = castle_step(cur)
-            continue
-        if _is_exceptional(cur):
-            return StabilityClass.POLYSTABLE_NOT_STABLE
-        return StabilityClass.STABLE
+    steps, n = _walk(datum)
+    return _classify_endpoint(steps[-1], n)
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,8 @@ def thresholds(dims: Sequence[int]) -> ThresholdReport:
     cor_bounds = None
     norm = normalize(probe)
     if norm.k >= 3:
-        r = Fraction(norm.dims[-1], math.prod(norm.dims[:-1]))
+        # probe has m = 1, so the castling partner is d_1 * ... * d_{k-1}
+        r = Fraction(norm.dims[-1], _partner(norm))
         lower = math.ceil(r)
         cor_bounds = (lower, lower + 1)
     return ThresholdReport(mlt_b=mlt_b, mlt_e=mlt_b, mlt_u=mlt_u, cor_bounds=cor_bounds)
@@ -252,9 +249,10 @@ def explain(datum: Datum) -> ClassificationReport:
     through the `classifiers_agree` flag and a logged warning, never by
     raising.
     """
-    norm = normalize(datum)
+    steps, n = _walk(datum)
+    norm = steps[0]
     closed = classify_closed_form(datum)
-    recursive = classify_recursive(datum)
+    recursive = _classify_endpoint(steps[-1], n)
     agree = closed is recursive
     if not agree:
         log.warning(
@@ -273,7 +271,7 @@ def explain(datum: Datum) -> ClassificationReport:
         g_max=g_max(datum),
         z=z_quantity(tuple(d * d for d in norm.dims)),
         indices=indices,
-        trace=reduce_to_minimal(datum),
+        trace=CastlingTrace(tuple(steps)),
         class_closed_form=closed,
         class_recursive=recursive,
         classifiers_agree=agree,

@@ -9,7 +9,8 @@ simulate   write a deterministic standard normal sample set to JSON
 verify     fit simulated (or supplied) data and compare with the prediction
 
 Exit codes: 0 success / checks agree, 1 a check or clause failed, 2 bad
-flags or I/O trouble, 3 numerical failure unrelated to the prediction.
+flags, I/O trouble or a malformed input file, 3 numerical failure unrelated
+to the prediction.
 Exact integers are printed as decimal strings in JSON so they survive
 parsers that truncate to 53-bit floats.  All output is deterministic for
 a given flag set; the environment variable TNM_SEED supplies a default
@@ -27,7 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations_with_replacement
 
-from .castling import castle_step
+from .castling import NotCastlable, castle_step
 from .classify import (
     StabilityClass,
     classify_closed_form,
@@ -36,11 +37,12 @@ from .classify import (
     git_dimension,
     thresholds,
 )
-from .datum import Datum, InvalidDatum, big_r, delta, g_max, normalize
+from .datum import Datum, InvalidDatum, big_r, delta, g_max
 from .mle import (
+    DEFAULT_TOL,
     DegenerateStatistic,
-    DeskScaleExceeded,
     SampleSet,
+    _pool_workers,
     sample_standard,
     verify_datum,
     verify_samples,
@@ -91,6 +93,15 @@ def _threshold_doc(rep) -> dict:
     }
 
 
+def _profile_doc(profile) -> dict:
+    return {
+        "bounded_as": profile.bounded_as,
+        "exists_as": profile.exists_as,
+        "unique_as": profile.unique_as,
+        "always_unbounded": profile.always_unbounded,
+    }
+
+
 def _report_doc(rep) -> dict:
     return {
         "datum": _datum_doc(rep.datum),
@@ -103,12 +114,7 @@ def _report_doc(rep) -> dict:
         "castling_trace": [_datum_doc(d) for d in rep.trace.steps],
         "class": rep.stability.value,
         "classifiers_agree": rep.classifiers_agree,
-        "mle_profile": {
-            "bounded_as": rep.profile.bounded_as,
-            "exists_as": rep.profile.exists_as,
-            "unique_as": rep.profile.unique_as,
-            "always_unbounded": rep.profile.always_unbounded,
-        },
+        "mle_profile": _profile_doc(rep.profile),
         "thresholds": _threshold_doc(rep.thresholds),
         "git_dimension": None if rep.git_dimension is None else str(rep.git_dimension),
     }
@@ -198,17 +204,14 @@ def _scan_row(task):
     if check == "equivalence":
         ok = c1 is c2
     elif check == "monotone":
-        c_next = classify_closed_form(Datum(dims, m + 1))
-        ok = True
-        if c1 is StabilityClass.STABLE and c_next is not StabilityClass.STABLE:
-            ok = False
-        if c1 is not StabilityClass.UNSTABLE and c_next is StabilityClass.UNSTABLE:
-            ok = False
+        order = list(StabilityClass)  # unstable < polystable_not_stable < stable
+        ok = order.index(classify_closed_form(Datum(dims, m + 1))) >= order.index(c1)
     else:  # castling
-        ok = True
-        norm = normalize(d)
-        if norm.m * math.prod(norm.dims[:-1]) > norm.dims[-1]:
+        try:
             e = castle_step(d)
+        except NotCastlable:
+            ok = True
+        else:
             ok = (
                 big_r(e) == r
                 and delta(e) == dl
@@ -226,9 +229,10 @@ def cmd_scan(args) -> int:
     if size > SCAN_GRID_LIMIT:
         raise InvalidDatum(f"grid has {size} data, more than the {SCAN_GRID_LIMIT} limit")
     tasks = [(dims, m, args.check) for dims, m in _grid(args.max_k, args.max_dim, args.max_m)]
-    if args.threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * args.threads))
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = _pool_workers(args.threads, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
     else:
         rows = [_scan_row(t) for t in tasks]
@@ -257,12 +261,7 @@ def cmd_simulate(args) -> int:
 def _verify_doc(rep) -> dict:
     return {
         "datum": _datum_doc(rep.datum),
-        "profile": {
-            "bounded_as": rep.profile.bounded_as,
-            "exists_as": rep.profile.exists_as,
-            "unique_as": rep.profile.unique_as,
-            "always_unbounded": rep.profile.always_unbounded,
-        },
+        "profile": _profile_doc(rep.profile),
         "trials": [
             {
                 "statuses": list(t.statuses),
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--data", help="JSON sample set; skips simulation")
     p.add_argument("--threads", type=int, default=threads_default)
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -377,20 +376,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("simulate", "verify") and args.seed is None:
         args.seed = _default_seed()
-    if args.command == "verify":
-        if args.tol is None:
-            from .mle import DEFAULT_TOL
-
-            args.tol = DEFAULT_TOL
-        if args.data is None and (args.dims is None or args.samples is None):
-            print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
-            return EXIT_USAGE
+    if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
+        print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidDatum, DeskScaleExceeded, ValueError) as exc:
-        print(f"tnm {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InvalidDatum, DeskScaleExceeded, bad files
         print(f"tnm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateStatistic as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -147,9 +148,22 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampleSet":
+        """Inverse of to_json_dict; a malformed document raises ValueError."""
+        if not isinstance(doc, dict) or not {"dims", "m", "data"} <= doc.keys():
+            raise ValueError("a sample set is a JSON object with keys dims, m and data")
         if doc.get("field", "real") != "real":
             raise ValueError(f"unsupported field {doc.get('field')!r}")
-        return cls(tuple(doc["dims"]), int(doc["m"]), np.asarray(doc["data"], float))
+        dims, m, data = doc["dims"], doc["m"], doc["data"]
+        if not (isinstance(dims, list) and isinstance(data, list)
+                and all(type(v) is int for v in [m, *dims])):
+            raise ShapeMismatch("dims must be a list of integers, m an integer, data a list")
+        try:
+            values = np.asarray(data, float)
+        except (TypeError, ValueError):
+            raise ValueError("data must be a list of numbers") from None
+        if values.ndim != 1:
+            raise ShapeMismatch("data must be a flat list of numbers")
+        return cls(tuple(dims), m, values)
 
     def save(self, path) -> None:
         """Write the JSON document; floats survive the round trip exactly."""
@@ -330,6 +344,35 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
     return _mode_statistic_arrays(samples.tensors(), factors.factors, i - 1)
 
 
+def _update_block(tens, mats, j, m, n) -> tuple[float, bool]:
+    """In-place flip-flop update of block j (zero-based) to (m*n/d_j) * S_j^{-1}.
+
+    Returns the new factor's condition number and whether it ridged: a
+    numerically singular statistic certifies an unbounded ascent direction,
+    and the update then takes a ridge-regularized surrogate step whose huge
+    condition number trips the divergence detector.  A statistic with no
+    usable scale at all raises DegenerateStatistic.
+    """
+    s = _mode_statistic_arrays(tens, mats, j)
+    if not np.all(np.isfinite(s)):
+        raise DegenerateStatistic(f"block {j + 1} statistic has non-finite entries")
+    w, v = np.linalg.eigh(s)
+    if w[-1] <= 0.0:
+        raise DegenerateStatistic(f"block {j + 1} statistic vanishes")
+    ridged = bool(w[0] < DEGENERATE_EIG_RTOL * w[-1])
+    if ridged:
+        w = np.maximum(w, 0.0) + _RIDGE_RTOL * w[-1]
+    scale = m * n // mats[j].shape[0]
+    new = (v * (scale / w)) @ v.T
+    mats[j] = 0.5 * (new + new.T)
+    return float(w[-1] / w[0]), ridged
+
+
+def _sweep(tens, mats, m, n) -> float:
+    """Update blocks 1..k in place; returns the largest new condition number."""
+    return max(_update_block(tens, mats, j, m, n)[0] for j in range(len(mats)))
+
+
 def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> KroneckerPrecision:
     """Replace factor i by its exact block maximizer (m*n/d_i) * S_i^{-1}.
 
@@ -338,42 +381,14 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     when the smallest eigenvalue of S_i falls below 1e-12 times the largest.
     i is 1-based.
     """
-    s = mode_statistic(samples, factors, i)
-    w, v = np.linalg.eigh(s)
-    if not np.all(np.isfinite(w)) or w[-1] <= 0.0 or w[0] < DEGENERATE_EIG_RTOL * w[-1]:
-        raise DegenerateStatistic(
-            f"block {i} statistic is numerically singular "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    scale = samples.m * samples.n // samples.dims[i - 1]
-    new = (v * (scale / w)) @ v.T
-    new = 0.5 * (new + new.T)
+    _check_compatible(samples, factors)
+    if not 1 <= i <= samples.k:
+        raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
     mats = list(factors.factors)
-    mats[i - 1] = new
+    _, ridged = _update_block(samples.tensors(), mats, i - 1, samples.m, samples.n)
+    if ridged:
+        raise DegenerateStatistic(f"block {i} statistic is numerically singular")
     return KroneckerPrecision(tuple(mats))
-
-
-def _update_block(tens, mats, j, m, n):
-    """In-place flip-flop update of block j (zero-based) for the fit loop.
-
-    Returns the condition number of the new factor.  A numerically singular
-    statistic certifies an unbounded ascent direction; the update then takes
-    a ridge-regularized surrogate step whose huge condition number trips the
-    divergence detector.  A statistic with no usable scale at all raises
-    DegenerateStatistic.
-    """
-    s = _mode_statistic_arrays(tens, mats, j)
-    if not np.all(np.isfinite(s)):
-        raise DegenerateStatistic(f"block {j + 1} statistic has non-finite entries")
-    w, v = np.linalg.eigh(s)
-    if w[-1] <= 0.0:
-        raise DegenerateStatistic(f"block {j + 1} statistic vanishes")
-    if w[0] < DEGENERATE_EIG_RTOL * w[-1]:
-        w = np.maximum(w, 0.0) + _RIDGE_RTOL * w[-1]
-    scale = m * n // mats[j].shape[0]
-    new = (v * (scale / w)) @ v.T
-    mats[j] = 0.5 * (new + new.T)
-    return float(w[-1] / w[0])
 
 
 def fit_mle(
@@ -398,50 +413,35 @@ def fit_mle(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     tens = samples.tensors()
-    m, n, k = samples.m, samples.n, samples.k
+    m, n = samples.m, samples.n
     mats = [np.array(f) for f in init.factors]
 
     l_init = _loglik_arrays(tens, mats, m, n)
     bound = divergence_bound if divergence_bound is not None else 1e3 * (1.0 + abs(l_init))
     history = [l_init]
 
+    status, sweep = FitStatus.MAX_ITERATIONS, 0
     for sweep in range(1, max_iter + 1):
-        conds = []
         try:
-            for j in range(k):
-                conds.append(_update_block(tens, mats, j, m, n))
+            cond = _sweep(tens, mats, m, n)
         except DegenerateStatistic:
-            return FitReport(
-                status=FitStatus.DEGENERATE_STATISTIC,
-                loglik=history[-1],
-                iterations=sweep,
-                factors=None,
-                loglik_history=tuple(history),
-            )
-        loglik = _loglik_arrays(tens, mats, m, n)
+            status = FitStatus.DEGENERATE_STATISTIC
+            break
         prev = history[-1]
+        loglik = _loglik_arrays(tens, mats, m, n)
         history.append(loglik)
-        if not math.isfinite(loglik) or loglik - l_init > bound or max(conds) > CONDITION_LIMIT:
-            return FitReport(
-                status=FitStatus.DIVERGED,
-                loglik=loglik,
-                iterations=sweep,
-                factors=None,
-                loglik_history=tuple(history),
-            )
+        if not math.isfinite(loglik) or loglik - l_init > bound or cond > CONDITION_LIMIT:
+            status = FitStatus.DIVERGED
+            break
         if abs(loglik - prev) < tol * (1.0 + abs(prev)):
-            return FitReport(
-                status=FitStatus.CONVERGED,
-                loglik=loglik,
-                iterations=sweep,
-                factors=KroneckerPrecision(tuple(mats)),
-                loglik_history=tuple(history),
-            )
+            status = FitStatus.CONVERGED
+            break
+    kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
     return FitReport(
-        status=FitStatus.MAX_ITERATIONS,
+        status=status,
         loglik=history[-1],
-        iterations=max_iter,
-        factors=KroneckerPrecision(tuple(mats)),
+        iterations=sweep,
+        factors=KroneckerPrecision(tuple(mats)) if kept else None,
         loglik_history=tuple(history),
     )
 
@@ -487,8 +487,7 @@ def _polish_arrays(
     prev = _gauge_fix_arrays(mats)
     for _ in range(max_sweeps):
         try:
-            for j in range(len(mats)):
-                _update_block(tens, mats, j, m, n)
+            _sweep(tens, mats, m, n)
         except DegenerateStatistic:
             break
         fixed = _gauge_fix_arrays(mats)
@@ -655,6 +654,11 @@ def _assemble_report(datum: Datum, trials: Sequence[TrialResult]) -> Verificatio
     )
 
 
+def _pool_workers(requested: int, tasks: int) -> int:
+    """Pool size: the request capped by CPUs and tasks; 1 means run serially."""
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
+
+
 def verify_datum(
     datum: Datum,
     trials: int = 20,
@@ -669,8 +673,8 @@ def verify_datum(
     random positive definite initializations (Psi_i = A_i^T A_i + 0.01 I
     with A_i standard normal, all seeded deterministically from `seed`).
     Requires trials >= 1, restarts >= 2 and prod(d_i) <= 4096; larger
-    models raise DeskScaleExceeded.  trials may run in parallel when
-    threads > 1; results do not depend on the schedule.
+    models raise DeskScaleExceeded.  Trials run in at most `threads` worker
+    processes, capped by CPUs and trials; results do not depend on it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -681,8 +685,9 @@ def verify_datum(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
         )
     tasks = [(datum.dims, datum.m, t, restarts, seed, tol) for t in range(trials)]
-    if threads > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, trials)) as pool:
+    workers = _pool_workers(threads, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_trial_task, tasks))
     else:
         results = [_verify_trial_task(t) for t in tasks]

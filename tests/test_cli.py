@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from tnm import SampleSet
 
@@ -184,3 +185,21 @@ def test_verify_missing_file_exit_2(tmp_path):
     res = run("verify", "--data", str(tmp_path / "absent.json"))
     assert res.returncode == 2
     assert res.stderr.strip()
+
+
+@pytest.mark.parametrize("doc", [
+    {"dims": [2], "data": [0.5, 1.0]},          # no "m"
+    {"dims": [2], "m": 1},                      # no "data"
+    [[2], 1, [0.5, 1.0]],                       # not an object
+    {"dims": 5, "m": 1, "data": [0.5] * 5},
+    {"dims": [2], "m": [1], "data": [0.5, 1.0]},
+    {"dims": "22", "m": 1, "data": [0.5] * 4},
+    {"dims": [2], "m": 1.7, "data": [0.5, 1.0]},
+])
+def test_verify_malformed_data_exit_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = run("verify", "--data", str(path), "--restarts", "2", "--threads", "1")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1

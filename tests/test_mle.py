@@ -1,6 +1,7 @@
 """Sampling, likelihood evaluation, the flip-flop solver, and verification."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tnm import (
     verify_datum,
     verify_samples,
 )
-from tnm.mle import TrialResult, _assemble_report
+from tnm.mle import TrialResult, _assemble_report, _pool_workers
 
 from oracles import dense_kron, dense_loglik, dense_mode_statistic
 
@@ -76,6 +77,19 @@ def test_sampleset_json_round_trip(tmp_path):
 def test_sampleset_rejects_other_fields():
     with pytest.raises(ValueError):
         SampleSet.from_json_dict({"dims": [2], "m": 1, "field": "complex", "data": [0, 0]})
+
+
+# malformed documents beyond those the CLI test feeds to `tnm verify --data`
+@pytest.mark.parametrize("doc", [
+    {"m": 1, "data": [0.0, 0.0]},
+    {"dims": [2, True], "m": 1, "data": [0.0, 0.0]},
+    {"dims": [2], "m": 1, "data": {"a": 0.0}},
+    {"dims": [2], "m": 1, "data": [0.0, {}]},
+    {"dims": [2], "m": 2, "data": [[0.5, 1.0], [2.0, -1.0]]},
+])
+def test_sampleset_from_json_rejects_malformed(doc):
+    with pytest.raises(ValueError):  # ShapeMismatch is a ValueError
+        SampleSet.from_json_dict(doc)
 
 
 def test_precision_validation():
@@ -228,6 +242,20 @@ def test_flip_flop_step_never_decreases_likelihood():
         before = after
 
 
+@pytest.mark.parametrize("dims,m", [((2, 3, 4), 2), ((3, 3), 3), ((2, 5, 5), 1)])
+def test_flip_flop_steps_equal_one_fit_sweep(dims, m):
+    # flip_flop_step and fit_mle share one block update, bit for bit
+    s = sample_standard(dims, m, seed=8)
+    init = random_precision(dims, seed=8)
+    p = init
+    for i in range(1, len(dims) + 1):
+        p = flip_flop_step(s, p, i)
+    rep = fit_mle(s, init, max_iter=1)
+    assert rep.factors is not None
+    for a, b in zip(p.factors, rep.factors.factors):
+        assert np.array_equal(a, b)
+
+
 def test_flip_flop_step_degenerate_raises():
     # a single 2x3 sample has a rank-2 mode-2 statistic
     s = sample_standard((2, 3), 1, seed=0)
@@ -281,6 +309,18 @@ def test_fit_max_iterations():
     assert rep.status is FitStatus.MAX_ITERATIONS
     assert rep.iterations == 1
     assert rep.factors is not None
+
+
+def test_fit_zero_iterations_returns_init():
+    s = sample_standard((3, 3), 3, seed=14)
+    init = random_precision((3, 3), seed=3)
+    rep = fit_mle(s, init, max_iter=0)
+    assert rep.status is FitStatus.MAX_ITERATIONS
+    assert rep.iterations == 0
+    assert rep.loglik_history == (log_likelihood(s, init),)
+    assert rep.loglik == rep.loglik_history[0]
+    for a, b in zip(rep.factors.factors, init.factors):
+        assert np.array_equal(a, b)
 
 
 def test_fit_tiny_divergence_bound():
@@ -369,6 +409,18 @@ def test_verify_datum_unbounded():
     assert rep.bounded_agrees and rep.exists_agrees
     assert rep.unique_agrees is None
     assert rep.profile.always_unbounded
+
+
+def test_pool_workers_capped_by_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_workers(64, 1000) == 4
+    assert _pool_workers(3, 1000) == 3
+    assert _pool_workers(64, 2) == 2
+    assert _pool_workers(0, 10) == 1
+    assert _pool_workers(-5, 10) == 1
+    assert _pool_workers(4, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_workers(8, 8) == 1
 
 
 def test_verify_datum_threads_match_serial():
