@@ -15,7 +15,6 @@ and the dimension of the invariant-theoretic quotient for generic data.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -56,6 +55,19 @@ class StabilityClass(Enum):
     STABLE = "stable"
 
 
+def _closed_form(m: int, r: int, g: int, dl: int) -> StabilityClass:
+    """The closed-form class from m, R, g_max and Delta."""
+    if r < 0:
+        return StabilityClass.UNSTABLE
+    if r == 0:
+        return StabilityClass.STABLE if g == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
+    if m == 1:
+        return StabilityClass.STABLE if dl >= -1 else StabilityClass.POLYSTABLE_NOT_STABLE
+    if r > g * g or g == 1:
+        return StabilityClass.STABLE
+    return StabilityClass.POLYSTABLE_NOT_STABLE
+
+
 def classify_closed_form(datum: Datum) -> StabilityClass:
     """Classify via closed formulas in R, Delta and g_max.
 
@@ -63,19 +75,7 @@ def classify_closed_form(datum: Datum) -> StabilityClass:
     with one sample, stable exactly when Delta >= -1; with m >= 2, stable
     exactly when R > g_max^2 or g_max = 1.
     """
-    r = big_r(datum)
-    if r < 0:
-        return StabilityClass.UNSTABLE
-    g = g_max(datum)
-    if r == 0:
-        return StabilityClass.STABLE if g == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
-    if datum.m == 1:
-        if delta(datum) >= -1:
-            return StabilityClass.STABLE
-        return StabilityClass.POLYSTABLE_NOT_STABLE
-    if r > g * g or g == 1:
-        return StabilityClass.STABLE
-    return StabilityClass.POLYSTABLE_NOT_STABLE
+    return _closed_form(datum.m, big_r(datum), g_max(datum), delta(datum))
 
 
 def _is_exceptional(datum: Datum) -> bool:
@@ -134,6 +134,13 @@ class MleProfile:
     always_unbounded: bool
 
 
+_PROFILES = {
+    StabilityClass.UNSTABLE: MleProfile(False, False, False, True),
+    StabilityClass.POLYSTABLE_NOT_STABLE: MleProfile(True, True, False, False),
+    StabilityClass.STABLE: MleProfile(True, True, True, False),
+}
+
+
 def mle_profile(datum: Datum) -> MleProfile:
     """Read the likelihood profile off the stability class.
 
@@ -141,10 +148,7 @@ def mle_profile(datum: Datum) -> MleProfile:
     almost surely, and it is almost surely unique exactly in the stable
     case.
     """
-    cls = classify_closed_form(datum)
-    if cls is StabilityClass.UNSTABLE:
-        return MleProfile(False, False, False, True)
-    return MleProfile(True, True, cls is StabilityClass.STABLE, False)
+    return _PROFILES[classify_closed_form(datum)]
 
 
 @dataclass(frozen=True)
@@ -168,32 +172,52 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _thresholds(norm: Datum, p: int, z: int, g: int, dl: int) -> ThresholdReport:
+    """Thresholds of the normalized dimensions norm.dims, given prod(d_i),
+    Z = Z(d_1^2, ..., d_k^2), g_max and Delta at m = norm.m.
+
+    One more sample adds prod(d_i) to R = m * prod(d_i) - Z and to Delta;
+    g_max does not depend on m.
+    """
+    mlt_b = max(1, _ceil_div(z, p))
+    m = mlt_b
+    while _closed_form(m, m * p - z, g, dl + (m - norm.m) * p) is not StabilityClass.STABLE:
+        m += 1
+    mlt_u = m
+
+    cor_bounds = None
+    if norm.k >= 3:
+        # ceil(d_k / (d_1 ... d_{k-1})) = ceil(m * d_k / N), N the castling partner
+        lower = _ceil_div(norm.m * norm.dims[-1], _partner(norm))
+        cor_bounds = (lower, lower + 1)
+    return ThresholdReport(mlt_b=mlt_b, mlt_e=mlt_b, mlt_u=mlt_u, cor_bounds=cor_bounds)
+
+
 def thresholds(dims: Sequence[int]) -> ThresholdReport:
     """Exact sample-count thresholds for the given dimensions.
 
     Boundedness and existence switch on together at the smallest m with
     R >= 0, which is ceil(Z(d_1^2, ..., d_k^2) / prod(d_i)) clamped to at
     least 1.  Uniqueness is found by incrementing m from there until the
-    classifier reports stable; once stable at some m, every larger m is
-    stable as well.
+    closed form reports stable; once stable at some m, every larger m is
+    stable as well.  Z is computed once for all m.
     """
-    probe = Datum(tuple(dims), 1)
-    z = z_quantity(tuple(d * d for d in probe.dims))
-    mlt_b = max(1, _ceil_div(z, probe.product()))
+    norm = normalize(Datum(tuple(dims), 1))
+    z = z_quantity([d * d for d in norm.dims])
+    return _thresholds(norm, norm.product(), z, g_max(norm), delta(norm))
 
-    m = mlt_b
-    while classify_closed_form(Datum(probe.dims, m)) is not StabilityClass.STABLE:
-        m += 1
-    mlt_u = m
 
-    cor_bounds = None
-    norm = normalize(probe)
-    if norm.k >= 3:
-        # probe has m = 1, so the castling partner is d_1 * ... * d_{k-1}
-        r = Fraction(norm.dims[-1], _partner(norm))
-        lower = math.ceil(r)
-        cor_bounds = (lower, lower + 1)
-    return ThresholdReport(mlt_b=mlt_b, mlt_e=mlt_b, mlt_u=mlt_u, cor_bounds=cor_bounds)
+def _quotient_dimension(m: int, r: int, g: int, dl: int) -> Optional[int]:
+    """The quotient dimension from m, R, g_max and Delta."""
+    if r < 0:
+        return None
+    if r == 0:
+        return 0
+    if m == 1 and dl == -2:
+        return max(g - 3, 0)
+    if m == 2 and r == g * g and r > 1:
+        return g
+    return dl
 
 
 def git_dimension(datum: Datum) -> Optional[int]:
@@ -204,17 +228,7 @@ def git_dimension(datum: Datum) -> Optional[int]:
     is Delta except for two exceptional families: max(g_max - 3, 0) when
     m = 1 and Delta = -2, and g_max when m = 2 and R = g_max^2 > 1.
     """
-    r = big_r(datum)
-    if r < 0:
-        return None
-    if r == 0:
-        return 0
-    g = g_max(datum)
-    if datum.m == 1 and delta(datum) == -2:
-        return max(g - 3, 0)
-    if datum.m == 2 and r == g * g and r > 1:
-        return g
-    return delta(datum)
+    return _quotient_dimension(datum.m, big_r(datum), g_max(datum), delta(datum))
 
 
 @dataclass(frozen=True)
@@ -251,7 +265,12 @@ def explain(datum: Datum) -> ClassificationReport:
     """
     steps, n = _walk(datum)
     norm = steps[0]
-    closed = classify_closed_form(datum)
+    # the one subset-gcd sum: R = m * prod(d_i) - Z(d_1^2, ..., d_k^2)
+    p = norm.product()
+    z = z_quantity([d * d for d in norm.dims])
+    r = datum.m * p - z
+    dl, g = delta(norm), g_max(norm)
+    closed = _closed_form(datum.m, r, g, dl)
     recursive = _classify_endpoint(steps[-1], n)
     agree = closed is recursive
     if not agree:
@@ -266,16 +285,16 @@ def explain(datum: Datum) -> ClassificationReport:
     return ClassificationReport(
         datum=datum,
         normalized=norm,
-        big_r=big_r(datum),
-        delta=delta(datum),
-        g_max=g_max(datum),
-        z=z_quantity(tuple(d * d for d in norm.dims)),
+        big_r=r,
+        delta=dl,
+        g_max=g,
+        z=z,
         indices=indices,
         trace=CastlingTrace(tuple(steps)),
         class_closed_form=closed,
         class_recursive=recursive,
         classifiers_agree=agree,
-        profile=mle_profile(datum),
-        thresholds=thresholds(datum.dims),
-        git_dimension=git_dimension(datum),
+        profile=_PROFILES[closed],
+        thresholds=_thresholds(norm, p, z, g, dl),
+        git_dimension=_quotient_dimension(datum.m, r, g, dl),
     )

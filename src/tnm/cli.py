@@ -31,6 +31,8 @@ from itertools import combinations_with_replacement
 from .castling import NotCastlable, castle_step
 from .classify import (
     StabilityClass,
+    _closed_form,
+    _quotient_dimension,
     classify_closed_form,
     classify_recursive,
     explain,
@@ -69,7 +71,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("TNM_SEED", "0"))
+    text = os.environ.get("TNM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TNM_SEED must be an integer, got {text!r}") from None
 
 
 def _dims_str(dims) -> str:
@@ -200,12 +206,14 @@ def _scan_row(task):
     dims, m, check = task
     d = Datum(dims, m)
     r, dl, gm = big_r(d), delta(d), g_max(d)
-    c1, c2 = classify_closed_form(d), classify_recursive(d)
+    c1, c2 = _closed_form(m, r, gm, dl), classify_recursive(d)
     if check == "equivalence":
         ok = c1 is c2
     elif check == "monotone":
+        # one more sample adds prod(d_i) to both R and Delta; g_max stays
+        p = d.product()
         order = list(StabilityClass)  # unstable < polystable_not_stable < stable
-        ok = order.index(classify_closed_form(Datum(dims, m + 1))) >= order.index(c1)
+        ok = order.index(_closed_form(m + 1, r + p, gm, dl + p)) >= order.index(c1)
     else:  # castling
         try:
             e = castle_step(d)
@@ -217,7 +225,7 @@ def _scan_row(task):
                 and delta(e) == dl
                 and g_max(e) == gm
                 and classify_closed_form(e) is c1
-                and git_dimension(e) == git_dimension(d)
+                and git_dimension(e) == _quotient_dimension(m, r, gm, dl)
             )
     return (_dims_str(dims), m, str(r), str(dl), str(gm), c1.value, c2.value, ok)
 
@@ -374,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "verify") and args.seed is None:
-        args.seed = _default_seed()
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.command in ("simulate", "verify") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:  # InvalidDatum, DeskScaleExceeded, bad files
         print(f"tnm {args.command}: {exc}", file=sys.stderr)

@@ -32,7 +32,9 @@ __all__ = [
     "index_of_factor",
 ]
 
-# Subset sums below enumerate all 2^k - 1 nonempty subsets of the dimensions.
+# The most factor dimensions a datum may have: a contract limit pinned by the
+# tests, not a cost bound (the subset-gcd sums below take O(k x distinct
+# subset gcds) time).
 MAX_FACTORS = 16
 
 
@@ -98,13 +100,23 @@ def normalize(datum: Datum) -> Datum:
 
 
 def _gcd_subset_sum(values: Sequence[int], power: int) -> int:
-    """Inclusion-exclusion sum over nonempty subsets S of (-1)^(|S|+1) * gcd(S)^power."""
-    total = 0
-    for r in range(1, len(values) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for combo in combinations(values, r):
-            total += sign * math.gcd(*combo) ** power
-    return total
+    """Inclusion-exclusion sum over nonempty subsets S of (-1)^(|S|+1) * gcd(S)^power.
+
+    Built one value at a time as a map from each distinct subset gcd to its
+    signed multiplicity: adding v contributes the subset {v} with sign +1,
+    and every earlier subset S joined with v, with gcd(gcd(S), v) and the
+    opposite sign.  The cost is O(k x number of distinct subset gcds), which
+    never exceeds the 2^k - 1 subsets.
+    """
+    counts: dict[int, int] = {}
+    for v in values:
+        new = counts.copy()
+        new[v] = new.get(v, 0) + 1
+        for g, c in counts.items():
+            h = math.gcd(g, v)
+            new[h] = new.get(h, 0) - c
+        counts = new
+    return sum(c * g**power for g, c in counts.items())
 
 
 def big_r(datum: Datum) -> int:

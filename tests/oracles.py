@@ -9,6 +9,7 @@ recomputed from the dense n x n Kronecker matrix.  Slow but unarguable.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -25,6 +26,17 @@ def fraction_count(values) -> int:
     for v in vals:
         mask |= (j * v) % l == 0
     return int(np.count_nonzero(mask))
+
+
+def subset_gcd_sum_bruteforce(values, power: int) -> int:
+    """Sum over nonempty subsets S of (-1)^(|S|+1) * gcd(S)^power, by
+    enumerating all 2^k - 1 subsets."""
+    total = 0
+    for r in range(1, len(values) + 1):
+        sign = 1 if r % 2 == 1 else -1
+        for combo in combinations(values, r):
+            total += sign * math.gcd(*combo) ** power
+    return total
 
 
 def min_m_bounded_search(dims, limit: int = 10_000) -> int:

@@ -2,7 +2,10 @@
 
 import logging
 import math
+import random
 from itertools import combinations_with_replacement
+
+import tnm.datum
 
 from tnm import (
     Datum,
@@ -19,6 +22,7 @@ from tnm import (
     normalize,
     reduce_to_minimal,
     thresholds,
+    z_quantity,
 )
 
 from oracles import min_m_bounded_search, min_m_unique_search
@@ -217,3 +221,60 @@ def test_explain_agrees_everywhere_sampled(caplog):
             assert rep.classifiers_agree
             assert rep.class_closed_form is rep.class_recursive
     assert not caplog.records
+
+
+def _deep(rng, k, m, moves):
+    """A datum reached from small dimensions by inverse castling moves, each
+    making a new strict largest dimension that the castling walk undoes."""
+    dims = [rng.randint(2, 6) for _ in range(k)]
+    for _ in range(moves):
+        options = []
+        for i, d in enumerate(dims):
+            n_i = m * math.prod(dims[:i] + dims[i + 1:])
+            if 2 * d < n_i and n_i - d > max(dims):
+                options.append((i, n_i - d))
+        if not options:
+            break
+        i, new = rng.choice(options)
+        dims[i] = new
+    return Datum(tuple(dims), m)
+
+
+def _explain_panel():
+    rng = random.Random(5)
+    panel = [Datum((1,), 1), Datum((1,), 3), Datum((1, 1, 1), 2), Datum((1, 4, 1, 4), 2)]
+    for k in range(2, 17):
+        dims = tuple(max(2, round(math.exp(rng.uniform(math.log(2), math.log(10**12))))) for _ in range(k))
+        panel.append(Datum(dims, rng.randint(1, 4)))
+        panel.append(Datum(tuple(rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(k)), rng.randint(1, 4)))
+    for _ in range(20):
+        panel.append(_deep(rng, rng.randint(3, 4), rng.randint(1, 3), rng.randint(5, 15)))
+    return panel
+
+
+def test_explain_matches_public_functions_with_one_subset_sum(monkeypatch):
+    panel = _explain_panel()
+    assert max(len(reduce_to_minimal(d).steps) for d in panel) > 5
+    for d in panel:
+        rep = explain(d)
+        assert rep.big_r == big_r(d)
+        assert rep.delta == delta(d)
+        assert rep.g_max == g_max(d)
+        assert rep.z == z_quantity(tuple(x * x for x in d.dims))
+        assert rep.class_closed_form is classify_closed_form(d)
+        assert rep.profile == mle_profile(d)
+        assert rep.thresholds == thresholds(d.dims)
+        assert rep.git_dimension == git_dimension(d)
+
+    calls = []
+    original = tnm.datum._gcd_subset_sum
+
+    def counted(values, power):
+        calls.append(power)
+        return original(values, power)
+
+    monkeypatch.setattr(tnm.datum, "_gcd_subset_sum", counted)
+    for d in panel:
+        calls.clear()
+        explain(d)
+        assert len(calls) == 1, d

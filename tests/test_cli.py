@@ -149,6 +149,23 @@ def test_simulate_env_seed(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--dims", "2", "--samples", "1"),
+    ("verify", "--dims", "2", "--samples", "1", "--trials", "1", "--threads", "1"),
+])
+def test_bad_env_seed_exit_2(tmp_path, command):
+    out = tmp_path / "x.json"
+    env = {**os.environ, "TNM_SEED": "abc"}
+    args = command + (("--out", str(out)) if command[0] == "simulate" else ())
+    res = run(*args, env=env)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"tnm {command[0]}: ")
+    assert "TNM_SEED" in lines[0]
+    assert not out.exists()
+
+
 def test_verify_stable_scalar_family():
     res = run("verify", "--dims", "1", "--samples", "2", "--trials", "2",
               "--restarts", "2", "--threads", "1", "--format", "json")

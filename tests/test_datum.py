@@ -20,7 +20,9 @@ from tnm import (
     z_quantity,
 )
 
-from oracles import fraction_count
+from tnm.datum import _gcd_subset_sum
+
+from oracles import fraction_count, subset_gcd_sum_bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +184,45 @@ def test_z_invariant_under_appending_ones():
     for _ in range(50):
         vals = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 4)))
         assert z_quantity(vals + (1, 1)) == z_quantity(vals)
+
+
+# ---------------------------------------------------------------------------
+# the subset-gcd sum against 2^k enumeration
+
+
+def _primes_up_to(n):
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _subset_sum_panel():
+    rng = random.Random(4)
+    panel = []
+    for k in range(1, 17):
+        panel.append(tuple(rng.randint(1, 60) for _ in range(k)))  # 1-entries, repeats
+        panel.append(tuple(rng.randint(2, 10**12) for _ in range(k)))
+        base = rng.choice((6, 12, 30, 210))
+        panel.append(tuple(base * rng.randint(1, 8) for _ in range(k)))
+    panel += [(1,), (1, 1, 1), (7,) * 16, (1,) * 16, (2, 2, 3, 3, 1, 6)]
+    for digits in (30, 60, 120, 200, 300) * 2:
+        # 30- to 300-digit values sharing big factors, so the gcds are big too
+        shared = [rng.randint(10**8, 10**9) for _ in range(3)]
+        vals = []
+        for _ in range(rng.randint(2, 8)):
+            v = math.prod(rng.sample(shared, rng.randint(1, 3)))
+            vals.append(v * rng.randint(10 ** (digits - len(str(v))), 10 ** (digits + 1 - len(str(v))) - 1))
+        panel.append(tuple(vals))
+    # worst case: all 2^16 - 1 subset gcds are distinct
+    primes = _primes_up_to(53)
+    assert len(primes) == 16
+    primorial = math.prod(primes)
+    panel.append(tuple(primorial // p for p in primes))
+    return panel
+
+
+def test_gcd_subset_sum_matches_enumeration():
+    panel = _subset_sum_panel()
+    digits = {len(str(v)) for vals in panel for v in vals}
+    assert {30, 300} <= digits
+    for vals in panel:
+        for power in (1, 2):
+            assert _gcd_subset_sum(vals, power) == subset_gcd_sum_bruteforce(vals, power), vals
