@@ -44,10 +44,14 @@ def castle_step(datum: Datum) -> Datum:
     """
     cur = normalize(datum)
     n = _partner(cur)
-    d_k = cur.dims[-1]
-    if n <= d_k:
-        raise NotCastlable(f"no castling move for {cur}: N = {n} <= d_k = {d_k}")
-    return normalize(Datum(cur.dims[:-1] + (n - d_k,), cur.m))
+    if n <= cur.dims[-1]:
+        raise NotCastlable(f"no castling move for {cur}: N = {n} <= d_k = {cur.dims[-1]}")
+    return _castle(cur, n)
+
+
+def _castle(cur: Datum, n: int) -> Datum:
+    """The castling move on a normalized datum whose partner N = n exceeds d_k."""
+    return normalize(Datum(cur.dims[:-1] + (n - cur.dims[-1],), cur.m))
 
 
 def _walk(datum: Datum) -> tuple[list[Datum], int]:
@@ -59,7 +63,7 @@ def _walk(datum: Datum) -> tuple[list[Datum], int]:
         d_k = cur.dims[-1]
         if not d_k < n < 2 * d_k:
             return steps, n
-        cur = castle_step(cur)
+        cur = _castle(cur, n)
         steps.append(cur)
 
 

@@ -277,6 +277,8 @@ def _verify_doc(rep) -> dict:
                 "loglik_spread": t.loglik_spread,
                 "factor_spread_rel": t.factor_spread_rel,
                 "factor_spread_abs": t.factor_spread_abs,
+                "iterations": list(t.iterations),
+                "polish_sweeps": list(t.polish_sweeps),
             }
             for t in rep.trials
         ],

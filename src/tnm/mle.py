@@ -247,42 +247,250 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# mode-wise tensor algebra (private)
+# the flip-flop kernel (private)
+#
+# Every factor is a stack of shape (R, d, d): R factor sets (restarts)
+# updated together against one data tensor.  Each operation acts on every
+# slice of a stack on its own, so a restart's arithmetic does not depend on
+# which other restarts share its stack; the public functions are the R = 1
+# case.
 
 
-def _mode_apply(mat: np.ndarray, tens: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply `mat` into `tens` along `axis`."""
-    return np.moveaxis(np.tensordot(mat, tens, axes=(1, axis)), 0, axis)
+class _Unfoldings:
+    """The sample tensors, laid out once per block so that no sweep copies them.
+
+    rows[j] holds the samples with axis j moved last, as a matrix with d_j
+    columns.  plans[j] lists, for every other block i in order, the split
+    (pre, d_i, post) of that layout around axis i.
+    """
+
+    def __init__(self, tens: np.ndarray) -> None:
+        self.m, self.dims = tens.shape[0], tens.shape[1:]
+        self.n = math.prod(self.dims)
+        self.rows, self.plans = [], []
+        for j, d in enumerate(self.dims):
+            self.rows.append(np.ascontiguousarray(np.moveaxis(tens, j + 1, -1)).reshape(-1, d))
+            plan, pre = [], self.m
+            for i, d_i in enumerate(self.dims):
+                if i != j:
+                    plan.append((i, pre, d_i, self.m * self.n // (pre * d_i)))
+                    pre *= d_i
+            self.plans.append(plan)
 
 
-def _apply_all(tens: np.ndarray, mats: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
-    """Apply factor j along tensor axis j+1 for every j != skip (axis 0 is samples)."""
-    out = tens
-    for j, a in enumerate(mats):
-        if j != skip:
-            out = _mode_apply(a, out, j + 1)
+def _mode_product(a: np.ndarray, x: np.ndarray, pre: int, d: int, post: int) -> np.ndarray:
+    """Multiply each matrix of the stack `a` (R, d, d) into its slice of x
+    along the axis that splits a slice as (pre, d, post); x is (R, ...) or
+    (1, ...), one slice shared by every restart."""
+    return a[:, None] @ x.reshape(len(x), pre, d, post)
+
+
+def _applied(data: _Unfoldings, mats, j: int) -> np.ndarray:
+    """(prod_{i != j} Psi_i) applied to the samples in block j's layout, (R or 1, M, d_j)."""
+    rows = data.rows[j]
+    w = rows[None]
+    for i, pre, d, post in data.plans[j]:
+        w = _mode_product(mats[i], w, pre, d, post)
+    return w.reshape(len(w), *rows.shape)
+
+
+def _statistic(data: _Unfoldings, mats, j: int) -> np.ndarray:
+    """Symmetrized S_j = sum_s M_s^(j) (prod_{i != j} Psi_i) M_s^(j)^T, (R, d_j, d_j)."""
+    s = data.rows[j].T @ _applied(data, mats, j)
+    if len(s) != len(mats[j]):  # a single block: S does not depend on the factors
+        s = np.repeat(s, len(mats[j]), axis=0)
+    s += s.transpose(0, 2, 1)
+    s *= 0.5
+    return s
+
+
+def _logdet_chol(a: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log(np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)).sum(axis=1)
+
+
+def _loglik(data: _Unfoldings, mats) -> np.ndarray:
+    """Log-likelihood of every restart, evaluated explicitly; the quadratic
+    term is tr(Psi_j S_j), taken at the smallest block j."""
+    j = data.dims.index(min(data.dims))
+    quad = (data.rows[j].T @ _applied(data, mats, j)) * mats[j]
+    logdet = sum((data.n // a.shape[-1]) * _logdet_chol(a) for a in mats)
+    return 0.5 * data.m * logdet - 0.5 * quad.reshape(len(quad), -1).sum(axis=1)
+
+
+def _update_block(data: _Unfoldings, mats: list, j: int):
+    """Set block j of every restart to its maximizer (m*n/d_j) * S_j^{-1},
+    in place, from one batched eigh.
+
+    Restarts whose statistic has no usable scale (non-finite or vanishing)
+    are dropped from `mats`.  Returns (ok, cond, ridged, logdet): ok masks
+    the restarts kept; the other three cover those only: the new factors'
+    condition numbers, whether the step ridged, and log det of the new
+    factors.  A numerically singular statistic certifies an unbounded ascent
+    direction, and its restart takes a ridge-regularized surrogate step
+    whose huge condition number trips the divergence detector.
+    """
+    # S_j does not depend on Psi_j: it takes Psi_j's place, and its buffer
+    # then receives the new factor
+    mats[j] = _statistic(data, mats, j)
+    ok = np.ones(len(mats[j]), dtype=bool)
+    if not math.isfinite(mats[j].sum()):
+        ok = np.isfinite(mats[j]).all(axis=(1, 2))
+        mats[:] = [a[ok] for a in mats]
+    w, v = np.linalg.eigh(mats[j])
+    vanishing = w[:, -1] <= 0.0
+    if vanishing.any():
+        ok[ok] = ~vanishing
+        mats[:] = [a[~vanishing] for a in mats]
+        w, v = w[~vanishing], v[~vanishing]
+    top = w[:, -1:]
+    ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
+    if ridged.any():
+        w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
+    scale = data.m * data.n // data.dims[j]
+    logdet = data.dims[j] * math.log(scale) - np.log(w).sum(axis=1)
+    v *= np.sqrt(scale / w)[:, None, :]
+    np.matmul(v, v.transpose(0, 2, 1), out=mats[j])
+    return ok, w[:, -1] / w[:, 0], ridged, logdet
+
+
+def _sweep(data: _Unfoldings, mats: list):
+    """One sweep, blocks 1..k in order, of every restart in the stack.
+
+    Updates `mats` in place and drops from it the restarts whose statistic
+    lost its scale.  Returns (alive, cond, ridged, logdets): alive masks the
+    restarts kept; the others cover those only: the largest new condition
+    number, whether any block ridged, and log det Psi_i for every block.
+    """
+    r = len(mats[0])
+    alive = np.ones(r, dtype=bool)
+    cond, ridged, logdets = np.zeros(r), np.zeros(r, dtype=bool), []
+    for j in range(len(mats)):
+        ok, c, rg, ld = _update_block(data, mats, j)
+        if len(c) < len(cond):
+            alive[alive] = ok
+            cond, ridged, logdets = cond[ok], ridged[ok], [x[ok] for x in logdets]
+        np.maximum(cond, c, out=cond)
+        ridged |= rg
+        logdets.append(ld)
+    return alive, cond, ridged, logdets
+
+
+def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
+    """Flip-flop every restart of the stack until its own verdict (see fit_mle).
+
+    A restart that stops leaves the stack, so later sweeps cost less.  The
+    log-likelihood after a sweep is read off the eigenvalues: with block k
+    at its maximizer the quadratic term is exactly m*n, so
+    l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is evaluated
+    explicitly for the initial value and after a sweep that ridged.  The
+    entries of `mats` are consumed.  Returns one FitReport per restart.
+    """
+    r = len(mats[0])
+    l_init = _loglik(data, mats)
+    if divergence_bound is None:
+        bound = 1e3 * (1.0 + np.abs(l_init))
+    else:
+        bound = np.full(r, float(divergence_bound))
+    histories = [[x] for x in l_init.tolist()]
+    reports = [None] * r
+
+    def finish(i, status, sweep, pos=None):
+        kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
+        factors = KroneckerPrecision(tuple(a[pos].copy() for a in mats)) if kept else None
+        reports[i] = FitReport(status, histories[i][-1], sweep, factors, tuple(histories[i]))
+
+    active, prev = np.arange(r), l_init
+    for sweep in range(1, max_iter + 1):
+        if not len(active):
+            break
+        alive, cond, ridged, logdets = _sweep(data, mats)
+        if not alive.all():
+            for i in active[~alive]:
+                finish(i, FitStatus.DEGENERATE_STATISTIC, sweep)
+            active, l_init, bound, prev = active[alive], l_init[alive], bound[alive], prev[alive]
+        logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
+        loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
+        if ridged.any():
+            loglik[ridged] = _loglik(data, mats if ridged.all() else [a[ridged] for a in mats])
+        for i, x in zip(active.tolist(), loglik.tolist()):
+            histories[i].append(x)
+        diverged = ~np.isfinite(loglik) | (loglik - l_init > bound) | (cond > CONDITION_LIMIT)
+        stop = diverged | (np.abs(loglik - prev) < tol * (1.0 + np.abs(prev)))
+        if stop.any():
+            for pos in np.flatnonzero(stop):
+                status = FitStatus.DIVERGED if diverged[pos] else FitStatus.CONVERGED
+                finish(active[pos], status, sweep, pos)
+            go = ~stop
+            active, l_init, bound, loglik = active[go], l_init[go], bound[go], loglik[go]
+            mats[:] = [a[go] for a in mats]
+        prev = loglik
+    for pos, i in enumerate(active):
+        finish(i, FitStatus.MAX_ITERATIONS, max(max_iter, 0), pos)
+    return reports
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).reshape(len(x), -1).sum(axis=1))
+
+
+def _gauge_fix(mats, logdets=None) -> list[np.ndarray]:
+    """Gauge-fixed copies of the stacks: det(Psi_i) = 1 for i >= 2.  The
+    log-determinants of the blocks are computed unless given."""
+    out = [np.array(a) for a in mats]
+    carry = 1.0
+    for i, a in enumerate(out[1:], 1):
+        c = np.exp((_logdet_chol(a) if logdets is None else logdets[i]) / a.shape[-1])
+        a /= c[:, None, None]
+        carry = carry * c
+    out[0] *= np.reshape(carry, (-1, 1, 1))
     return out
 
 
-def _logdet_chol(a: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(a)))))
+def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10, max_sweeps: int = 2000):
+    """Sharpen converged fits by extra sweeps with a parameter-based stop.
 
+    The likelihood-change rule in fit_mle can halt while slowly contracting
+    factor directions still carry a few 1e-6 of error; iterating the (still
+    contracting) block updates until the gauge-fixed factors move less than
+    `ptol` relative Frobenius per sweep removes that, independently of the
+    floating-point resolution of the likelihood.  Each restart stops on its
+    own; best effort: a restart whose statistic loses its scale keeps its
+    last iterate.  The entries of `mats` are consumed.  Returns the
+    gauge-fixed factors and the sweeps run, one entry per restart.
+    """
+    r = len(mats[0])
+    fixed, sweeps = [None] * r, [max_sweeps] * r
+    active, prev = np.arange(r), _gauge_fix(mats)
 
-def _loglik_arrays(tens: np.ndarray, mats: Sequence[np.ndarray], m: int, n: int) -> float:
-    quad = float(np.vdot(tens, _apply_all(tens, mats)))
-    logdet = sum((n // a.shape[0]) * _logdet_chol(a) for a in mats)
-    return 0.5 * m * logdet - 0.5 * quad
+    def finish(pos, stacks, sweep):
+        fixed[active[pos]] = [a[pos].copy() for a in stacks]
+        sweeps[active[pos]] = sweep
 
-
-def _mode_statistic_arrays(tens: np.ndarray, mats: Sequence[np.ndarray], j: int) -> np.ndarray:
-    """Symmetrized S_j = sum_s M_s^(j) (prod_{i != j} Psi_i) M_s^(j)^T (j zero-based)."""
-    m = tens.shape[0]
-    d = tens.shape[j + 1]
-    w = _apply_all(tens, mats, skip=j)
-    a = np.moveaxis(tens, j + 1, 1).reshape(m, d, -1)
-    b = np.moveaxis(w, j + 1, 1).reshape(m, d, -1)
-    s = np.einsum("sir,sjr->ij", a, b)
-    return 0.5 * (s + s.T)
+    for sweep in range(1, max_sweeps + 1):
+        if not len(active):
+            break
+        alive, _, _, logdets = _sweep(data, mats)
+        if not alive.all():
+            for pos in np.flatnonzero(~alive):
+                finish(pos, prev, sweep)
+            active, prev = active[alive], [p[alive] for p in prev]
+        new = _gauge_fix(mats, logdets)
+        change = np.zeros(len(active))
+        for a, b in zip(new, prev):
+            norm = np.maximum(_frobenius(b), 1e-300)
+            b -= a
+            np.maximum(change, _frobenius(b) / norm, out=change)
+        done = change < ptol
+        if done.any():
+            for pos in np.flatnonzero(done):
+                finish(pos, new, sweep)
+            go = ~done
+            active, new = active[go], [a[go] for a in new]
+            mats[:] = [a[go] for a in mats]
+        prev = new
+    for pos in range(len(active)):
+        finish(pos, prev, max_sweeps)
+    return fixed, sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +515,12 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
     where Psi_i = L_i L_i^T is the Cholesky factorization.
     """
     dims = factors.dims
-    z = np.random.default_rng(seed).standard_normal((m, *dims))
-    for j, psi in enumerate(factors.factors):
+    z = np.random.default_rng(seed).standard_normal((1, m, *dims))
+    pre, n = m, math.prod(dims)
+    for d, psi in zip(dims, factors.factors):
         li = np.linalg.cholesky(psi)
-        z = _mode_apply(np.linalg.inv(li).T, z, j + 1)
+        z = _mode_product(np.linalg.inv(li).T[None], z, pre, d, m * n // (pre * d))
+        pre *= d
     return SampleSet(dims, m, z.ravel())
 
 
@@ -325,10 +535,15 @@ def _check_compatible(samples: SampleSet, factors: KroneckerPrecision) -> None:
         )
 
 
+def _stack(factors: KroneckerPrecision) -> list[np.ndarray]:
+    """The factors as stacks of one restart, (1, d_i, d_i)."""
+    return [np.array(f, order="C")[None] for f in factors.factors]
+
+
 def log_likelihood(samples: SampleSet, factors: KroneckerPrecision) -> float:
     """Exact log-likelihood (up to its additive constant), mode-by-mode."""
     _check_compatible(samples, factors)
-    return _loglik_arrays(samples.tensors(), factors.factors, samples.m, samples.n)
+    return float(_loglik(_Unfoldings(samples.tensors()), _stack(factors))[0])
 
 
 def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> np.ndarray:
@@ -341,36 +556,7 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
     _check_compatible(samples, factors)
     if not 1 <= i <= samples.k:
         raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
-    return _mode_statistic_arrays(samples.tensors(), factors.factors, i - 1)
-
-
-def _update_block(tens, mats, j, m, n) -> tuple[float, bool]:
-    """In-place flip-flop update of block j (zero-based) to (m*n/d_j) * S_j^{-1}.
-
-    Returns the new factor's condition number and whether it ridged: a
-    numerically singular statistic certifies an unbounded ascent direction,
-    and the update then takes a ridge-regularized surrogate step whose huge
-    condition number trips the divergence detector.  A statistic with no
-    usable scale at all raises DegenerateStatistic.
-    """
-    s = _mode_statistic_arrays(tens, mats, j)
-    if not np.all(np.isfinite(s)):
-        raise DegenerateStatistic(f"block {j + 1} statistic has non-finite entries")
-    w, v = np.linalg.eigh(s)
-    if w[-1] <= 0.0:
-        raise DegenerateStatistic(f"block {j + 1} statistic vanishes")
-    ridged = bool(w[0] < DEGENERATE_EIG_RTOL * w[-1])
-    if ridged:
-        w = np.maximum(w, 0.0) + _RIDGE_RTOL * w[-1]
-    scale = m * n // mats[j].shape[0]
-    new = (v * (scale / w)) @ v.T
-    mats[j] = 0.5 * (new + new.T)
-    return float(w[-1] / w[0]), ridged
-
-
-def _sweep(tens, mats, m, n) -> float:
-    """Update blocks 1..k in place; returns the largest new condition number."""
-    return max(_update_block(tens, mats, j, m, n)[0] for j in range(len(mats)))
+    return _statistic(_Unfoldings(samples.tensors()), _stack(factors), i - 1)[0]
 
 
 def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> KroneckerPrecision:
@@ -384,11 +570,11 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     _check_compatible(samples, factors)
     if not 1 <= i <= samples.k:
         raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
-    mats = list(factors.factors)
-    _, ridged = _update_block(samples.tensors(), mats, i - 1, samples.m, samples.n)
-    if ridged:
+    mats = _stack(factors)
+    ok, _, ridged, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
+    if not ok[0] or ridged[0]:
         raise DegenerateStatistic(f"block {i} statistic is numerically singular")
-    return KroneckerPrecision(tuple(mats))
+    return KroneckerPrecision(tuple(a[0] for a in mats))
 
 
 def fit_mle(
@@ -412,50 +598,7 @@ def fit_mle(
     _check_compatible(samples, init)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    tens = samples.tensors()
-    m, n = samples.m, samples.n
-    mats = [np.array(f) for f in init.factors]
-
-    l_init = _loglik_arrays(tens, mats, m, n)
-    bound = divergence_bound if divergence_bound is not None else 1e3 * (1.0 + abs(l_init))
-    history = [l_init]
-
-    status, sweep = FitStatus.MAX_ITERATIONS, 0
-    for sweep in range(1, max_iter + 1):
-        try:
-            cond = _sweep(tens, mats, m, n)
-        except DegenerateStatistic:
-            status = FitStatus.DEGENERATE_STATISTIC
-            break
-        prev = history[-1]
-        loglik = _loglik_arrays(tens, mats, m, n)
-        history.append(loglik)
-        if not math.isfinite(loglik) or loglik - l_init > bound or cond > CONDITION_LIMIT:
-            status = FitStatus.DIVERGED
-            break
-        if abs(loglik - prev) < tol * (1.0 + abs(prev)):
-            status = FitStatus.CONVERGED
-            break
-    kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
-    return FitReport(
-        status=status,
-        loglik=history[-1],
-        iterations=sweep,
-        factors=KroneckerPrecision(tuple(mats)) if kept else None,
-        loglik_history=tuple(history),
-    )
-
-
-def _gauge_fix_arrays(mats: list[np.ndarray]) -> list[np.ndarray]:
-    out = [np.array(a) for a in mats]
-    carry = 1.0
-    for idx in range(1, len(out)):
-        d = out[idx].shape[0]
-        c = math.exp(_logdet_chol(out[idx]) / d)
-        out[idx] /= c
-        carry *= c
-    out[0] *= carry
-    return out
+    return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0]
 
 
 def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
@@ -463,42 +606,7 @@ def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
     into Psi_1.  The Kronecker product, and hence the likelihood, is
     unchanged; the result is a canonical representative of the scaling
     orbit.  Idempotent; a single factor is returned as is."""
-    return KroneckerPrecision(tuple(_gauge_fix_arrays(list(factors.factors))))
-
-
-def _polish_arrays(
-    tens: np.ndarray,
-    m: int,
-    n: int,
-    factors: KroneckerPrecision,
-    ptol: float = 1e-10,
-    max_sweeps: int = 2000,
-) -> KroneckerPrecision:
-    """Sharpen a converged fit by extra sweeps with a parameter-based stop.
-
-    The likelihood-change rule in fit_mle can halt while slowly contracting
-    factor directions still carry a few 1e-6 of error; iterating the (still
-    contracting) block updates until the gauge-fixed factors move less than
-    `ptol` relative Frobenius per sweep removes that, independently of the
-    floating-point resolution of the likelihood.  Best effort: returns the
-    last iterate on any numerical trouble.
-    """
-    mats = [np.array(f) for f in factors.factors]
-    prev = _gauge_fix_arrays(mats)
-    for _ in range(max_sweeps):
-        try:
-            _sweep(tens, mats, m, n)
-        except DegenerateStatistic:
-            break
-        fixed = _gauge_fix_arrays(mats)
-        change = max(
-            float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
-            for a, b in zip(fixed, prev)
-        )
-        prev = fixed
-        if change < ptol:
-            break
-    return KroneckerPrecision(tuple(prev))
+    return KroneckerPrecision(tuple(a[0] for a in _gauge_fix(_stack(factors))))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +625,8 @@ class TrialResult:
     each converged fit is polished by extra flip-flop sweeps with a
     parameter-based stop, which sharpens the maximizer location without
     touching the reported fit.  All spreads are 0 when fewer than two
-    restarts converged.
+    restarts converged.  iterations holds every restart's fit sweeps,
+    polish_sweeps its polish sweeps (0 unless it converged).
     """
 
     statuses: tuple[str, ...]
@@ -525,6 +634,8 @@ class TrialResult:
     loglik_spread: float
     factor_spread_rel: float
     factor_spread_abs: float
+    iterations: tuple[int, ...] = ()
+    polish_sweeps: tuple[int, ...] = ()
 
     @property
     def n_converged(self) -> int:
@@ -571,18 +682,37 @@ class VerificationReport:
         return all(s == degen for t in self.trials for s in t.statuses)
 
 
-def _random_init(dims: Sequence[int], rng: np.random.Generator) -> KroneckerPrecision:
-    mats = []
-    for d in dims:
-        a = rng.standard_normal((d, d))
-        mats.append(a.T @ a + 1e-2 * np.eye(d))
-    return KroneckerPrecision(tuple(mats))
+def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]:
+    """Seeded random starting points Psi_i = A_i^T A_i + 0.01 I, A_i standard
+    normal, as one stack (restarts, d_i, d_i) per factor."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([*seed, r])
+        draws = [rng.standard_normal((d, d)) for d in dims]
+        starts.append([a.T @ a + 1e-2 * np.eye(len(a)) for a in draws])
+    return [np.stack(s) for s in zip(*starts)]
 
 
-def _factor_gaps(a: KroneckerPrecision, b: KroneckerPrecision) -> tuple[float, float]:
+def _trial_fits(samples: SampleSet, restarts: int, seed, tol: float):
+    """Fit all restarts of one trial as one stack, then polish the converged ones.
+
+    Returns (fits, polished, polish_sweeps): one FitReport per restart, the
+    gauge-fixed polished factors of the converged restarts in order, and
+    every restart's polish sweeps (0 unless it converged).
+    """
+    data = _Unfoldings(samples.tensors())
+    fits = _fit(data, _restart_inits(samples.dims, restarts, seed), tol, DEFAULT_MAX_SWEEPS)
+    conv = [f.factors.factors for f in fits if f.status is FitStatus.CONVERGED]
+    polished, sweeps = _polish(data, [np.stack(fs) for fs in zip(*conv)]) if conv else ([], [])
+    sweeps = iter(sweeps)
+    polish_sweeps = [next(sweeps) if f.status is FitStatus.CONVERGED else 0 for f in fits]
+    return fits, polished, polish_sweeps
+
+
+def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[float, float]:
     """Largest per-factor Frobenius gap between two factor tuples: (relative, absolute)."""
     rel = abs_ = 0.0
-    for fa, fb in zip(a.factors, b.factors):
+    for fa, fb in zip(a, b):
         diff = float(np.linalg.norm(fa - fb))
         denom = max(float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1e-300)
         rel = max(rel, diff / denom)
@@ -591,20 +721,10 @@ def _factor_gaps(a: KroneckerPrecision, b: KroneckerPrecision) -> tuple[float, f
 
 
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
-    statuses, logliks, fixed = [], [], []
-    for r in range(restarts):
-        rng = np.random.default_rng([*seed, r])
-        fit = fit_mle(samples, _random_init(samples.dims, rng), tol=tol)
-        statuses.append(fit.status.value)
-        logliks.append(fit.loglik)
-        if fit.status is FitStatus.CONVERGED:
-            fixed.append(
-                _polish_arrays(samples.tensors(), samples.m, samples.n, fit.factors)
-            )
-
+    fits, fixed, polish_sweeps = _trial_fits(samples, restarts, seed, tol)
+    ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
     spread = 0.0
-    if len(fixed) >= 2:
-        ls = [l for s, l in zip(statuses, logliks) if s == FitStatus.CONVERGED.value]
+    if len(ls) >= 2:
         spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
     rel = abs_ = 0.0
     for x in range(len(fixed)):
@@ -613,11 +733,13 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
             rel = max(rel, r_xy)
             abs_ = max(abs_, a_xy)
     return TrialResult(
-        statuses=tuple(statuses),
-        logliks=tuple(logliks),
+        statuses=tuple(f.status.value for f in fits),
+        logliks=tuple(f.loglik for f in fits),
         loglik_spread=spread,
         factor_spread_rel=rel,
         factor_spread_abs=abs_,
+        iterations=tuple(f.iterations for f in fits),
+        polish_sweeps=tuple(polish_sweeps),
     )
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force oracles for pinning expected values.
 
 Everything here deliberately avoids the library's closed formulas and
-mode-wise algebra: fractions are enumerated one by one, thresholds found by
-linear search against the recursive classifier, and likelihood quantities
-recomputed from the dense n x n Kronecker matrix.  Slow but unarguable.
+stacked flip-flop kernel: fractions are enumerated one by one, thresholds
+found by linear search against the recursive classifier, likelihood
+quantities recomputed from the dense n x n Kronecker matrix, and flip-flop
+run one restart at a time with the log-likelihood evaluated explicitly
+after every sweep.  Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from tnm import Datum, StabilityClass, classify_recursive
+from tnm import Datum, FitStatus, StabilityClass, classify_recursive
+from tnm.mle import CONDITION_LIMIT, DEGENERATE_EIG_RTOL, DEFAULT_MAX_SWEEPS, DEFAULT_TOL
 
 
 def fraction_count(values) -> int:
@@ -85,3 +88,115 @@ def dense_mode_statistic(samples, mats, i: int) -> np.ndarray:
         unfolded = np.moveaxis(t, j, 0).reshape(d, -1)
         s += unfolded @ rest @ unfolded.T
     return s
+
+
+# ---------------------------------------------------------------------------
+# flip-flop, one restart at a time (the solver before it was batched)
+
+
+class _Degenerate(Exception):
+    pass
+
+
+def _mode_apply(mat, tens, axis):
+    return np.moveaxis(np.tensordot(mat, tens, axes=(1, axis)), 0, axis)
+
+
+def _apply_all(tens, mats, skip=-1):
+    out = tens
+    for j, a in enumerate(mats):
+        if j != skip:
+            out = _mode_apply(a, out, j + 1)
+    return out
+
+
+def _logdet_chol(a):
+    return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(a)))))
+
+
+def _loglik(tens, mats, m, n):
+    quad = float(np.vdot(tens, _apply_all(tens, mats)))
+    logdet = sum((n // a.shape[0]) * _logdet_chol(a) for a in mats)
+    return 0.5 * m * logdet - 0.5 * quad
+
+
+def _sweep(tens, mats, m, n):
+    """Blocks 1..k in place; the largest new condition number."""
+    cond = 0.0
+    for j in range(len(mats)):
+        d = tens.shape[j + 1]
+        w = _apply_all(tens, mats, skip=j)
+        a = np.moveaxis(tens, j + 1, 1).reshape(tens.shape[0], d, -1)
+        b = np.moveaxis(w, j + 1, 1).reshape(tens.shape[0], d, -1)
+        s = np.einsum("sir,sjr->ij", a, b)
+        s = 0.5 * (s + s.T)
+        if not np.all(np.isfinite(s)):
+            raise _Degenerate
+        ev, v = np.linalg.eigh(s)
+        if ev[-1] <= 0.0:
+            raise _Degenerate
+        if ev[0] < DEGENERATE_EIG_RTOL * ev[-1]:
+            ev = np.maximum(ev, 0.0) + 1e-14 * ev[-1]
+        new = (v * ((m * n // d) / ev)) @ v.T
+        mats[j] = 0.5 * (new + new.T)
+        cond = max(cond, float(ev[-1] / ev[0]))
+    return cond
+
+
+def fit_sequential(samples, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_SWEEPS):
+    """fit_mle for one restart: (status, iterations, loglik_history, factors or None)."""
+    tens, m, n = samples.tensors(), samples.m, samples.n
+    mats = [np.array(f) for f in init]
+    l_init = _loglik(tens, mats, m, n)
+    bound = 1e3 * (1.0 + abs(l_init))
+    history = [l_init]
+    status, sweep = FitStatus.MAX_ITERATIONS, 0
+    for sweep in range(1, max_iter + 1):
+        try:
+            cond = _sweep(tens, mats, m, n)
+        except _Degenerate:
+            status = FitStatus.DEGENERATE_STATISTIC
+            break
+        prev = history[-1]
+        loglik = _loglik(tens, mats, m, n)
+        history.append(loglik)
+        if not math.isfinite(loglik) or loglik - l_init > bound or cond > CONDITION_LIMIT:
+            status = FitStatus.DIVERGED
+            break
+        if abs(loglik - prev) < tol * (1.0 + abs(prev)):
+            status = FitStatus.CONVERGED
+            break
+    kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
+    return status, sweep, history, (mats if kept else None)
+
+
+def _gauge_fix(mats):
+    out = [np.array(a) for a in mats]
+    carry = 1.0
+    for idx in range(1, len(out)):
+        c = math.exp(_logdet_chol(out[idx]) / out[idx].shape[0])
+        out[idx] /= c
+        carry *= c
+    out[0] *= carry
+    return out
+
+
+def polish_sequential(samples, factors, ptol=1e-10, max_sweeps=2000):
+    """Extra sweeps until the gauge-fixed factors move less than ptol: (factors, sweeps)."""
+    tens, m, n = samples.tensors(), samples.m, samples.n
+    mats = [np.array(f) for f in factors]
+    prev = _gauge_fix(mats)
+    for sweep in range(1, max_sweeps + 1):
+        try:
+            _sweep(tens, mats, m, n)
+        except _Degenerate:
+            return prev, sweep
+        fixed = _gauge_fix(mats)
+        change = max(
+            float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+            for a, b in zip(fixed, prev)
+        )
+        prev = fixed
+        if change < ptol:
+            return prev, sweep
+    return prev, max_sweeps

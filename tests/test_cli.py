@@ -173,6 +173,9 @@ def test_verify_stable_scalar_family():
     doc = json.loads(res.stdout)
     assert doc["bounded_agrees"] and doc["exists_agrees"] and doc["unique_agrees"]
     assert all(s == "converged" for t in doc["trials"] for s in t["statuses"])
+    for t in doc["trials"]:  # per-restart fit and polish sweeps
+        assert len(t["iterations"]) == len(t["polish_sweeps"]) == 2
+        assert all(type(c) is int and c > 0 for c in t["iterations"] + t["polish_sweeps"])
 
 
 def test_verify_unstable_text():

@@ -25,9 +25,25 @@ from tnm import (
     verify_datum,
     verify_samples,
 )
-from tnm.mle import TrialResult, _assemble_report, _pool_workers
+from tnm.mle import (
+    DEFAULT_TOL,
+    TrialResult,
+    _assemble_report,
+    _fit,
+    _polish,
+    _pool_workers,
+    _restart_inits,
+    _trial_fits,
+    _Unfoldings,
+)
 
-from oracles import dense_kron, dense_loglik, dense_mode_statistic
+from oracles import (
+    dense_kron,
+    dense_loglik,
+    dense_mode_statistic,
+    fit_sequential,
+    polish_sequential,
+)
 
 
 def random_precision(dims, seed):
@@ -350,6 +366,113 @@ def test_fit_stationarity_at_convergence():
         scale = s.m * s.n // s.dims[i - 1]
         resid = stat - scale * np.linalg.inv(rep.factors.factors[i - 1])
         assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(stat)
+
+
+def test_loglik_from_eigenvalues_matches_explicit():
+    # after every sweep the log-likelihood is read off the block eigenvalues;
+    # it must equal the explicit evaluation of the factors the sweep left
+    for dims, m in [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 3, 4), 2), ((8, 8, 8), 1)]:
+        s = sample_standard(dims, m, seed=3)
+        init = random_precision(dims, seed=3)
+        full = fit_mle(s, init)
+        assert full.status is FitStatus.CONVERGED
+        for t in range(1, min(full.iterations, 25) + 1):
+            rep = fit_mle(s, init, max_iter=t)
+            assert rep.loglik_history == full.loglik_history[: t + 1]
+            assert rep.loglik == pytest.approx(log_likelihood(s, rep.factors), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: all restarts of a trial in one stack
+
+
+def _same_fit(a, b) -> bool:
+    """Bitwise equal FitReports (histories compared with NaN equal to NaN)."""
+    if (a.status, a.iterations) != (b.status, b.iterations):
+        return False
+    if not np.array_equal(a.loglik_history, b.loglik_history, equal_nan=True):
+        return False
+    if a.factors is None or b.factors is None:
+        return a.factors is None and b.factors is None
+    return all(np.array_equal(x, y) for x, y in zip(a.factors.factors, b.factors.factors))
+
+
+@pytest.mark.parametrize("dims,m", [
+    ((3, 3), 3), ((2, 5, 5), 1), ((4, 4, 4), 1), ((8, 8, 8), 1), ((64, 64), 3), ((2, 2, 8), 1),
+])
+def test_stacked_restarts_equal_solo_fits(dims, m):
+    # a restart's result does not depend on which restarts share its stack
+    samples = sample_standard(dims, m, seed=[0, 101, 0])
+    fits, polished, _ = _trial_fits(samples, 4, (0, 202, 0), DEFAULT_TOL)
+    inits = _restart_inits(dims, 4, (0, 202, 0))
+    data = _Unfoldings(samples.tensors())
+    converged = 0
+    for r, fit in enumerate(fits):
+        solo = fit_mle(samples, KroneckerPrecision(tuple(a[r] for a in inits)))
+        assert _same_fit(fit, solo)
+        if fit.status is FitStatus.CONVERGED:
+            alone, _ = _polish(data, [a[None].copy() for a in fit.factors.factors])
+            assert all(np.array_equal(x, y) for x, y in zip(alone[0], polished[converged]))
+            converged += 1
+
+
+def test_mixed_stack_restarts_leave_on_their_own():
+    # one restart ridges and diverges in sweep 1, one hits a vanishing
+    # statistic; the others converge as if alone
+    s = sample_standard((4, 4), 2, seed=5)
+    mats = _restart_inits((4, 4), 5, (5, 202, 0))
+    mats[1][1] = np.diag([1.0, 1e-30, 1e-30, 1e-30])
+    mats[1][3] = 1e-320 * np.eye(4)
+    inits = [a.copy() for a in mats]
+    with np.errstate(all="ignore"):
+        fits = _fit(_Unfoldings(s.tensors()), mats, DEFAULT_TOL, 10_000)
+        solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(5)]
+    assert [f.status for f in fits] == [
+        FitStatus.CONVERGED, FitStatus.DIVERGED, FitStatus.CONVERGED,
+        FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED,
+    ]
+    for fit, solo in zip(fits, solos):
+        assert _same_fit(fit, solo)
+
+
+PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1)]
+
+
+@pytest.mark.parametrize("dims,m", PANEL)
+def test_stacked_kernel_matches_sequential_oracle(dims, m):
+    # the batched kernel against the one-restart-at-a-time solver with an
+    # explicit log-likelihood every sweep; diverged log-likelihoods are only
+    # where the runaway tripped, so they are not compared
+    for seed in range(4):
+        samples = sample_standard(dims, m, seed=[seed, 101, 0])
+        fits, polished, _ = _trial_fits(samples, 4, (seed, 202, 0), DEFAULT_TOL)
+        inits = _restart_inits(dims, 4, (seed, 202, 0))
+        converged = 0
+        for r, fit in enumerate(fits):
+            status, sweeps, history, factors = fit_sequential(samples, [a[r] for a in inits])
+            assert (fit.status, fit.iterations) == (status, sweeps)
+            if status is FitStatus.CONVERGED:
+                assert fit.loglik == pytest.approx(history[-1], rel=1e-9)
+                want, _ = polish_sequential(samples, factors)
+                for got, exp in zip(polished[converged], want):
+                    assert np.allclose(got, exp, rtol=1e-8)
+                converged += 1
+
+
+def test_trial_reports_sweep_counts():
+    # verify reports each restart's fit sweeps as fit_mle counts them alone,
+    # and its polish sweeps as the sequential oracle counts them
+    s = sample_standard((3, 3), 3, seed=2)
+    t = verify_samples(s, restarts=3, seed=0).trials[0]
+    inits = _restart_inits((3, 3), 3, (0, 202, 0))
+    for r in range(3):
+        fit = fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits)))
+        assert fit.status is FitStatus.CONVERGED
+        assert t.iterations[r] == fit.iterations
+        assert t.polish_sweeps[r] == polish_sequential(s, fit.factors.factors)[1]
+    div = verify_datum(Datum((2, 3), 1), trials=1, restarts=2, seed=1).trials[0]
+    assert div.statuses == ("diverged", "diverged")
+    assert div.iterations == (1, 1) and div.polish_sweeps == (0, 0)
 
 
 # ---------------------------------------------------------------------------
