@@ -25,26 +25,22 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .castling import NotCastlable, castle_step
 from .classify import (
     StabilityClass,
     _closed_form,
     _quotient_dimension,
-    classify_closed_form,
     classify_recursive,
     explain,
-    git_dimension,
     thresholds,
 )
 from .datum import Datum, InvalidDatum, big_r, delta, g_max
 from .mle import (
     DEFAULT_TOL,
-    DegenerateStatistic,
     SampleSet,
-    _pool_workers,
+    _pool_map,
     sample_standard,
     verify_datum,
     verify_samples,
@@ -194,10 +190,9 @@ def _grid_size(max_k: int, max_dim: int, max_m: int) -> int:
 
 
 def _grid(max_k: int, max_dim: int, max_m: int):
-    dims_list = [(1,)] if max_dim >= 1 else []
-    for k in range(1, max_k + 1):
-        dims_list.extend(combinations_with_replacement(range(2, max_dim + 1), k))
-    for dims in dims_list:
+    shapes = [[(1,)] if max_dim >= 1 else []]
+    shapes.extend(combinations_with_replacement(range(2, max_dim + 1), k) for k in range(1, max_k + 1))
+    for dims in chain.from_iterable(shapes):  # lazily: the grid is never held
         for m in range(1, max_m + 1):
             yield dims, m
 
@@ -220,12 +215,13 @@ def _scan_row(task):
         except NotCastlable:
             ok = True
         else:
+            er, edl, egm = big_r(e), delta(e), g_max(e)
             ok = (
-                big_r(e) == r
-                and delta(e) == dl
-                and g_max(e) == gm
-                and classify_closed_form(e) is c1
-                and git_dimension(e) == _quotient_dimension(m, r, gm, dl)
+                er == r
+                and edl == dl
+                and egm == gm
+                and _closed_form(e.m, er, egm, edl) is c1
+                and _quotient_dimension(e.m, er, egm, edl) == _quotient_dimension(m, r, gm, dl)
             )
     return (_dims_str(dims), m, str(r), str(dl), str(gm), c1.value, c2.value, ok)
 
@@ -236,20 +232,16 @@ def cmd_scan(args) -> int:
     size = _grid_size(args.max_k, args.max_dim, args.max_m)
     if size > SCAN_GRID_LIMIT:
         raise InvalidDatum(f"grid has {size} data, more than the {SCAN_GRID_LIMIT} limit")
-    tasks = [(dims, m, args.check) for dims, m in _grid(args.max_k, args.max_dim, args.max_m)]
-    workers = _pool_workers(args.threads, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
-    else:
-        rows = [_scan_row(t) for t in tasks]
-    with open(args.out, "w", newline="") as fh:
+    tasks = ((dims, m, args.check) for dims, m in _grid(args.max_k, args.max_dim, args.max_m))
+    rows = failures = 0
+    with open(args.out, "w", newline="") as fh:  # an unwritable --out fails before any row
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-    failures = sum(not row[-1] for row in rows)
-    print(f"scanned {len(rows)} data, check={args.check}, failures={failures}")
+        for row in _pool_map(_scan_row, tasks, args.threads, size):
+            writer.writerow(row)
+            rows += 1
+            failures += not row[-1]
+    print(f"scanned {rows} data, check={args.check}, failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -394,9 +386,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # InvalidDatum, DeskScaleExceeded, bad files
         print(f"tnm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DegenerateStatistic as exc:
-        print(f"tnm {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

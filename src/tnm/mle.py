@@ -17,6 +17,7 @@ numerical shadow of the exact stability classification.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +72,9 @@ DIVERGED_TRIAL_FRACTION = 0.95
 DESK_SCALE_LIMIT = 4096       # largest prod(d_i) verify_datum will simulate
 
 _RIDGE_RTOL = 1e-14           # surrogate-step ridge for a degenerate statistic
+_POLISH_MAX_SWEEPS = 2000     # polish sweeps per restart before it gives up on ptol
+
+log = logging.getLogger(__name__)
 
 
 class NotPositiveDefinite(ValueError):
@@ -446,7 +450,8 @@ def _gauge_fix(mats, logdets=None) -> list[np.ndarray]:
     return out
 
 
-def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10, max_sweeps: int = 2000):
+def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10,
+            max_sweeps: int = _POLISH_MAX_SWEEPS):
     """Sharpen converged fits by extra sweeps with a parameter-based stop.
 
     The likelihood-change rule in fit_mle can halt while slowly contracting
@@ -455,8 +460,9 @@ def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10, max_sweeps: int 
     `ptol` relative Frobenius per sweep removes that, independently of the
     floating-point resolution of the likelihood.  Each restart stops on its
     own; best effort: a restart whose statistic loses its scale keeps its
-    last iterate.  The entries of `mats` are consumed.  Returns the
-    gauge-fixed factors and the sweeps run, one entry per restart.
+    last iterate.  Restarts still moving after `max_sweeps` keep their last
+    iterate too, with one warning.  The entries of `mats` are consumed.
+    Returns the gauge-fixed factors and the sweeps run, one entry per restart.
     """
     r = len(mats[0])
     fixed, sweeps = [None] * r, [max_sweeps] * r
@@ -488,6 +494,13 @@ def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10, max_sweeps: int 
             active, new = active[go], [a[go] for a in new]
             mats[:] = [a[go] for a in mats]
         prev = new
+    if len(active):
+        log.warning(
+            "polish stopped at its %d-sweep cap on %d of %d restarts (dims %s, m = %d) "
+            "before the gauge-fixed factors moved less than %g per sweep; "
+            "the factor spreads come from unfinished iterates",
+            max_sweeps, len(active), r, "x".join(map(str, data.dims)), data.m, ptol,
+        )
     for pos in range(len(active)):
         finish(pos, prev, max_sweeps)
     return fixed, sweeps
@@ -781,6 +794,21 @@ def _pool_workers(requested: int, tasks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
+def _pool_map(fn, tasks, threads: int, n: int):
+    """Yield fn(task) for each of the n `tasks`, in task order.
+
+    Runs serially when _pool_workers(threads, n) is 1, otherwise in one
+    process pool that hands each worker about an eighth of its share at a
+    time.  `tasks` may be a generator.
+    """
+    workers = _pool_workers(threads, n)
+    if workers == 1:
+        yield from map(fn, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, tasks, chunksize=max(1, n // (8 * workers)))
+
+
 def verify_datum(
     datum: Datum,
     trials: int = 20,
@@ -807,13 +835,7 @@ def verify_datum(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
         )
     tasks = [(datum.dims, datum.m, t, restarts, seed, tol) for t in range(trials)]
-    workers = _pool_workers(threads, trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_trial_task, tasks))
-    else:
-        results = [_verify_trial_task(t) for t in tasks]
-    return _assemble_report(datum, results)
+    return _assemble_report(datum, _pool_map(_verify_trial_task, tasks, threads, trials))
 
 
 def verify_samples(

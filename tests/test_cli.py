@@ -1,4 +1,4 @@
-"""End-to-end runs of the command line through a real subprocess."""
+"""End-to-end runs of the command line, mostly through a real subprocess."""
 
 import csv
 import json
@@ -6,14 +6,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tnm import SampleSet
+import tnm
+from tnm import SampleSet, cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
 
 
 def run(*args, env=None):
+    """`python -m tnm` in a child that imports the same tnm as the tests."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "tnm", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -125,6 +132,57 @@ def test_scan_rejects_bad_bounds(tmp_path):
     res = run("scan", "--max-k", "0", "--max-dim", "3", "--max-m", "1",
               "--out", str(tmp_path / "x.csv"), "--threads", "1")
     assert res.returncode == 2
+
+
+def test_scan_unwritable_out_exit_2(tmp_path):
+    res = run("scan", "--max-k", "2", "--max-dim", "4", "--max-m", "2",
+              "--out", str(tmp_path / "absent" / "x.csv"), "--threads", "1")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tnm scan: ")
+    assert res.stdout == ""
+
+
+def test_grid_size_counts_grid():
+    for max_k in range(1, 4):
+        for max_dim in range(1, 9):
+            for max_m in range(1, 4):
+                grid = list(cli._grid(max_k, max_dim, max_m))
+                assert cli._grid_size(max_k, max_dim, max_m) == len(grid)
+                assert len(set(grid)) == len(grid)
+
+
+@pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])
+def test_scan_serial_equals_parallel(tmp_path, check):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        res = run("scan", "--max-k", "3", "--max-dim", "6", "--max-m", "3",
+                  "--check", check, "--out", str(out), "--threads", threads)
+        assert res.returncode == 0, res.stderr
+        outputs.append((res.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == f"scanned 168 data, check={check}, failures=0\n"
+
+
+def test_scan_memory_does_not_grow_with_grid(tmp_path, capsys):
+    """Rows are written as they are computed, so the serial peak of Python
+    allocations is about the same for a 728- and a 3,080-datum grid."""
+    def peak(max_dim):
+        argv = ["scan", "--max-k", "3", "--max-dim", str(max_dim), "--max-m", "2",
+                "--out", str(tmp_path / "m.csv"), "--threads", "1"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(12)  # warm-up: first-call caches are not the grid's memory
+    small, large = peak(12), peak(20)
+    assert "scanned 3080 data" in capsys.readouterr().out
+    assert large < 1.5 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Sampling, likelihood evaluation, the flip-flop solver, and verification."""
 
+import logging
 import math
 import os
 
@@ -27,6 +28,7 @@ from tnm import (
 )
 from tnm.mle import (
     DEFAULT_TOL,
+    _POLISH_MAX_SWEEPS,
     TrialResult,
     _assemble_report,
     _fit,
@@ -551,6 +553,21 @@ def test_verify_datum_threads_match_serial():
     b = verify_datum(Datum((2,), 2), trials=3, restarts=2, seed=5, threads=2)
     assert a.trials == b.trials
     assert a.hard_clauses_agree == b.hard_clauses_agree
+
+
+def test_polish_cap_warns(caplog):
+    """(3,3;2) at trial seed 2 leaves polish at its cap on every restart."""
+    with caplog.at_level(logging.WARNING, logger="tnm.mle"):
+        rep = verify_datum(Datum((3, 3), 2), trials=1, restarts=4, seed=2)
+    assert rep.trials[0].polish_sweeps == (_POLISH_MAX_SWEEPS,) * 4
+    records = [r for r in caplog.records if r.name == "tnm.mle"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    assert "4 of 4 restarts" in records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tnm.mle"):
+        rep = verify_datum(Datum((3, 3), 3), trials=1, restarts=4, seed=0)
+    assert max(rep.trials[0].polish_sweeps) < _POLISH_MAX_SWEEPS
+    assert not [r for r in caplog.records if r.name == "tnm.mle"]
 
 
 def test_verify_samples_smoke():
