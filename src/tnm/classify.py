@@ -23,10 +23,11 @@ from typing import Optional, Sequence
 from .castling import CastlingTrace, _partner, _walk
 from .datum import (
     Datum,
+    _delta,
+    _index,
     big_r,
     delta,
     g_max,
-    index_of_factor,
     normalize,
     z_quantity,
 )
@@ -269,7 +270,7 @@ def explain(datum: Datum) -> ClassificationReport:
     p = norm.product()
     z = z_quantity([d * d for d in norm.dims])
     r = datum.m * p - z
-    dl, g = delta(norm), g_max(norm)
+    dl, g = _delta(datum.m, p, norm.dims), g_max(norm)
     closed = _closed_form(datum.m, r, g, dl)
     recursive = _classify_endpoint(steps[-1], n)
     agree = closed is recursive
@@ -281,7 +282,7 @@ def explain(datum: Datum) -> ClassificationReport:
     if norm.dims == (1,):
         indices: tuple[Fraction, ...] = ()
     else:
-        indices = tuple(index_of_factor(norm, i) for i in range(1, norm.k + 1))
+        indices = tuple(_index(datum.m, p, d) for d in norm.dims)
     return ClassificationReport(
         datum=datum,
         normalized=norm,

@@ -137,7 +137,12 @@ def delta(datum: Datum) -> int:
     R > 0 this is the dimension of the invariant-theoretic quotient away
     from a short list of exceptional shapes.
     """
-    return datum.m * datum.product() - 1 - sum(d * d - 1 for d in datum.dims)
+    return _delta(datum.m, datum.product(), datum.dims)
+
+
+def _delta(m: int, p: int, dims: Sequence[int]) -> int:
+    """Delta from m, p = prod(d_i) and the dimensions."""
+    return m * p - 1 - sum(d * d - 1 for d in dims)
 
 
 def g_max(datum: Datum) -> int:
@@ -179,4 +184,9 @@ def index_of_factor(datum: Datum, i: int) -> Fraction:
     d_i = datum.dims[i - 1]
     if d_i == 1:
         raise TrivialFactor(f"factor {i} has dimension 1; its index is undefined")
-    return Fraction(datum.m * datum.product(), 2 * d_i * d_i)
+    return _index(datum.m, datum.product(), d_i)
+
+
+def _index(m: int, p: int, d: int) -> Fraction:
+    """The index m * p / (2 * d^2) of a factor of dimension d, p = prod(d_i)."""
+    return Fraction(m * p, 2 * d * d)

@@ -20,9 +20,11 @@ import json
 import logging
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,7 +74,12 @@ DIVERGED_TRIAL_FRACTION = 0.95
 DESK_SCALE_LIMIT = 4096       # largest prod(d_i) verify_datum will simulate
 
 _RIDGE_RTOL = 1e-14           # surrogate-step ridge for a degenerate statistic
-_POLISH_MAX_SWEEPS = 2000     # polish sweeps per restart before it gives up on ptol
+_MOMENT_TOL = 1e-10           # moment-map norm at which refinement stops
+_REFINE_MAX_ITER = 500        # refinement iterations per restart before it gives up
+_NEWTON_SWITCH = 0.5          # a sweep keeping more of the norm than this switches to Newton
+_CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
+_CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
+_MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
 
 log = logging.getLogger(__name__)
 
@@ -321,17 +328,20 @@ def _loglik(data: _Unfoldings, mats) -> np.ndarray:
     return 0.5 * data.m * logdet - 0.5 * quad.reshape(len(quad), -1).sum(axis=1)
 
 
-def _update_block(data: _Unfoldings, mats: list, j: int):
+def _update_block(data: _Unfoldings, mats: list, j: int, roots=None):
     """Set block j of every restart to its maximizer (m*n/d_j) * S_j^{-1},
     in place, from one batched eigh.
 
     Restarts whose statistic has no usable scale (non-finite or vanishing)
-    are dropped from `mats`.  Returns (ok, cond, ridged, logdet): ok masks
-    the restarts kept; the other three cover those only: the new factors'
-    condition numbers, whether the step ridged, and log det of the new
-    factors.  A numerically singular statistic certifies an unbounded ascent
-    direction, and its restart takes a ridge-regularized surrogate step
-    whose huge condition number trips the divergence detector.
+    are dropped from `mats` (and from `roots`).  Returns (ok, cond, ridged,
+    logdet, norm): ok masks the restarts kept; the others cover those only:
+    the new factors' condition numbers, whether the step ridged, log det of
+    the new factors, and, when `roots` is given, block j's moment-map norm
+    ||B^T S_j B / (m*n/d_j) - I||_F at the old factor Psi_j = B B^T, with
+    B = roots[j]; roots[j] is then replaced by the new factor's root.  A
+    numerically singular statistic certifies an unbounded ascent direction,
+    and its restart takes a ridge-regularized surrogate step whose huge
+    condition number trips the divergence detector.
     """
     # S_j does not depend on Psi_j: it takes Psi_j's place, and its buffer
     # then receives the new factor
@@ -352,31 +362,44 @@ def _update_block(data: _Unfoldings, mats: list, j: int):
         w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     scale = data.m * data.n // data.dims[j]
     logdet = data.dims[j] * math.log(scale) - np.log(w).sum(axis=1)
+    norm = None
+    if roots is not None:
+        if not ok.all():
+            roots[:] = [a[ok] for a in roots]
+        norm = _moment_norm(roots[j].transpose(0, 2, 1) @ mats[j] @ roots[j], scale)
+        roots[j] = v  # scaled into the new factor's root just below
     v *= np.sqrt(scale / w)[:, None, :]
     np.matmul(v, v.transpose(0, 2, 1), out=mats[j])
-    return ok, w[:, -1] / w[:, 0], ridged, logdet
+    return ok, w[:, -1] / w[:, 0], ridged, logdet, norm
 
 
-def _sweep(data: _Unfoldings, mats: list):
+def _sweep(data: _Unfoldings, mats: list, roots=None):
     """One sweep, blocks 1..k in order, of every restart in the stack.
 
-    Updates `mats` in place and drops from it the restarts whose statistic
-    lost its scale.  Returns (alive, cond, ridged, logdets): alive masks the
-    restarts kept; the others cover those only: the largest new condition
-    number, whether any block ridged, and log det Psi_i for every block.
+    Updates `mats` (and `roots`, see _update_block) in place and drops from
+    them the restarts whose statistic lost its scale.  Returns (alive, cond,
+    ridged, logdets, norm): alive masks the restarts kept; the others cover
+    those only: the largest new condition number, whether any block ridged,
+    log det Psi_i for every block, and with `roots` the largest block
+    moment-map norm met on the way (None without).
     """
     r = len(mats[0])
     alive = np.ones(r, dtype=bool)
     cond, ridged, logdets = np.zeros(r), np.zeros(r, dtype=bool), []
+    norm = None if roots is None else np.zeros(r)
     for j in range(len(mats)):
-        ok, c, rg, ld = _update_block(data, mats, j)
+        ok, c, rg, ld, nj = _update_block(data, mats, j, roots)
         if len(c) < len(cond):
             alive[alive] = ok
             cond, ridged, logdets = cond[ok], ridged[ok], [x[ok] for x in logdets]
+            if norm is not None:
+                norm = norm[ok]
         np.maximum(cond, c, out=cond)
         ridged |= rg
         logdets.append(ld)
-    return alive, cond, ridged, logdets
+        if norm is not None:
+            np.maximum(norm, nj, out=norm)
+    return alive, cond, ridged, logdets, norm
 
 
 def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
@@ -407,7 +430,7 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     for sweep in range(1, max_iter + 1):
         if not len(active):
             break
-        alive, cond, ridged, logdets = _sweep(data, mats)
+        alive, cond, ridged, logdets, _ = _sweep(data, mats)
         if not alive.all():
             for i in active[~alive]:
                 finish(i, FitStatus.DEGENERATE_STATISTIC, sweep)
@@ -433,77 +456,251 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     return reports
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    return np.sqrt((x * x).reshape(len(x), -1).sum(axis=1))
+def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
+    """||x / scale - I||_F per restart, for a stack x of whitened statistics
+    S~ = B^T S B (see below); x is overwritten by x - scale I."""
+    x.reshape(len(x), -1)[:, :: x.shape[-1] + 1] -= scale
+    return np.sqrt(np.einsum("rij,rij->r", x, x)) / scale
 
 
-def _gauge_fix(mats, logdets=None) -> list[np.ndarray]:
-    """Gauge-fixed copies of the stacks: det(Psi_i) = 1 for i >= 2.  The
-    log-determinants of the blocks are computed unless given."""
+def _gauge_fix(mats) -> list[np.ndarray]:
+    """Gauge-fixed copies of the stacks: det(Psi_i) = 1 for i >= 2."""
     out = [np.array(a) for a in mats]
     carry = 1.0
-    for i, a in enumerate(out[1:], 1):
-        c = np.exp((_logdet_chol(a) if logdets is None else logdets[i]) / a.shape[-1])
+    for a in out[1:]:
+        c = np.exp(_logdet_chol(a) / a.shape[-1])
         a /= c[:, None, None]
         carry = carry * c
     out[0] *= np.reshape(carry, (-1, 1, 1))
     return out
 
 
-def _polish(data: _Unfoldings, mats: list, ptol: float = 1e-10,
-            max_sweeps: int = _POLISH_MAX_SWEEPS):
-    """Sharpen converged fits by extra sweeps with a parameter-based stop.
+# ---------------------------------------------------------------------------
+# refinement of converged fits (private)
+#
+# With Psi_i = B_i B_i^T, the whitened samples Z = (B_1^T (x) ... (x) B_k^T) Y
+# have block Grams S~_i = B_i^T S_i B_i.  On the log-factors H_i of
+# Psi_i = B_i exp(H_i) B_i^T the negative log-likelihood has, at H = 0,
+# gradient g_i = (S~_i - c_i I) / 2 with c_i = m*n/d_i, and Hessian
+#   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
+# The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
+# maximizer.  The gauge directions (c_i I with sum c_i = 0) lie in the kernel
+# of A, and so, at a maximizer that is not unique, do the directions along
+# the maximizer set.
+
+
+def _whiten(data: _Unfoldings, roots) -> np.ndarray:
+    """Z = (B_1^T (x) ... (x) B_k^T) Y in the sample layout, (R, m*n/d_k, d_k)."""
+    return _applied(data, [b.transpose(0, 2, 1) for b in roots], len(data.dims) - 1) @ roots[-1]
+
+
+def _per_block(data: _Unfoldings, z: np.ndarray) -> list[np.ndarray]:
+    """The whitened samples in every block's layout (see _Unfoldings.rows)."""
+    t = z.reshape(len(z), data.m, *data.dims)
+    return [np.ascontiguousarray(np.moveaxis(t, j + 2, -1)).reshape(len(z), -1, d)
+            for j, d in enumerate(data.dims)]
+
+
+def _grams(zs) -> list[np.ndarray]:
+    out = []
+    for z in zs:
+        s = z.transpose(0, 2, 1) @ z
+        s += s.transpose(0, 2, 1)
+        s *= 0.5
+        out.append(s)
+    return out
+
+
+def _dot(a, b) -> np.ndarray:
+    """Frobenius inner product over all blocks, per restart."""
+    return sum((x * y).reshape(len(x), -1).sum(axis=1) for x, y in zip(a, b))
+
+
+def _hessian_product(data: _Unfoldings, zs, grams, vs) -> list[np.ndarray]:
+    """A V at H = 0 (see above), with one mode product per ordered block pair
+    and one Gram per block."""
+    out = []
+    for i, (z, s) in enumerate(zip(zs, grams)):
+        p = vs[i] @ s
+        cross = None
+        for j, pre, d, post in data.plans[i]:
+            y = _mode_product(vs[j], z, pre, d, post).reshape(z.shape)
+            cross = y if cross is None else cross + y
+        if cross is not None:
+            p += z.transpose(0, 2, 1) @ cross
+        p += p.transpose(0, 2, 1)
+        p *= 0.25
+        out.append(p)
+    return out
+
+
+def _newton_direction(data: _Unfoldings, zs, grams, res) -> list[np.ndarray]:
+    """V with A V = res (= -grad, consumed), by conjugate gradients batched
+    over restarts.
+
+    Each restart has its own step lengths and freezes on its own once its
+    residual is at most _CG_RTOL times the initial one, or when it meets a
+    direction without positive curvature.  Started from 0, the iterates stay
+    in the range of A, so kernel directions are left alone.
+    """
+    x = [np.zeros_like(a) for a in res]
+    p = [a.copy() for a in res]
+    rr = _dot(res, res)
+    target = _CG_RTOL * _CG_RTOL * rr
+    live = rr > target
+    for _ in range(_CG_MAX_ITER):
+        ap = _hessian_product(data, zs, grams, p)
+        pap = _dot(p, ap)
+        live &= pap > 0.0
+        alpha = (np.where(live, rr, 0.0) / np.where(live, pap, 1.0))[:, None, None]
+        for a, q, b, aq in zip(x, p, res, ap):
+            a += alpha * q
+            b -= alpha * aq
+        new = _dot(res, res)
+        live &= new > target
+        if not live.any():
+            break
+        beta = np.divide(new, rr, out=np.zeros_like(rr), where=live)[:, None, None]
+        p = [b + beta * q for b, q in zip(res, p)]
+        rr = new
+    return x
+
+
+def _newton(data: _Unfoldings, roots: list):
+    """One safeguarded Newton-CG step on the log-factors of every restart.
+
+    Returns (norm, stepped): the moment-map norm max_i ||S~_i / c_i - I||_F
+    at the current point, and which restarts took a step.  Restarts whose
+    norm is already below _MOMENT_TOL take none.  The step is
+    Psi_i <- B_i exp(t V_i) B_i^T with V from _newton_direction, t at most 1
+    and at most 1 / ||V||_F (a trust radius in log space), halved until the
+    log-likelihood rises.  In the eigenbasis V_i = U_i diag(lambda_i) U_i^T
+    the gain is exact and cheap to evaluate for every t:
+      l(t) - l(0) = (t/2) sum_i c_i tr V_i - (1/2) sum_e P_e expm1(t Lambda_e),
+    with P the squared samples (B_i U_i)^T Y summed over samples and Lambda
+    the outer sum of the lambda_i.  A restart that finds no rise in
+    _MAX_HALVINGS halvings takes no step.  `roots` is updated in place.
+    """
+    r, dims = len(roots[0]), data.dims
+    scales = [data.m * data.n // d for d in dims]
+    zs = _per_block(data, _whiten(data, roots))
+    grams = _grams(zs)
+    res = [s.copy() for s in grams]
+    norm = np.zeros(r)
+    for g, c in zip(res, scales):
+        np.maximum(norm, _moment_norm(g, c), out=norm)
+    stepped = np.zeros(r, dtype=bool)
+    go = np.flatnonzero(norm >= _MOMENT_TOL)
+    if not len(go):
+        return norm, stepped
+    zs, grams, res = (_rows(x, go, r) for x in (zs, grams, res))
+    for g in res:
+        g *= -0.5  # -grad
+    vs = _newton_direction(data, zs, grams, res)
+    del zs, grams, res  # the line search whitens the samples once more
+    lam, vecs = zip(*(np.linalg.eigh(v) for v in vs))
+    rot = [b[go] @ u for b, u in zip(roots, vecs)]
+    z = _whiten(data, rot).reshape(len(go), data.m, data.n)
+    power = np.einsum("rsn,rsn->rn", z, z)
+    grid = np.zeros((len(go), 1))
+    for w in lam:
+        grid = (grid[:, :, None] + w[:, None, :]).reshape(len(go), -1)
+    rise = sum(0.5 * c * w.sum(axis=1) for c, w in zip(scales, lam))
+    t = 1.0 / np.maximum(1.0, np.sqrt(sum((w * w).sum(axis=1) for w in lam)))
+    ok = np.zeros(len(go), dtype=bool)
+    for _ in range(_MAX_HALVINGS):
+        gain = t * rise - 0.5 * (power * np.expm1(t[:, None] * grid)).sum(axis=1)
+        ok |= gain > 0.0
+        if ok.all():
+            break
+        t[~ok] *= 0.5
+    for b, u, w in zip(roots, rot, lam):
+        b[go[ok]] = u[ok] * np.exp(0.5 * t[ok, None] * w[ok])[:, None, :]
+    stepped[go[ok]] = True
+    return norm, stepped
+
+
+def _rows(stacks: list, pos: np.ndarray, n: int) -> list:
+    """The rows `pos` of every stack; the stacks themselves when that is all n."""
+    return list(stacks) if len(pos) == n else [a[pos] for a in stacks]
+
+
+def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
+    """Refine converged fits until the moment-map norm is below _MOMENT_TOL.
 
     The likelihood-change rule in fit_mle can halt while slowly contracting
-    factor directions still carry a few 1e-6 of error; iterating the (still
-    contracting) block updates until the gauge-fixed factors move less than
-    `ptol` relative Frobenius per sweep removes that, independently of the
-    floating-point resolution of the likelihood.  Each restart stops on its
-    own; best effort: a restart whose statistic loses its scale keeps its
-    last iterate.  Restarts still moving after `max_sweeps` keep their last
-    iterate too, with one warning.  The entries of `mats` are consumed.
-    Returns the gauge-fixed factors and the sweeps run, one entry per restart.
+    directions still carry a few 1e-6 of error.  Each iteration of a
+    restart is one flip-flop sweep, whose norm is read off the statistics
+    the sweep forms anyway, while sweeps cut the norm at least in half;
+    after the first sweep that does not, every iteration is a Newton step
+    (_newton), or a sweep where that finds no rise.  Each restart decides
+    and stops on its own; the gauge fix runs once, at exit.  A restart
+    whose statistic loses its scale keeps the factors it came with, and
+    one still above the stop after `max_iter` iterations keeps its last
+    iterate, with one warning.  The entries of `mats` are consumed.
+    Returns the gauge-fixed factors and the iterations run, one entry per
+    restart.
     """
     r = len(mats[0])
-    fixed, sweeps = [None] * r, [max_sweeps] * r
-    active, prev = np.arange(r), _gauge_fix(mats)
+    start = [a.copy() for a in mats]
+    roots = [np.linalg.cholesky(a) for a in mats]
+    ends, counts = [None] * r, [0] * r
+    active, taken = np.arange(r), np.zeros(r, dtype=int)
+    prev, newton = np.full(r, np.inf), np.zeros(r, dtype=bool)
 
-    def finish(pos, stacks, sweep):
-        fixed[active[pos]] = [a[pos].copy() for a in stacks]
-        sweeps[active[pos]] = sweep
+    def finish(pos, factors, count):
+        ends[active[pos]], counts[active[pos]] = factors, int(count)
 
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(max_iter):
         if not len(active):
             break
-        alive, _, _, logdets = _sweep(data, mats)
-        if not alive.all():
-            for pos in np.flatnonzero(~alive):
-                finish(pos, prev, sweep)
-            active, prev = active[alive], [p[alive] for p in prev]
-        new = _gauge_fix(mats, logdets)
-        change = np.zeros(len(active))
-        for a, b in zip(new, prev):
-            norm = np.maximum(_frobenius(b), 1e-300)
-            b -= a
-            np.maximum(change, _frobenius(b) / norm, out=change)
-        done = change < ptol
+        done, sweep = np.zeros(len(active), dtype=bool), ~newton
+        pos = np.flatnonzero(newton)
+        if len(pos):
+            sub = _rows(roots, pos, len(active))
+            norm, stepped = _newton(data, sub)
+            done[pos] = norm < _MOMENT_TOL
+            sweep[pos] = ~done[pos] & ~stepped
+            moved = pos[stepped]
+            for a, b, s in zip(mats, roots, sub):
+                b[moved] = s[stepped]
+                a[moved] = b[moved] @ b[moved].transpose(0, 2, 1)
+            taken[moved] += 1
+        pos = np.flatnonzero(sweep)
+        if len(pos):
+            sub, sub_roots = _rows(mats, pos, len(active)), _rows(roots, pos, len(active))
+            alive, _, _, _, norm = _sweep(data, sub, sub_roots)
+            for i in pos[~alive]:
+                finish(i, [a[i] for a in start], taken[i] + 1)
+            done[pos[~alive]] = True
+            pos = pos[alive]
+            if len(pos) == len(active):
+                mats, roots = sub, sub_roots
+            else:
+                for a, b, s, t in zip(mats, roots, sub, sub_roots):
+                    a[pos], b[pos] = s, t
+            taken[pos] += 1
+            done[pos] |= norm < _MOMENT_TOL
+            newton[pos] |= norm > _NEWTON_SWITCH * prev[pos]
+            prev[pos] = norm
         if done.any():
-            for pos in np.flatnonzero(done):
-                finish(pos, new, sweep)
+            for i in np.flatnonzero(done):
+                if ends[active[i]] is None:
+                    finish(i, [a[i] for a in mats], taken[i])
             go = ~done
-            active, new = active[go], [a[go] for a in new]
-            mats[:] = [a[go] for a in mats]
-        prev = new
+            active, taken, prev, newton = active[go], taken[go], prev[go], newton[go]
+            mats, roots, start = ([a[go] for a in x] for x in (mats, roots, start))
     if len(active):
         log.warning(
-            "polish stopped at its %d-sweep cap on %d of %d restarts (dims %s, m = %d) "
-            "before the gauge-fixed factors moved less than %g per sweep; "
-            "the factor spreads come from unfinished iterates",
-            max_sweeps, len(active), r, "x".join(map(str, data.dims)), data.m, ptol,
+            "refinement stopped at its %d-iteration cap on %d of %d restarts (dims %s, m = %d) "
+            "before the moment-map norm fell below %g; the factor spreads come from "
+            "unfinished iterates",
+            max_iter, len(active), r, "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
         )
-    for pos in range(len(active)):
-        finish(pos, prev, max_sweeps)
-    return fixed, sweeps
+    for i in range(len(active)):
+        finish(i, [a[i] for a in mats], taken[i])
+    fixed = _gauge_fix([np.stack(fs) for fs in zip(*ends)])
+    return [[a[i] for a in fixed] for i in range(r)], counts
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +745,11 @@ def _check_compatible(samples: SampleSet, factors: KroneckerPrecision) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _stack(factors: KroneckerPrecision) -> list[np.ndarray]:
     """The factors as stacks of one restart, (1, d_i, d_i)."""
     return [np.array(f, order="C")[None] for f in factors.factors]
@@ -584,7 +786,7 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     if not 1 <= i <= samples.k:
         raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
     mats = _stack(factors)
-    ok, _, ridged, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
+    ok, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
     if not ok[0] or ridged[0]:
         raise DegenerateStatistic(f"block {i} statistic is numerically singular")
     return KroneckerPrecision(tuple(a[0] for a in mats))
@@ -609,8 +811,7 @@ def fit_mle(
     if init is None:
         init = KroneckerPrecision.identity(samples.dims)
     _check_compatible(samples, init)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0]
 
 
@@ -635,11 +836,13 @@ class TrialResult:
     relative width of their final log-likelihoods, factor_spread_rel /
     factor_spread_abs the largest per-factor Frobenius gap between two
     gauge-fixed restarts (relative resp. absolute).  Before comparison
-    each converged fit is polished by extra flip-flop sweeps with a
-    parameter-based stop, which sharpens the maximizer location without
-    touching the reported fit.  All spreads are 0 when fewer than two
-    restarts converged.  iterations holds every restart's fit sweeps,
-    polish_sweeps its polish sweeps (0 unless it converged).
+    each converged fit is refined until its moment-map norm is below
+    1e-10, by flip-flop sweeps and then safeguarded Newton steps, which
+    sharpens the maximizer location without touching the reported fit.
+    All spreads are 0 when fewer than two restarts converged.  iterations
+    holds every restart's fit sweeps, polish_sweeps its refinement
+    iterations, sweeps plus Newton steps (at least 1 if it converged, 0
+    otherwise).
     """
 
     statuses: tuple[str, ...]
@@ -707,11 +910,11 @@ def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]
 
 
 def _trial_fits(samples: SampleSet, restarts: int, seed, tol: float):
-    """Fit all restarts of one trial as one stack, then polish the converged ones.
+    """Fit all restarts of one trial as one stack, then refine the converged ones.
 
     Returns (fits, polished, polish_sweeps): one FitReport per restart, the
-    gauge-fixed polished factors of the converged restarts in order, and
-    every restart's polish sweeps (0 unless it converged).
+    gauge-fixed refined factors of the converged restarts in order, and
+    every restart's refinement iterations (0 unless it converged).
     """
     data = _Unfoldings(samples.tensors())
     fits = _fit(data, _restart_inits(samples.dims, restarts, seed), tol, DEFAULT_MAX_SWEEPS)
@@ -794,19 +997,41 @@ def _pool_workers(requested: int, tasks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
+def _run_chunk(fn, chunk: list) -> list:
+    return [fn(task) for task in chunk]
+
+
 def _pool_map(fn, tasks, threads: int, n: int):
     """Yield fn(task) for each of the n `tasks`, in task order.
 
     Runs serially when _pool_workers(threads, n) is 1, otherwise in one
     process pool that hands each worker about an eighth of its share at a
-    time.  `tasks` may be a generator.
+    time and keeps at most two such chunks per worker in flight, so
+    `tasks`, which may be a generator, is drawn only as results are used.
     """
     workers = _pool_workers(threads, n)
     if workers == 1:
         yield from map(fn, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, tasks, chunksize=max(1, n // (8 * workers)))
+        return
+    tasks, size = iter(tasks), max(1, n // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+
+        def submit():
+            chunk = list(islice(tasks, size))
+            if chunk:
+                pending.append(pool.submit(_run_chunk, fn, chunk))
+
+        for _ in range(2 * workers):
+            submit()
+        try:
+            while pending:
+                done = pending.popleft().result()
+                submit()
+                yield from done
+        finally:  # a consumer that stops early leaves chunks nobody reads
+            for future in pending:
+                future.cancel()
 
 
 def verify_datum(
@@ -822,14 +1047,15 @@ def verify_datum(
     Each trial draws a fresh data set and runs fit_mle from `restarts`
     random positive definite initializations (Psi_i = A_i^T A_i + 0.01 I
     with A_i standard normal, all seeded deterministically from `seed`).
-    Requires trials >= 1, restarts >= 2 and prod(d_i) <= 4096; larger
-    models raise DeskScaleExceeded.  Trials run in at most `threads` worker
+    Requires trials >= 1, restarts >= 2, a finite tol > 0 and
+    prod(d_i) <= 4096; larger models raise DeskScaleExceeded.  Trials run in at most `threads` worker
     processes, capped by CPUs and trials; results do not depend on it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2, got {restarts}")
+    _check_tol(tol)
     if datum.product() > DESK_SCALE_LIMIT:
         raise DeskScaleExceeded(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
@@ -847,6 +1073,7 @@ def verify_samples(
     """Like verify_datum, but for one externally supplied data set."""
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2, got {restarts}")
+    _check_tol(tol)
     datum = Datum(samples.dims, samples.m)
     trial = _run_trial(samples, restarts, (seed, 202, 0), tol)
     return _assemble_report(datum, [trial])

@@ -5,7 +5,8 @@ stacked flip-flop kernel: fractions are enumerated one by one, thresholds
 found by linear search against the recursive classifier, likelihood
 quantities recomputed from the dense n x n Kronecker matrix, and flip-flop
 run one restart at a time with the log-likelihood evaluated explicitly
-after every sweep.  Slow but unarguable.
+after every sweep, and its refinement run one restart at a time with every
+mode product a tensordot.  Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ from itertools import combinations
 import numpy as np
 
 from tnm import Datum, FitStatus, StabilityClass, classify_recursive
-from tnm.mle import CONDITION_LIMIT, DEGENERATE_EIG_RTOL, DEFAULT_MAX_SWEEPS, DEFAULT_TOL
+from tnm.mle import (
+    _CG_MAX_ITER,
+    _CG_RTOL,
+    _MAX_HALVINGS,
+    _MOMENT_TOL,
+    _NEWTON_SWITCH,
+    _REFINE_MAX_ITER,
+    CONDITION_LIMIT,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
+    DEGENERATE_EIG_RTOL,
+)
 
 
 def fraction_count(values) -> int:
@@ -200,3 +212,143 @@ def polish_sequential(samples, factors, ptol=1e-10, max_sweeps=2000):
         if change < ptol:
             return prev, sweep
     return prev, max_sweeps
+
+
+# ---------------------------------------------------------------------------
+# refinement, one restart at a time (the stacked _polish loop, written out)
+
+
+def _unfold(tens, axis):
+    """Mode-`axis` unfolding over all samples: (d, everything else)."""
+    return np.moveaxis(tens, axis, 0).reshape(tens.shape[axis], -1)
+
+
+def _moment_gap(s, scale):
+    return float(np.linalg.norm(s / scale - np.eye(len(s))))
+
+
+def _refine_sweep(tens, mats, roots, m, n):
+    """One sweep; updates factors and roots, returns the largest block
+    moment-map norm read at the factor each block update replaces."""
+    norm = 0.0
+    for j in range(len(mats)):
+        d = tens.shape[j + 1]
+        scale = m * n // d
+        s = _unfold(tens, j + 1) @ _unfold(_apply_all(tens, mats, skip=j), j + 1).T
+        s = 0.5 * (s + s.T)
+        if not np.all(np.isfinite(s)):
+            raise _Degenerate
+        norm = max(norm, _moment_gap(roots[j].T @ s @ roots[j], scale))
+        ev, v = np.linalg.eigh(s)
+        if ev[-1] <= 0.0:
+            raise _Degenerate
+        if ev[0] < DEGENERATE_EIG_RTOL * ev[-1]:
+            ev = np.maximum(ev, 0.0) + 1e-14 * ev[-1]
+        roots[j] = v * np.sqrt(scale / ev)
+        mats[j] = roots[j] @ roots[j].T
+    return norm
+
+
+def whitened_grams(tens, roots):
+    """Z = (B_1^T (x) ... (x) B_k^T) Y and its symmetrized block Grams."""
+    z = _apply_all(tens, [b.T for b in roots])
+    grams = []
+    for i in range(len(roots)):
+        u = _unfold(z, i + 1)
+        g = u @ u.T
+        grams.append(0.5 * (g + g.T))
+    return z, grams
+
+
+def hessian_product(z, grams, vs):
+    """(A V)_i = (V_i S~_i + S~_i V_i)/4 + (1/2) sum_{j != i} sym Gram_i(Z, V_j x_j Z),
+    one ordered block pair at a time."""
+    out = []
+    for i in range(len(vs)):
+        h = 0.25 * (vs[i] @ grams[i] + grams[i] @ vs[i])
+        for j in range(len(vs)):
+            if j != i:
+                g = _unfold(z, i + 1) @ _unfold(_mode_apply(vs[j], z, j + 1), i + 1).T
+                h += 0.25 * (g + g.T)
+        out.append(h)
+    return out
+
+
+def _inner(a, b):
+    return sum(float(np.sum(x * y)) for x, y in zip(a, b))
+
+
+def _newton_sequential(tens, mats, roots, m, n):
+    """One safeguarded Newton-CG step: (moment-map norm before it, stepped)."""
+    dims = tens.shape[1:]
+    scales = [m * n // d for d in dims]
+    z, grams = whitened_grams(tens, roots)
+    norm = max(_moment_gap(s, c) for s, c in zip(grams, scales))
+    if norm < _MOMENT_TOL:
+        return norm, False
+    grad = [0.5 * (s - c * np.eye(len(s))) for s, c in zip(grams, scales)]
+    x = [np.zeros_like(g) for g in grad]
+    r = [-g for g in grad]
+    p = [a.copy() for a in r]
+    rr = _inner(r, r)
+    target = _CG_RTOL**2 * rr
+    for _ in range(_CG_MAX_ITER):
+        ap = hessian_product(z, grams, p)
+        pap = _inner(p, ap)
+        if not pap > 0.0:
+            break
+        alpha = rr / pap
+        x = [a + alpha * q for a, q in zip(x, p)]
+        r = [a - alpha * q for a, q in zip(r, ap)]
+        new = _inner(r, r)
+        if new <= target:
+            break
+        p = [a + (new / rr) * q for a, q in zip(r, p)]
+        rr = new
+    eig = [np.linalg.eigh(a) for a in x]
+    rot = [b @ u for b, (_, u) in zip(roots, eig)]
+    power = np.sum(_apply_all(tens, [q.T for q in rot]) ** 2, axis=0)
+    grid = eig[0][0]
+    for lam, _ in eig[1:]:
+        grid = np.add.outer(grid, lam)
+    rise = sum(0.5 * c * float(np.sum(lam)) for c, (lam, _) in zip(scales, eig))
+    t = 1.0 / max(1.0, math.sqrt(sum(float(np.sum(lam * lam)) for lam, _ in eig)))
+    for _ in range(_MAX_HALVINGS):
+        if t * rise - 0.5 * float(np.sum(power * np.expm1(t * grid))) > 0.0:
+            for i, (q, (lam, _)) in enumerate(zip(rot, eig)):
+                roots[i] = q * np.exp(0.5 * t * lam)
+                mats[i] = roots[i] @ roots[i].T
+            return norm, True
+        t *= 0.5
+    return norm, False
+
+
+def refine_sequential(samples, factors, max_iter=_REFINE_MAX_ITER):
+    """The refinement of one converged restart: (gauge-fixed factors, iterations).
+
+    Sweeps while a sweep at least halves the moment-map norm, safeguarded
+    Newton-CG steps after the first that does not (a sweep when a step
+    finds no rise), until the norm is below 1e-10.
+    """
+    tens, m, n = samples.tensors(), samples.m, samples.n
+    mats = [np.array(f) for f in factors]
+    roots = [np.linalg.cholesky(a) for a in mats]
+    taken, prev, newton = 0, math.inf, False
+    for _ in range(max_iter):
+        if newton:
+            norm, stepped = _newton_sequential(tens, mats, roots, m, n)
+            if norm < _MOMENT_TOL:
+                return _gauge_fix(mats), taken
+            if stepped:
+                taken += 1
+                continue
+        try:
+            norm = _refine_sweep(tens, mats, roots, m, n)
+        except _Degenerate:
+            return _gauge_fix(factors), taken + 1
+        taken += 1
+        if norm < _MOMENT_TOL:
+            return _gauge_fix(mats), taken
+        newton = newton or norm > _NEWTON_SWITCH * prev
+        prev = norm
+    return _gauge_fix(mats), taken

@@ -18,6 +18,7 @@ from tnm import (
     explain,
     g_max,
     git_dimension,
+    index_of_factor,
     mle_profile,
     normalize,
     reduce_to_minimal,
@@ -278,3 +279,21 @@ def test_explain_matches_public_functions_with_one_subset_sum(monkeypatch):
         calls.clear()
         explain(d)
         assert len(calls) == 1, d
+
+
+def test_explain_computes_the_product_once(monkeypatch):
+    # the k factor indices and Delta share explain's one prod(d_i)
+    d = Datum(tuple(range(2, 18)), 3)
+    want = explain(d)
+    assert want.indices == tuple(index_of_factor(want.normalized, i) for i in range(1, 17))
+    assert want.delta == delta(d)
+    calls = []
+    original = Datum.product
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Datum, "product", counted)
+    assert explain(d) == want
+    assert len(calls) == 1

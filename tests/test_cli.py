@@ -259,6 +259,17 @@ def test_verify_zero_data_is_numerical_failure(tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_bad_tol_exit_2(tol):
+    # 0, -1 and nan used to run 10,000 sweeps per restart and exit 1; inf
+    # stopped every fit after one sweep and exited 0
+    res = run("verify", "--dims", "3,3", "--samples", "3", "--trials", "1",
+              "--restarts", "2", "--threads", "1", f"--tol={tol}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.strip().splitlines()) == 1 and "tol" in res.stderr
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     res = run("verify", "--data", str(tmp_path / "absent.json"))
     assert res.returncode == 2

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import tnm.mle
 from tnm import (
     Datum,
     DegenerateStatistic,
@@ -28,15 +29,24 @@ from tnm import (
 )
 from tnm.mle import (
     DEFAULT_TOL,
-    _POLISH_MAX_SWEEPS,
+    GAUGE_AGREEMENT_RTOL,
+    _MOMENT_TOL,
+    _REFINE_MAX_ITER,
     TrialResult,
     _assemble_report,
     _fit,
+    _grams,
+    _hessian_product,
+    _loglik,
+    _newton,
+    _per_block,
     _polish,
+    _pool_map,
     _pool_workers,
     _restart_inits,
     _trial_fits,
     _Unfoldings,
+    _whiten,
 )
 
 from oracles import (
@@ -44,7 +54,10 @@ from oracles import (
     dense_loglik,
     dense_mode_statistic,
     fit_sequential,
+    hessian_product,
     polish_sequential,
+    refine_sequential,
+    whitened_grams,
 )
 
 
@@ -353,6 +366,13 @@ def test_fit_rejects_bad_tol_and_shapes():
         fit_mle(s, tol=0.0)
     with pytest.raises(ValueError):
         fit_mle(s, tol=-1e-9)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fit_mle(s, tol=tol)
+        with pytest.raises(ValueError):
+            verify_samples(s, tol=tol)
+        with pytest.raises(ValueError):
+            verify_datum(Datum((2, 2), 2), tol=tol)
     with pytest.raises(ShapeMismatch):
         fit_mle(s, init=KroneckerPrecision.identity((2, 3)))
 
@@ -443,11 +463,18 @@ PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1
 @pytest.mark.parametrize("dims,m", PANEL)
 def test_stacked_kernel_matches_sequential_oracle(dims, m):
     # the batched kernel against the one-restart-at-a-time solver with an
-    # explicit log-likelihood every sweep; diverged log-likelihoods are only
-    # where the runaway tripped, so they are not compared
+    # explicit log-likelihood every sweep, and its refinement against the
+    # one-restart refinement; diverged log-likelihoods are only where the
+    # runaway tripped, so they are not compared.  The refined factors also
+    # stay within the uniqueness tolerance of the old parameter-change
+    # polish (at its 2000-sweep cap on (3,3;2) seed 2), score at least the
+    # fit's log-likelihood (every refinement step raises it), and meet the
+    # stop: their moment-map norm, recomputed independently, is below 1e-10
+    # up to its rounding
+    scales = [m * math.prod(dims) // d for d in dims]
     for seed in range(4):
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
-        fits, polished, _ = _trial_fits(samples, 4, (seed, 202, 0), DEFAULT_TOL)
+        fits, polished, counts = _trial_fits(samples, 4, (seed, 202, 0), DEFAULT_TOL)
         inits = _restart_inits(dims, 4, (seed, 202, 0))
         converged = 0
         for r, fit in enumerate(fits):
@@ -455,15 +482,25 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
             assert (fit.status, fit.iterations) == (status, sweeps)
             if status is FitStatus.CONVERGED:
                 assert fit.loglik == pytest.approx(history[-1], rel=1e-9)
-                want, _ = polish_sequential(samples, factors)
-                for got, exp in zip(polished[converged], want):
+                want, iterations = refine_sequential(samples, factors)
+                assert counts[r] == iterations
+                old, _ = polish_sequential(samples, factors)
+                for got, exp, prior in zip(polished[converged], want, old):
                     assert np.allclose(got, exp, rtol=1e-8)
+                    assert np.linalg.norm(got - prior) <= GAUGE_AGREEMENT_RTOL * np.linalg.norm(prior)
+                refined = polished[converged]
+                assert log_likelihood(samples, KroneckerPrecision(tuple(refined))) >= fit.loglik
+                _, grams = whitened_grams(samples.tensors(), [np.linalg.cholesky(a) for a in refined])
+                norm = max(np.linalg.norm(g / c - np.eye(len(g))) for g, c in zip(grams, scales))
+                assert norm < 1.01 * _MOMENT_TOL
                 converged += 1
+            else:
+                assert counts[r] == 0
 
 
 def test_trial_reports_sweep_counts():
     # verify reports each restart's fit sweeps as fit_mle counts them alone,
-    # and its polish sweeps as the sequential oracle counts them
+    # and its refinement iterations as the sequential oracle counts them
     s = sample_standard((3, 3), 3, seed=2)
     t = verify_samples(s, restarts=3, seed=0).trials[0]
     inits = _restart_inits((3, 3), 3, (0, 202, 0))
@@ -471,10 +508,95 @@ def test_trial_reports_sweep_counts():
         fit = fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits)))
         assert fit.status is FitStatus.CONVERGED
         assert t.iterations[r] == fit.iterations
-        assert t.polish_sweeps[r] == polish_sequential(s, fit.factors.factors)[1]
+        assert t.polish_sweeps[r] == refine_sequential(s, fit.factors.factors)[1] >= 1
     div = verify_datum(Datum((2, 3), 1), trials=1, restarts=2, seed=1).trials[0]
     assert div.statuses == ("diverged", "diverged")
     assert div.iterations == (1, 1) and div.polish_sweeps == (0, 0)
+
+
+def test_newton_step_safeguards(monkeypatch):
+    # far from the maximizer each step stays inside the trust radius and
+    # raises the explicit log-likelihood; a direction along which l only
+    # falls is refused after the halvings, and refinement then reaches the
+    # stop by plain sweeps, at the same maximizer
+    s = sample_standard((3, 3), 3, seed=[0, 101, 0])
+    data = _Unfoldings(s.tensors())
+    roots = [np.linalg.cholesky(a) for a in _restart_inits((3, 3), 4, (0, 202, 0))]
+
+    def loglik():
+        return _loglik(data, [b @ b.transpose(0, 2, 1) for b in roots])
+
+    for _ in range(3):
+        before = loglik()
+        norm, stepped = _newton(data, roots)
+        assert stepped.all() and np.all(loglik() > before)
+    fits = _fit(data, _restart_inits((3, 3), 4, (0, 202, 0)), DEFAULT_TOL, 10_000)
+    stacks = [np.stack(fs) for fs in zip(*(f.factors.factors for f in fits))]
+    want, _ = _polish(data, [a.copy() for a in stacks])
+    newton_direction = tnm.mle._newton_direction
+    monkeypatch.setattr(tnm.mle, "_newton_direction", lambda *a: [-v for v in newton_direction(*a)])
+    kept = [b.copy() for b in roots]
+    norm, stepped = _newton(data, roots)
+    assert not stepped.any()
+    assert all(np.array_equal(a, b) for a, b in zip(roots, kept))
+    got, counts = _polish(data, stacks)
+    assert max(counts) < _REFINE_MAX_ITER
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def _log_step(samples, roots, hs, eps):
+    """-l at Psi_i = B_i exp(eps H_i) B_i^T, from the dense Kronecker matrix."""
+    mats = []
+    for b, h in zip(roots, hs):
+        w, u = np.linalg.eigh(eps * h)
+        mats.append(b @ (u * np.exp(w)) @ u.T @ b.T)
+    return -dense_loglik(samples, mats)
+
+
+@pytest.mark.parametrize("dims,m", [((2, 3), 2), ((2, 2, 3), 1), ((3, 4), 1), ((2, 3, 2, 2), 1)])
+def test_hessian_product_matches_finite_differences(dims, m):
+    # at a random point, the whitened Grams give the gradient and the
+    # Hessian-vector product of -l on the log-factors; the product is
+    # symmetric, agrees with the per-pair oracle, and kills the gauge
+    # directions c_i I with sum c_i = 0
+    rng = np.random.default_rng(len(dims) + m)
+    samples = sample_standard(dims, m, seed=[m, *dims])
+    roots = [np.linalg.cholesky(f) for f in random_precision(dims, seed=m).factors]
+    data = _Unfoldings(samples.tensors())
+    zs = _per_block(data, _whiten(data, [b[None] for b in roots]))
+    grams = _grams(zs)
+
+    def sym(d):
+        a = rng.standard_normal((d, d))
+        return a + a.T
+
+    def hess(vs):
+        return [a[0] for a in _hessian_product(data, zs, grams, [v[None] for v in vs])]
+
+    def inner(a, b):
+        return sum(float(np.sum(x * y)) for x, y in zip(a, b))
+
+    u, v = [sym(d) for d in dims], [sym(d) for d in dims]
+    au, av = hess(u), hess(v)
+    assert inner(u, av) == pytest.approx(inner(v, au), rel=1e-12)
+    z, want = whitened_grams(samples.tensors(), roots)
+    for g, w in zip(grams, want):
+        assert np.allclose(g[0], w, rtol=1e-12, atol=1e-12)
+    for a, b in zip(av, hessian_product(z, want, v)):
+        assert np.allclose(a, b, rtol=1e-11, atol=1e-11)
+    eps = 1e-3
+    f = [_log_step(samples, roots, v, e) for e in (-eps, 0.0, eps)]
+    scales = [samples.m * samples.n // d for d in dims]
+    grad = [0.5 * (g[0] - c * np.eye(len(g[0]))) for g, c in zip(grams, scales)]
+    assert (f[2] - f[0]) / (2 * eps) == pytest.approx(inner(grad, v), rel=1e-5)
+    assert (f[2] - 2 * f[1] + f[0]) / eps**2 == pytest.approx(inner(v, av), rel=1e-5)
+    c = rng.standard_normal(len(dims))
+    c -= c.mean()
+    gauge = hess([ci * np.eye(d) for ci, d in zip(c, dims)])
+    scale = max(float(np.linalg.norm(a)) for a in av)
+    assert max(float(np.linalg.norm(a)) for a in gauge) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +670,25 @@ def test_pool_workers_capped_by_cpus_and_tasks(monkeypatch):
     assert _pool_workers(8, 8) == 1
 
 
+def test_pool_map_draws_tasks_as_results_are_used(monkeypatch):
+    # two workers, chunks of n // 16, at most two chunks per worker in
+    # flight: when the first result comes back the task generator has been
+    # advanced by at most (4 + 1) chunks, and results keep the task order
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    n, drawn = 400, []
+
+    def tasks():
+        for i in range(n):
+            drawn.append(i)
+            yield -i
+
+    results = _pool_map(abs, tasks(), 2, n)
+    assert next(results) == 0
+    assert len(drawn) <= (2 * 2 + 1) * (n // 16)
+    assert list(results) == list(range(1, n))
+    assert len(drawn) == n
+
+
 def test_verify_datum_threads_match_serial():
     a = verify_datum(Datum((2,), 2), trials=3, restarts=2, seed=5, threads=1)
     b = verify_datum(Datum((2,), 2), trials=3, restarts=2, seed=5, threads=2)
@@ -556,18 +697,24 @@ def test_verify_datum_threads_match_serial():
 
 
 def test_polish_cap_warns(caplog):
-    """(3,3;2) at trial seed 2 leaves polish at its cap on every restart."""
+    """(3,3;2) at trial seed 2 held the old parameter-change polish at its
+    2000-sweep cap on every restart; refinement meets its moment-map stop
+    there with no warning.  A cap it cannot meet still warns, once."""
     with caplog.at_level(logging.WARNING, logger="tnm.mle"):
         rep = verify_datum(Datum((3, 3), 2), trials=1, restarts=4, seed=2)
-    assert rep.trials[0].polish_sweeps == (_POLISH_MAX_SWEEPS,) * 4
+    assert all(1 <= c < _REFINE_MAX_ITER for c in rep.trials[0].polish_sweeps)
+    assert not [r for r in caplog.records if r.name == "tnm.mle"]
+    s = sample_standard((3, 3), 2, seed=[2, 101, 0])
+    data = _Unfoldings(s.tensors())
+    fits = _fit(data, _restart_inits((3, 3), 4, (2, 202, 0)), DEFAULT_TOL, 10_000)
+    assert all(f.status is FitStatus.CONVERGED for f in fits)
+    stacks = [np.stack(fs) for fs in zip(*(f.factors.factors for f in fits))]
+    with caplog.at_level(logging.WARNING, logger="tnm.mle"):
+        _, counts = _polish(data, stacks, max_iter=1)
+    assert counts == [1] * 4
     records = [r for r in caplog.records if r.name == "tnm.mle"]
     assert len(records) == 1 and records[0].levelno == logging.WARNING
     assert "4 of 4 restarts" in records[0].getMessage()
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="tnm.mle"):
-        rep = verify_datum(Datum((3, 3), 3), trials=1, restarts=4, seed=0)
-    assert max(rep.trials[0].polish_sweeps) < _POLISH_MAX_SWEEPS
-    assert not [r for r in caplog.records if r.name == "tnm.mle"]
 
 
 def test_verify_samples_smoke():
