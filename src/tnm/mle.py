@@ -80,6 +80,7 @@ _NEWTON_SWITCH = 0.5          # a sweep keeping more of the norm than this switc
 _CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
+_CHUNK_MAX = 1024             # most tasks a pool worker is handed at a time
 
 log = logging.getLogger(__name__)
 
@@ -264,7 +265,9 @@ class FitReport:
 # updated together against one data tensor.  Each operation acts on every
 # slice of a stack on its own, so a restart's arithmetic does not depend on
 # which other restarts share its stack; the public functions are the R = 1
-# case.
+# case.  No kernel function changes how many restarts a stack holds: they
+# report per-restart masks, and only the drivers (_fit, _polish) retire
+# restarts.
 
 
 class _Unfoldings:
@@ -328,86 +331,80 @@ def _loglik(data: _Unfoldings, mats) -> np.ndarray:
     return 0.5 * data.m * logdet - 0.5 * quad.reshape(len(quad), -1).sum(axis=1)
 
 
-def _update_block(data: _Unfoldings, mats: list, j: int, roots=None):
+def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     """Set block j of every restart to its maximizer (m*n/d_j) * S_j^{-1},
     in place, from one batched eigh.
 
-    Restarts whose statistic has no usable scale (non-finite or vanishing)
-    are dropped from `mats` (and from `roots`).  Returns (ok, cond, ridged,
-    logdet, norm): ok masks the restarts kept; the others cover those only:
-    the new factors' condition numbers, whether the step ridged, log det of
-    the new factors, and, when `roots` is given, block j's moment-map norm
-    ||B^T S_j B / (m*n/d_j) - I||_F at the old factor Psi_j = B B^T, with
-    B = roots[j]; roots[j] is then replaced by the new factor's root.  A
-    numerically singular statistic certifies an unbounded ascent direction,
-    and its restart takes a ridge-regularized surrogate step whose huge
-    condition number trips the divergence detector.
+    Returns (lost, cond, ridged, logdet, norm), one entry per restart:
+    whether its statistic had no usable scale (non-finite or vanishing), the
+    new factor's condition number, whether the step ridged, log det of the
+    new factor, and with `moment` block j's moment-map norm at the factor
+    the update replaces (None without).  With S_j = V W V^T and
+    c_j = m*n/d_j that norm is ||W^(1/2) V^T Psi_j V W^(1/2) / c_j - I||_F,
+    which equals ||B^T S_j B / c_j - I||_F for every root Psi_j = B B^T, so
+    no root is needed.  A lost restart has all its factors set to I, so the
+    rest of the sweep stays finite; the caller retires it.  A numerically
+    singular statistic certifies an unbounded ascent direction, and its
+    restart takes a ridge-regularized surrogate step whose huge condition
+    number trips the divergence detector.
     """
-    # S_j does not depend on Psi_j: it takes Psi_j's place, and its buffer
-    # then receives the new factor
-    mats[j] = _statistic(data, mats, j)
-    ok = np.ones(len(mats[j]), dtype=bool)
-    if not math.isfinite(mats[j].sum()):
-        ok = np.isfinite(mats[j]).all(axis=(1, 2))
-        mats[:] = [a[ok] for a in mats]
-    w, v = np.linalg.eigh(mats[j])
-    vanishing = w[:, -1] <= 0.0
-    if vanishing.any():
-        ok[ok] = ~vanishing
-        mats[:] = [a[~vanishing] for a in mats]
-        w, v = w[~vanishing], v[~vanishing]
+    s = _statistic(data, mats, j)
+    if not math.isfinite(s.sum()):
+        s[~np.isfinite(s).all(axis=(1, 2))] = 0.0  # lost, like a vanishing one
+    w, v = np.linalg.eigh(s)
+    lost = w[:, -1] <= 0.0
+    d, scale = data.dims[j], data.m * data.n // data.dims[j]
+    if lost.any():
+        w[lost], v[lost] = scale, np.eye(d)  # the new factor is I
+        for a in mats:
+            a[lost] = np.eye(a.shape[-1])
     top = w[:, -1:]
     ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
     if ridged.any():
         w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
-    scale = data.m * data.n // data.dims[j]
-    logdet = data.dims[j] * math.log(scale) - np.log(w).sum(axis=1)
+    logdet = d * math.log(scale) - np.log(w).sum(axis=1)
     norm = None
-    if roots is not None:
-        if not ok.all():
-            roots[:] = [a[ok] for a in roots]
-        norm = _moment_norm(roots[j].transpose(0, 2, 1) @ mats[j] @ roots[j], scale)
-        roots[j] = v  # scaled into the new factor's root just below
+    if moment:
+        half = np.sqrt(w)
+        x = v.transpose(0, 2, 1) @ mats[j] @ v
+        x *= half[:, :, None]
+        x *= half[:, None, :]
+        norm = _moment_norm(x, scale)
     v *= np.sqrt(scale / w)[:, None, :]
-    np.matmul(v, v.transpose(0, 2, 1), out=mats[j])
-    return ok, w[:, -1] / w[:, 0], ridged, logdet, norm
+    mats[j] = np.matmul(v, v.transpose(0, 2, 1), out=s)  # S_j's buffer takes the new factor
+    return lost, w[:, -1] / w[:, 0], ridged, logdet, norm
 
 
-def _sweep(data: _Unfoldings, mats: list, roots=None):
-    """One sweep, blocks 1..k in order, of every restart in the stack.
+def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
+    """One sweep, blocks 1..k in order, of every restart in the stack, in place.
 
-    Updates `mats` (and `roots`, see _update_block) in place and drops from
-    them the restarts whose statistic lost its scale.  Returns (alive, cond,
-    ridged, logdets, norm): alive masks the restarts kept; the others cover
-    those only: the largest new condition number, whether any block ridged,
-    log det Psi_i for every block, and with `roots` the largest block
-    moment-map norm met on the way (None without).
+    Returns (lost, cond, ridged, logdets, norm), one entry per restart:
+    whether some block lost its statistic's scale (its factors are then I,
+    see _update_block), the largest new condition number, whether any block
+    ridged, log det Psi_i for every block, and with `moment` the largest
+    block moment-map norm met on the way (None without).
     """
     r = len(mats[0])
-    alive = np.ones(r, dtype=bool)
-    cond, ridged, logdets = np.zeros(r), np.zeros(r, dtype=bool), []
-    norm = None if roots is None else np.zeros(r)
+    lost, ridged, cond, logdets = np.zeros(r, dtype=bool), np.zeros(r, dtype=bool), np.zeros(r), []
+    norm = np.zeros(r) if moment else None
     for j in range(len(mats)):
-        ok, c, rg, ld, nj = _update_block(data, mats, j, roots)
-        if len(c) < len(cond):
-            alive[alive] = ok
-            cond, ridged, logdets = cond[ok], ridged[ok], [x[ok] for x in logdets]
-            if norm is not None:
-                norm = norm[ok]
-        np.maximum(cond, c, out=cond)
+        ls, c, rg, ld, nj = _update_block(data, mats, j, moment)
+        lost |= ls
         ridged |= rg
+        np.maximum(cond, c, out=cond)
         logdets.append(ld)
-        if norm is not None:
+        if moment:
             np.maximum(norm, nj, out=norm)
-    return alive, cond, ridged, logdets, norm
+    return lost, cond, ridged, logdets, norm
 
 
 def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
     """Flip-flop every restart of the stack until its own verdict (see fit_mle).
 
-    A restart that stops leaves the stack, so later sweeps cost less.  The
-    log-likelihood after a sweep is read off the eigenvalues: with block k
-    at its maximizer the quadratic term is exactly m*n, so
+    A restart that stops, or whose statistic lost its scale, leaves the
+    stack after the sweep, so later sweeps cost less.  The log-likelihood
+    after a sweep is read off the eigenvalues: with block k at its maximizer
+    the quadratic term is exactly m*n, so
     l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is evaluated
     explicitly for the initial value and after a sweep that ridged.  The
     entries of `mats` are consumed.  Returns one FitReport per restart.
@@ -430,22 +427,20 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     for sweep in range(1, max_iter + 1):
         if not len(active):
             break
-        alive, cond, ridged, logdets, _ = _sweep(data, mats)
-        if not alive.all():
-            for i in active[~alive]:
-                finish(i, FitStatus.DEGENERATE_STATISTIC, sweep)
-            active, l_init, bound, prev = active[alive], l_init[alive], bound[alive], prev[alive]
+        lost, cond, ridged, logdets, _ = _sweep(data, mats)
         logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
         loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
         if ridged.any():
-            loglik[ridged] = _loglik(data, mats if ridged.all() else [a[ridged] for a in mats])
-        for i, x in zip(active.tolist(), loglik.tolist()):
-            histories[i].append(x)
+            loglik[ridged] = _loglik(data, [a[ridged] for a in mats])
+        for i, x, gone in zip(active.tolist(), loglik.tolist(), lost.tolist()):
+            if not gone:
+                histories[i].append(x)
         diverged = ~np.isfinite(loglik) | (loglik - l_init > bound) | (cond > CONDITION_LIMIT)
-        stop = diverged | (np.abs(loglik - prev) < tol * (1.0 + np.abs(prev)))
+        stop = lost | diverged | (np.abs(loglik - prev) < tol * (1.0 + np.abs(prev)))
         if stop.any():
             for pos in np.flatnonzero(stop):
-                status = FitStatus.DIVERGED if diverged[pos] else FitStatus.CONVERGED
+                status = (FitStatus.DEGENERATE_STATISTIC if lost[pos]
+                          else FitStatus.DIVERGED if diverged[pos] else FitStatus.CONVERGED)
                 finish(active[pos], status, sweep, pos)
             go = ~stop
             active, l_init, bound, loglik = active[go], l_init[go], bound[go], loglik[go]
@@ -458,7 +453,8 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
 
 def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
     """||x / scale - I||_F per restart, for a stack x of whitened statistics
-    S~ = B^T S B (see below); x is overwritten by x - scale I."""
+    S~ = B^T S B or their eigenbasis form W^(1/2) V^T Psi V W^(1/2) (see
+    below); x is overwritten by x - scale I."""
     x.reshape(len(x), -1)[:, :: x.shape[-1] + 1] -= scale
     return np.sqrt(np.einsum("rij,rij->r", x, x)) / scale
 
@@ -478,15 +474,19 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # refinement of converged fits (private)
 #
-# With Psi_i = B_i B_i^T, the whitened samples Z = (B_1^T (x) ... (x) B_k^T) Y
+# The factor stacks are the refinement's only state.  For any root
+# Psi_i = B_i B_i^T the whitened samples Z = (B_1^T (x) ... (x) B_k^T) Y
 # have block Grams S~_i = B_i^T S_i B_i.  On the log-factors H_i of
 # Psi_i = B_i exp(H_i) B_i^T the negative log-likelihood has, at H = 0,
 # gradient g_i = (S~_i - c_i I) / 2 with c_i = m*n/d_i, and Hessian
 #   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
 # The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
-# maximizer.  The gauge directions (c_i I with sum c_i = 0) lie in the kernel
-# of A, and so, at a maximizer that is not unique, do the directions along
-# the maximizer set.
+# maximizer.  Its norm does not depend on the root: with S_i = V W V^T it is
+# ||W^(1/2) V^T Psi_i V W^(1/2) / c_i - I||_F, so a sweep reads it from the
+# eigenpairs its block updates form anyway, and a Newton step takes the
+# Cholesky root of the factors it is handed.  The gauge directions (c_i I
+# with sum c_i = 0) lie in the kernel of A, and so, at a maximizer that is
+# not unique, do the directions along the maximizer set.
 
 
 def _whiten(data: _Unfoldings, roots) -> np.ndarray:
@@ -566,23 +566,26 @@ def _newton_direction(data: _Unfoldings, zs, grams, res) -> list[np.ndarray]:
     return x
 
 
-def _newton(data: _Unfoldings, roots: list):
+def _newton(data: _Unfoldings, mats: list):
     """One safeguarded Newton-CG step on the log-factors of every restart.
 
     Returns (norm, stepped): the moment-map norm max_i ||S~_i / c_i - I||_F
     at the current point, and which restarts took a step.  Restarts whose
-    norm is already below _MOMENT_TOL take none.  The step is
-    Psi_i <- B_i exp(t V_i) B_i^T with V from _newton_direction, t at most 1
-    and at most 1 / ||V||_F (a trust radius in log space), halved until the
-    log-likelihood rises.  In the eigenbasis V_i = U_i diag(lambda_i) U_i^T
-    the gain is exact and cheap to evaluate for every t:
+    norm is already below _MOMENT_TOL take none.  With B_i the Cholesky
+    root of Psi_i, the step is Psi_i <- B_i exp(t V_i) B_i^T with V from
+    _newton_direction, t at most 1 and at most 1 / ||V||_F (a trust radius
+    in log space), halved until the log-likelihood rises.  In the
+    eigenbasis V_i = U_i diag(lambda_i) U_i^T the gain is exact and cheap to
+    evaluate for every t:
       l(t) - l(0) = (t/2) sum_i c_i tr V_i - (1/2) sum_e P_e expm1(t Lambda_e),
     with P the squared samples (B_i U_i)^T Y summed over samples and Lambda
     the outer sum of the lambda_i.  A restart that finds no rise in
-    _MAX_HALVINGS halvings takes no step.  `roots` is updated in place.
+    _MAX_HALVINGS halvings takes no step.  The stepped restarts' factors are
+    written into `mats`; the others are left as they are.
     """
-    r, dims = len(roots[0]), data.dims
+    r, dims = len(mats[0]), data.dims
     scales = [data.m * data.n // d for d in dims]
+    roots = [np.linalg.cholesky(a) for a in mats]
     zs = _per_block(data, _whiten(data, roots))
     grams = _grams(zs)
     res = [s.copy() for s in grams]
@@ -593,13 +596,14 @@ def _newton(data: _Unfoldings, roots: list):
     go = np.flatnonzero(norm >= _MOMENT_TOL)
     if not len(go):
         return norm, stepped
-    zs, grams, res = (_rows(x, go, r) for x in (zs, grams, res))
+    if len(go) < r:
+        zs, grams, res, roots = ([a[go] for a in x] for x in (zs, grams, res, roots))
     for g in res:
         g *= -0.5  # -grad
     vs = _newton_direction(data, zs, grams, res)
     del zs, grams, res  # the line search whitens the samples once more
     lam, vecs = zip(*(np.linalg.eigh(v) for v in vs))
-    rot = [b[go] @ u for b, u in zip(roots, vecs)]
+    rot = [b @ u for b, u in zip(roots, vecs)]
     z = _whiten(data, rot).reshape(len(go), data.m, data.n)
     power = np.einsum("rsn,rsn->rn", z, z)
     grid = np.zeros((len(go), 1))
@@ -614,15 +618,11 @@ def _newton(data: _Unfoldings, roots: list):
         if ok.all():
             break
         t[~ok] *= 0.5
-    for b, u, w in zip(roots, rot, lam):
-        b[go[ok]] = u[ok] * np.exp(0.5 * t[ok, None] * w[ok])[:, None, :]
+    for a, u, w in zip(mats, rot, lam):
+        b = u[ok] * np.exp(0.5 * t[ok, None] * w[ok])[:, None, :]
+        a[go[ok]] = b @ b.transpose(0, 2, 1)
     stepped[go[ok]] = True
     return norm, stepped
-
-
-def _rows(stacks: list, pos: np.ndarray, n: int) -> list:
-    """The rows `pos` of every stack; the stacks themselves when that is all n."""
-    return list(stacks) if len(pos) == n else [a[pos] for a in stacks]
 
 
 def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
@@ -630,77 +630,57 @@ def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
 
     The likelihood-change rule in fit_mle can halt while slowly contracting
     directions still carry a few 1e-6 of error.  Each iteration of a
-    restart is one flip-flop sweep, whose norm is read off the statistics
-    the sweep forms anyway, while sweeps cut the norm at least in half;
-    after the first sweep that does not, every iteration is a Newton step
-    (_newton), or a sweep where that finds no rise.  Each restart decides
-    and stops on its own; the gauge fix runs once, at exit.  A restart
-    whose statistic loses its scale keeps the factors it came with, and
-    one still above the stop after `max_iter` iterations keeps its last
-    iterate, with one warning.  The entries of `mats` are consumed.
+    restart is one flip-flop sweep, whose norm its block updates read off
+    (_update_block), while sweeps cut the norm at least in half; after the
+    first sweep that does not, every iteration is a Newton step (_newton),
+    or a sweep where that finds no rise.  The factor stacks are the only
+    state, and per-restart masks say which rows still refine, so each
+    restart decides and stops on its own.  One whose statistic loses its
+    scale gets back the factors it came with; one still above the stop
+    after `max_iter` iterations keeps its last iterate, with one warning.
+    The gauge fix runs once, at exit.  The entries of `mats` are consumed.
     Returns the gauge-fixed factors and the iterations run, one entry per
     restart.
     """
     r = len(mats[0])
     start = [a.copy() for a in mats]
-    roots = [np.linalg.cholesky(a) for a in mats]
-    ends, counts = [None] * r, [0] * r
-    active, taken = np.arange(r), np.zeros(r, dtype=int)
-    prev, newton = np.full(r, np.inf), np.zeros(r, dtype=bool)
-
-    def finish(pos, factors, count):
-        ends[active[pos]], counts[active[pos]] = factors, int(count)
-
+    taken, prev = np.zeros(r, dtype=int), np.full(r, np.inf)
+    live, newton = np.ones(r, dtype=bool), np.zeros(r, dtype=bool)
     for _ in range(max_iter):
-        if not len(active):
+        if not live.any():
             break
-        done, sweep = np.zeros(len(active), dtype=bool), ~newton
-        pos = np.flatnonzero(newton)
+        done, sweep = np.zeros(r, dtype=bool), live & ~newton
+        pos = np.flatnonzero(live & newton)
         if len(pos):
-            sub = _rows(roots, pos, len(active))
+            sub = [a[pos] for a in mats]
             norm, stepped = _newton(data, sub)
+            for a, s in zip(mats, sub):
+                a[pos] = s
             done[pos] = norm < _MOMENT_TOL
             sweep[pos] = ~done[pos] & ~stepped
-            moved = pos[stepped]
-            for a, b, s in zip(mats, roots, sub):
-                b[moved] = s[stepped]
-                a[moved] = b[moved] @ b[moved].transpose(0, 2, 1)
-            taken[moved] += 1
+            taken[pos[stepped]] += 1
         pos = np.flatnonzero(sweep)
         if len(pos):
-            sub, sub_roots = _rows(mats, pos, len(active)), _rows(roots, pos, len(active))
-            alive, _, _, _, norm = _sweep(data, sub, sub_roots)
-            for i in pos[~alive]:
-                finish(i, [a[i] for a in start], taken[i] + 1)
-            done[pos[~alive]] = True
-            pos = pos[alive]
-            if len(pos) == len(active):
-                mats, roots = sub, sub_roots
-            else:
-                for a, b, s, t in zip(mats, roots, sub, sub_roots):
-                    a[pos], b[pos] = s, t
+            sub = [a[pos] for a in mats]
+            lost, _, _, _, norm = _sweep(data, sub, moment=True)
+            gone = pos[lost]
+            for a, s, a0 in zip(mats, sub, start):
+                a[pos] = s
+                a[gone] = a0[gone]
             taken[pos] += 1
-            done[pos] |= norm < _MOMENT_TOL
+            done[pos] = lost | (norm < _MOMENT_TOL)
             newton[pos] |= norm > _NEWTON_SWITCH * prev[pos]
             prev[pos] = norm
-        if done.any():
-            for i in np.flatnonzero(done):
-                if ends[active[i]] is None:
-                    finish(i, [a[i] for a in mats], taken[i])
-            go = ~done
-            active, taken, prev, newton = active[go], taken[go], prev[go], newton[go]
-            mats, roots, start = ([a[go] for a in x] for x in (mats, roots, start))
-    if len(active):
+        live &= ~done
+    if live.any():
         log.warning(
             "refinement stopped at its %d-iteration cap on %d of %d restarts (dims %s, m = %d) "
             "before the moment-map norm fell below %g; the factor spreads come from "
             "unfinished iterates",
-            max_iter, len(active), r, "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
+            max_iter, live.sum(), r, "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
         )
-    for i in range(len(active)):
-        finish(i, [a[i] for a in mats], taken[i])
-    fixed = _gauge_fix([np.stack(fs) for fs in zip(*ends)])
-    return [[a[i] for a in fixed] for i in range(r)], counts
+    fixed = _gauge_fix(mats)
+    return [[a[i] for a in fixed] for i in range(r)], taken.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +766,8 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     if not 1 <= i <= samples.k:
         raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
     mats = _stack(factors)
-    ok, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
-    if not ok[0] or ridged[0]:
+    lost, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
+    if lost[0] or ridged[0]:
         raise DegenerateStatistic(f"block {i} statistic is numerically singular")
     return KroneckerPrecision(tuple(a[0] for a in mats))
 
@@ -937,17 +917,23 @@ def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[floa
 
 
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
-    fits, fixed, polish_sweeps = _trial_fits(samples, restarts, seed, tol)
-    ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
-    spread = 0.0
-    if len(ls) >= 2:
-        spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
-    rel = abs_ = 0.0
-    for x in range(len(fixed)):
-        for y in range(x + 1, len(fixed)):
-            r_xy, a_xy = _factor_gaps(fixed[x], fixed[y])
-            rel = max(rel, r_xy)
-            abs_ = max(abs_, a_xy)
+    """Fit, refine and compare the restarts of one data set.  Its inputs are
+    checked before it runs, so a ValueError inside it is a solver fault, not
+    a usage error: it leaves as a RuntimeError chained to it."""
+    try:
+        fits, fixed, polish_sweeps = _trial_fits(samples, restarts, seed, tol)
+        ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
+        spread = 0.0
+        if len(ls) >= 2:
+            spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
+        rel = abs_ = 0.0
+        for x in range(len(fixed)):
+            for y in range(x + 1, len(fixed)):
+                r_xy, a_xy = _factor_gaps(fixed[x], fixed[y])
+                rel = max(rel, r_xy)
+                abs_ = max(abs_, a_xy)
+    except ValueError as exc:
+        raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(
         statuses=tuple(f.status.value for f in fits),
         logliks=tuple(f.loglik for f in fits),
@@ -1005,15 +991,16 @@ def _pool_map(fn, tasks, threads: int, n: int):
     """Yield fn(task) for each of the n `tasks`, in task order.
 
     Runs serially when _pool_workers(threads, n) is 1, otherwise in one
-    process pool that hands each worker about an eighth of its share at a
-    time and keeps at most two such chunks per worker in flight, so
-    `tasks`, which may be a generator, is drawn only as results are used.
+    process pool that hands each worker about an eighth of its share, at
+    most _CHUNK_MAX tasks, at a time and keeps at most two such chunks per
+    worker in flight, so `tasks`, which may be a generator, is drawn only
+    as results are used and the look-ahead stays bounded however large n is.
     """
     workers = _pool_workers(threads, n)
     if workers == 1:
         yield from map(fn, tasks)
         return
-    tasks, size = iter(tasks), max(1, n // (8 * workers))
+    tasks, size = iter(tasks), max(1, min(_CHUNK_MAX, n // (8 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
 
@@ -1048,8 +1035,9 @@ def verify_datum(
     random positive definite initializations (Psi_i = A_i^T A_i + 0.01 I
     with A_i standard normal, all seeded deterministically from `seed`).
     Requires trials >= 1, restarts >= 2, a finite tol > 0 and
-    prod(d_i) <= 4096; larger models raise DeskScaleExceeded.  Trials run in at most `threads` worker
-    processes, capped by CPUs and trials; results do not depend on it.
+    prod(d_i) <= 4096; larger models raise DeskScaleExceeded.  Trials run
+    in at most `threads` worker processes, capped by CPUs and trials;
+    results do not depend on it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -270,6 +270,19 @@ def test_verify_bad_tol_exit_2(tol):
     assert len(res.stderr.strip().splitlines()) == 1 and "tol" in res.stderr
 
 
+def test_solver_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # numpy's own ValueError from a fault inside the solver is no bad flag:
+    # it leaves cli.main as a RuntimeError chained to it, not as exit 2
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(tnm.mle, "_hessian_product", broken)
+    with pytest.raises(RuntimeError) as info:
+        cli.main(["verify", "--dims", "2,5,5", "--samples", "1", "--trials", "1", "--threads", "1"])
+    assert isinstance(info.value.__cause__, ValueError)
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     res = run("verify", "--data", str(tmp_path / "absent.json"))
     assert res.returncode == 2

@@ -35,6 +35,7 @@ from tnm.mle import (
     TrialResult,
     _assemble_report,
     _fit,
+    _gauge_fix,
     _grams,
     _hessian_product,
     _loglik,
@@ -440,19 +441,22 @@ def test_stacked_restarts_equal_solo_fits(dims, m):
 
 def test_mixed_stack_restarts_leave_on_their_own():
     # one restart ridges and diverges in sweep 1, one hits a vanishing
-    # statistic; the others converge as if alone
+    # statistic, one a statistic that overflows; the others converge as if
+    # alone
     s = sample_standard((4, 4), 2, seed=5)
-    mats = _restart_inits((4, 4), 5, (5, 202, 0))
+    mats = _restart_inits((4, 4), 6, (5, 202, 0))
     mats[1][1] = np.diag([1.0, 1e-30, 1e-30, 1e-30])
     mats[1][3] = 1e-320 * np.eye(4)
+    mats[1][5] = 1e308 * np.eye(4)
     inits = [a.copy() for a in mats]
     with np.errstate(all="ignore"):
         fits = _fit(_Unfoldings(s.tensors()), mats, DEFAULT_TOL, 10_000)
-        solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(5)]
+        solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(6)]
     assert [f.status for f in fits] == [
         FitStatus.CONVERGED, FitStatus.DIVERGED, FitStatus.CONVERGED,
-        FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED,
+        FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED, FitStatus.DEGENERATE_STATISTIC,
     ]
+    assert fits[5].iterations == 1
     for fit, solo in zip(fits, solos):
         assert _same_fit(fit, solo)
 
@@ -521,29 +525,52 @@ def test_newton_step_safeguards(monkeypatch):
     # stop by plain sweeps, at the same maximizer
     s = sample_standard((3, 3), 3, seed=[0, 101, 0])
     data = _Unfoldings(s.tensors())
-    roots = [np.linalg.cholesky(a) for a in _restart_inits((3, 3), 4, (0, 202, 0))]
+    mats = _restart_inits((3, 3), 4, (0, 202, 0))
 
     def loglik():
-        return _loglik(data, [b @ b.transpose(0, 2, 1) for b in roots])
+        return _loglik(data, mats)
 
     for _ in range(3):
         before = loglik()
-        norm, stepped = _newton(data, roots)
+        norm, stepped = _newton(data, mats)
         assert stepped.all() and np.all(loglik() > before)
     fits = _fit(data, _restart_inits((3, 3), 4, (0, 202, 0)), DEFAULT_TOL, 10_000)
     stacks = [np.stack(fs) for fs in zip(*(f.factors.factors for f in fits))]
     want, _ = _polish(data, [a.copy() for a in stacks])
     newton_direction = tnm.mle._newton_direction
     monkeypatch.setattr(tnm.mle, "_newton_direction", lambda *a: [-v for v in newton_direction(*a)])
-    kept = [b.copy() for b in roots]
-    norm, stepped = _newton(data, roots)
+    kept = [a.copy() for a in mats]
+    norm, stepped = _newton(data, mats)
     assert not stepped.any()
-    assert all(np.array_equal(a, b) for a, b in zip(roots, kept))
+    assert all(np.array_equal(a, b) for a, b in zip(mats, kept))
     got, counts = _polish(data, stacks)
     assert max(counts) < _REFINE_MAX_ITER
     for g, w in zip(got, want):
         for a, b in zip(g, w):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_polish_restart_that_loses_its_scale_keeps_its_input():
+    # a restart whose block-1 statistic vanishes in its first refinement
+    # sweep (its second factor is so small that S_1 underflows to 0) leaves
+    # with the gauge-fixed factors it came with after one iteration; the
+    # converged restarts beside it refine exactly as if alone
+    base = sample_standard((3, 3), 3, seed=[0, 101, 0])
+    s = SampleSet(base.dims, base.m, 1e-20 * base.data)
+    data = _Unfoldings(s.tensors())
+    fits = _fit(data, _restart_inits((3, 3), 3, (0, 202, 0)), DEFAULT_TOL, 10_000)
+    assert all(f.status is FitStatus.CONVERGED for f in fits)
+    bad = (fits[0].factors.factors[0], 1e-290 * np.eye(3))
+    inputs = [fits[0].factors.factors, fits[1].factors.factors, bad, fits[2].factors.factors]
+    stacks = [np.stack(fs) for fs in zip(*inputs)]
+    got, counts = _polish(data, [a.copy() for a in stacks])
+    assert counts[2] == 1
+    want = _gauge_fix([a[2:3] for a in stacks])
+    assert all(np.array_equal(x, y[0]) for x, y in zip(got[2], want))
+    for r in (0, 1, 3):
+        alone, n = _polish(data, [a[r:r + 1].copy() for a in stacks])
+        assert counts[r] == n[0] >= 1
+        assert all(np.array_equal(x, y) for x, y in zip(got[r], alone[0]))
 
 
 def _log_step(samples, roots, hs, eps):
@@ -671,22 +698,24 @@ def test_pool_workers_capped_by_cpus_and_tasks(monkeypatch):
 
 
 def test_pool_map_draws_tasks_as_results_are_used(monkeypatch):
-    # two workers, chunks of n // 16, at most two chunks per worker in
-    # flight: when the first result comes back the task generator has been
-    # advanced by at most (4 + 1) chunks, and results keep the task order
+    # two workers, chunks of n // 16 but at most 1024 tasks, at most two
+    # chunks per worker in flight: when the first result comes back the
+    # task generator has been advanced by at most (4 + 1) chunks, and
+    # results keep the task order
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    n, drawn = 400, []
+    for n in (400, 100_000):
+        drawn = []
 
-    def tasks():
-        for i in range(n):
-            drawn.append(i)
-            yield -i
+        def tasks():
+            for i in range(n):
+                drawn.append(i)
+                yield -i
 
-    results = _pool_map(abs, tasks(), 2, n)
-    assert next(results) == 0
-    assert len(drawn) <= (2 * 2 + 1) * (n // 16)
-    assert list(results) == list(range(1, n))
-    assert len(drawn) == n
+        results = _pool_map(abs, tasks(), 2, n)
+        assert next(results) == 0
+        assert len(drawn) <= (2 * 2 + 1) * min(n // 16, 1024)
+        assert list(results) == list(range(1, n))
+        assert len(drawn) == n
 
 
 def test_verify_datum_threads_match_serial():
