@@ -69,9 +69,12 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _default_seed() -> int:
     text = os.environ.get("TNM_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise ValueError(f"TNM_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"TNM_SEED must be >= 0, got {seed}")
+    return seed
 
 
 def _dims_str(dims) -> str:
@@ -271,6 +274,7 @@ def _verify_doc(rep) -> dict:
                 "factor_spread_abs": t.factor_spread_abs,
                 "iterations": list(t.iterations),
                 "polish_sweeps": list(t.polish_sweeps),
+                "fit_newton_steps": list(t.fit_newton_steps),
             }
             for t in rep.trials
         ],
@@ -380,8 +384,11 @@ def main(argv=None) -> int:
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command in ("simulate", "verify") and args.seed is None:
-            args.seed = _default_seed()
+        if args.command in ("simulate", "verify"):
+            if args.seed is None:
+                args.seed = _default_seed()
+            elif args.seed < 0:
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:  # InvalidDatum, DeskScaleExceeded, bad files
         print(f"tnm {args.command}: {exc}", file=sys.stderr)

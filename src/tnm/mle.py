@@ -77,6 +77,7 @@ _RIDGE_RTOL = 1e-14           # surrogate-step ridge for a degenerate statistic
 _MOMENT_TOL = 1e-10           # moment-map norm at which refinement stops
 _REFINE_MAX_ITER = 500        # refinement iterations per restart before it gives up
 _NEWTON_SWITCH = 0.5          # a sweep keeping more of the norm than this switches to Newton
+_STALL_RATIO = 0.9            # a fit sweep gaining more than this of the last gain switches to Newton
 _CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
@@ -245,10 +246,12 @@ class FitStatus(Enum):
 class FitReport:
     """Outcome of one flip-flop run.
 
-    iterations counts full sweeps.  factors is None when the run diverged
-    or hit a degenerate statistic.  loglik_history holds the initial value
-    plus one entry per completed sweep and is non-decreasing up to 1e-9
-    absolute slack per entry.
+    iterations counts full sweeps; once the run has switched to Newton steps
+    (see fit_mle), each sweep is preceded by one, and newton_steps counts
+    those that were taken.  factors is None when the run diverged or hit a
+    degenerate statistic.  loglik_history holds the initial value plus one
+    entry per iteration and is non-decreasing up to 1e-9 absolute slack per
+    entry.
     """
 
     status: FitStatus
@@ -256,6 +259,7 @@ class FitReport:
     iterations: int
     factors: Optional[KroneckerPrecision]
     loglik_history: tuple[float, ...]
+    newton_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +405,15 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
 def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
     """Flip-flop every restart of the stack until its own verdict (see fit_mle).
 
-    A restart that stops, or whose statistic lost its scale, leaves the
-    stack after the sweep, so later sweeps cost less.  The log-likelihood
-    after a sweep is read off the eigenvalues: with block k at its maximizer
-    the quadratic term is exactly m*n, so
+    Each restart runs plain sweeps until its contraction stalls: from sweep
+    3 on, a sweep that gains more than _STALL_RATIO times the log-likelihood
+    the sweep before it gained switches that restart for good, and each of
+    its later iterations is one safeguarded Newton step (_newton) followed
+    by one sweep.  A restart whose step finds no rise, or cannot be formed,
+    just sweeps.  A restart that stops, or whose statistic lost its scale,
+    leaves the stack after the sweep, so later sweeps cost less.  The
+    log-likelihood after a sweep is read off the eigenvalues: with block k
+    at its maximizer the quadratic term is exactly m*n, so
     l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is evaluated
     explicitly for the initial value and after a sweep that ridged.  The
     entries of `mats` are consumed.  Returns one FitReport per restart.
@@ -416,17 +425,22 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     else:
         bound = np.full(r, float(divergence_bound))
     histories = [[x] for x in l_init.tolist()]
-    reports = [None] * r
+    reports, steps = [None] * r, np.zeros(r, dtype=int)
 
     def finish(i, status, sweep, pos=None):
         kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
         factors = KroneckerPrecision(tuple(a[pos].copy() for a in mats)) if kept else None
-        reports[i] = FitReport(status, histories[i][-1], sweep, factors, tuple(histories[i]))
+        reports[i] = FitReport(status, histories[i][-1], sweep, factors, tuple(histories[i]),
+                               int(steps[i]))
 
-    active, prev = np.arange(r), l_init
+    active, prev, last = np.arange(r), l_init, np.full(r, np.inf)
+    newton = np.zeros(r, dtype=bool)
+    switched = False  # whether any restart still in the stack has switched
     for sweep in range(1, max_iter + 1):
         if not len(active):
             break
+        if switched:
+            steps[active[_newton_rows(data, mats, np.flatnonzero(newton))]] += 1
         lost, cond, ridged, logdets, _ = _sweep(data, mats)
         logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
         loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
@@ -435,8 +449,15 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
         for i, x, gone in zip(active.tolist(), loglik.tolist(), lost.tolist()):
             if not gone:
                 histories[i].append(x)
+        gain = loglik - prev
         diverged = ~np.isfinite(loglik) | (loglik - l_init > bound) | (cond > CONDITION_LIMIT)
-        stop = lost | diverged | (np.abs(loglik - prev) < tol * (1.0 + np.abs(prev)))
+        stop = lost | diverged | (np.abs(gain) < tol * (1.0 + np.abs(prev)))
+        if sweep > 2:
+            stall = gain > last
+            if stall.any():
+                newton |= stall
+                switched = True
+        last = _STALL_RATIO * gain
         if stop.any():
             for pos in np.flatnonzero(stop):
                 status = (FitStatus.DEGENERATE_STATISTIC if lost[pos]
@@ -444,6 +465,8 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
                 finish(active[pos], status, sweep, pos)
             go = ~stop
             active, l_init, bound, loglik = active[go], l_init[go], bound[go], loglik[go]
+            last, newton = last[go], newton[go]
+            switched = switched and newton.any()
             mats[:] = [a[go] for a in mats]
         prev = loglik
     for pos, i in enumerate(active):
@@ -625,6 +648,24 @@ def _newton(data: _Unfoldings, mats: list):
     return norm, stepped
 
 
+def _newton_rows(data: _Unfoldings, mats: list, pos: np.ndarray) -> np.ndarray:
+    """_newton on the restarts at positions `pos` of the stack, written back
+    in place; returns the positions that took a step.  A step that cannot be
+    formed (LinAlgError) is not taken; when several restarts share the call
+    they then try one by one, so one restart does not hold back another.
+    """
+    sub = [a[pos] for a in mats]
+    try:
+        _, stepped = _newton(data, sub)
+    except np.linalg.LinAlgError:
+        if len(pos) == 1:
+            return pos[:0]
+        return np.concatenate([_newton_rows(data, mats, pos[i:i + 1]) for i in range(len(pos))])
+    for a, b in zip(mats, sub):
+        a[pos] = b
+    return pos[stepped]
+
+
 def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
     """Refine converged fits until the moment-map norm is below _MOMENT_TOL.
 
@@ -781,11 +822,15 @@ def fit_mle(
 ) -> FitReport:
     """Run flip-flop sweeps (blocks 1..k in order) until a verdict.
 
-    Converged: the relative log-likelihood change over a full sweep drops
+    Flip-flop contracts only linearly.  Once its contraction stalls (from
+    sweep 3 on, a sweep gains more than 0.9 of what the sweep before it
+    gained), every further iteration is a safeguarded Newton-CG step on the
+    log-factors followed by a sweep; a step that finds no rise is not taken.
+    Converged: the relative log-likelihood change over an iteration drops
     below `tol`.  Diverged: the gain over the initial value exceeds
     `divergence_bound` (default 1e3 * (1 + |l_initial|)) or some factor's
     condition number exceeds 1e12.  MaxIterations: neither after `max_iter`
-    sweeps.  DegenerateStatistic: a block statistic had no usable scale;
+    iterations.  DegenerateStatistic: a block statistic had no usable scale;
     reported as a status, not an exception.
     """
     if init is None:
@@ -820,9 +865,11 @@ class TrialResult:
     1e-10, by flip-flop sweeps and then safeguarded Newton steps, which
     sharpens the maximizer location without touching the reported fit.
     All spreads are 0 when fewer than two restarts converged.  iterations
-    holds every restart's fit sweeps, polish_sweeps its refinement
-    iterations, sweeps plus Newton steps (at least 1 if it converged, 0
-    otherwise).
+    holds every restart's fit iterations: sweeps, each preceded by a Newton
+    step once its flip-flop contraction stalled (see fit_mle), and
+    fit_newton_steps the Newton steps its fit took (0 if it never switched).
+    polish_sweeps holds its refinement iterations, sweeps plus Newton steps
+    (at least 1 if it converged, 0 otherwise).
     """
 
     statuses: tuple[str, ...]
@@ -832,6 +879,7 @@ class TrialResult:
     factor_spread_abs: float
     iterations: tuple[int, ...] = ()
     polish_sweeps: tuple[int, ...] = ()
+    fit_newton_steps: tuple[int, ...] = ()
 
     @property
     def n_converged(self) -> int:
@@ -942,6 +990,7 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
         factor_spread_abs=abs_,
         iterations=tuple(f.iterations for f in fits),
         polish_sweeps=tuple(polish_sweeps),
+        fit_newton_steps=tuple(f.newton_steps for f in fits),
     )
 
 

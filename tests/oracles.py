@@ -5,7 +5,7 @@ stacked flip-flop kernel: fractions are enumerated one by one, thresholds
 found by linear search against the recursive classifier, likelihood
 quantities recomputed from the dense n x n Kronecker matrix, and flip-flop
 run one restart at a time with the log-likelihood evaluated explicitly
-after every sweep, and its refinement run one restart at a time with every
+after every iteration, and its refinement run one restart at a time with every
 mode product a tensordot.  Slow but unarguable.
 """
 
@@ -24,6 +24,7 @@ from tnm.mle import (
     _MOMENT_TOL,
     _NEWTON_SWITCH,
     _REFINE_MAX_ITER,
+    _STALL_RATIO,
     CONDITION_LIMIT,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
@@ -156,14 +157,26 @@ def _sweep(tens, mats, m, n):
 
 
 def fit_sequential(samples, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_SWEEPS):
-    """fit_mle for one restart: (status, iterations, loglik_history, factors or None)."""
+    """fit_mle for one restart: (status, iterations, loglik_history, factors
+    or None, Newton steps taken).
+
+    Plain sweeps until, from sweep 3 on, one gains more than 0.9 of what the
+    sweep before it gained; from then on every iteration is a Newton step
+    (none when it finds no rise or cannot be formed) followed by a sweep.
+    """
     tens, m, n = samples.tensors(), samples.m, samples.n
     mats = [np.array(f) for f in init]
     l_init = _loglik(tens, mats, m, n)
     bound = 1e3 * (1.0 + abs(l_init))
     history = [l_init]
-    status, sweep = FitStatus.MAX_ITERATIONS, 0
+    status, sweep, newton, steps = FitStatus.MAX_ITERATIONS, 0, False, 0
     for sweep in range(1, max_iter + 1):
+        if newton:
+            try:
+                roots = [np.linalg.cholesky(a) for a in mats]
+                steps += _newton_sequential(tens, mats, roots, m, n)[1]
+            except np.linalg.LinAlgError:
+                pass
         try:
             cond = _sweep(tens, mats, m, n)
         except _Degenerate:
@@ -178,8 +191,10 @@ def fit_sequential(samples, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_SWEEPS):
         if abs(loglik - prev) < tol * (1.0 + abs(prev)):
             status = FitStatus.CONVERGED
             break
+        if sweep >= 3 and loglik - prev > _STALL_RATIO * (prev - history[-3]):
+            newton = True
     kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
-    return status, sweep, history, (mats if kept else None)
+    return status, sweep, history, (mats if kept else None), steps
 
 
 def _gauge_fix(mats):

@@ -224,6 +224,24 @@ def test_bad_env_seed_exit_2(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--dims", "2", "--samples", "1"),
+    ("verify", "--dims", "2", "--samples", "1", "--trials", "1", "--threads", "1"),
+])
+@pytest.mark.parametrize("source", ["--seed", "TNM_SEED"])
+def test_negative_seed_exit_2(tmp_path, command, source):
+    # numpy's own "expected non-negative integer" named no flag
+    out = tmp_path / "x.json"
+    args = command + (("--out", str(out)) if command[0] == "simulate" else ())
+    if source == "--seed":
+        res = run(*args, "--seed", "-1")
+    else:
+        res = run(*args, env={**os.environ, "TNM_SEED": "-1"})
+    assert res.returncode == 2
+    assert res.stderr == f"tnm {command[0]}: {source} must be >= 0, got -1\n"
+    assert res.stdout == "" and not out.exists()
+
+
 def test_verify_stable_scalar_family():
     res = run("verify", "--dims", "1", "--samples", "2", "--trials", "2",
               "--restarts", "2", "--threads", "1", "--format", "json")
@@ -234,6 +252,20 @@ def test_verify_stable_scalar_family():
     for t in doc["trials"]:  # per-restart fit and polish sweeps
         assert len(t["iterations"]) == len(t["polish_sweeps"]) == 2
         assert all(type(c) is int and c > 0 for c in t["iterations"] + t["polish_sweeps"])
+        assert t["fit_newton_steps"] == [0, 0]
+
+
+@pytest.mark.parametrize("dims,m,seed", [("64,64", 2, 1), ("2,32,32", 1, 2)])
+def test_verify_slow_flip_flop_trials_converge(dims, m, seed):
+    # plain flip-flop hit its 10,000-sweep cap on (64,64;2) seed 1 and
+    # converged in no restart of (2,32,32;1) seed 2, both exit 1; the fit's
+    # Newton steps finish every restart
+    res = run("verify", "--dims", dims, "--samples", str(m), "--seed", str(seed), "--trials", "1",
+              "--restarts", "4", "--threads", "1", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    trial = json.loads(res.stdout)["trials"][0]
+    assert trial["statuses"] == ["converged"] * 4
+    assert all(c > 0 for c in trial["fit_newton_steps"])
 
 
 def test_verify_unstable_text():

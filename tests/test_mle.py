@@ -32,6 +32,7 @@ from tnm.mle import (
     GAUGE_AGREEMENT_RTOL,
     _MOMENT_TOL,
     _REFINE_MAX_ITER,
+    _STALL_RATIO,
     TrialResult,
     _assemble_report,
     _fit,
@@ -472,9 +473,10 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
     # runaway tripped, so they are not compared.  The refined factors also
     # stay within the uniqueness tolerance of the old parameter-change
     # polish (at its 2000-sweep cap on (3,3;2) seed 2), score at least the
-    # fit's log-likelihood (every refinement step raises it), and meet the
-    # stop: their moment-map norm, recomputed independently, is below 1e-10
-    # up to its rounding
+    # fit's log-likelihood (every refinement step raises it; a fit that took
+    # Newton steps already ends at the maximum, where the two agree to the
+    # rounding of their evaluation), and meet the stop: their moment-map
+    # norm, recomputed independently, is below 1e-10 up to its rounding
     scales = [m * math.prod(dims) // d for d in dims]
     for seed in range(4):
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
@@ -482,8 +484,8 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
         inits = _restart_inits(dims, 4, (seed, 202, 0))
         converged = 0
         for r, fit in enumerate(fits):
-            status, sweeps, history, factors = fit_sequential(samples, [a[r] for a in inits])
-            assert (fit.status, fit.iterations) == (status, sweeps)
+            status, sweeps, history, factors, steps = fit_sequential(samples, [a[r] for a in inits])
+            assert (fit.status, fit.iterations, fit.newton_steps) == (status, sweeps, steps)
             if status is FitStatus.CONVERGED:
                 assert fit.loglik == pytest.approx(history[-1], rel=1e-9)
                 want, iterations = refine_sequential(samples, factors)
@@ -493,13 +495,77 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
                     assert np.allclose(got, exp, rtol=1e-8)
                     assert np.linalg.norm(got - prior) <= GAUGE_AGREEMENT_RTOL * np.linalg.norm(prior)
                 refined = polished[converged]
-                assert log_likelihood(samples, KroneckerPrecision(tuple(refined))) >= fit.loglik
+                score = log_likelihood(samples, KroneckerPrecision(tuple(refined)))
+                if fit.newton_steps:
+                    assert score == pytest.approx(fit.loglik, rel=1e-12)
+                else:
+                    assert score >= fit.loglik
                 _, grams = whitened_grams(samples.tensors(), [np.linalg.cholesky(a) for a in refined])
                 norm = max(np.linalg.norm(g / c - np.eye(len(g))) for g, c in zip(grams, scales))
                 assert norm < 1.01 * _MOMENT_TOL
                 converged += 1
             else:
                 assert counts[r] == 0
+
+
+@pytest.mark.parametrize("dims,m", PANEL)
+def test_fit_tails_end_in_newton_steps(dims, m):
+    # plain flip-flop took up to 1476 sweeps on these trials ((3,3;2) seed 2,
+    # and 1160 on (2,5,5;1) seed 4); once its contraction stalls a restart
+    # takes Newton steps, so no fit needs more than 200 iterations, and the
+    # log-likelihood still never falls
+    for seed in range(8):
+        samples = sample_standard(dims, m, seed=[seed, 101, 0])
+        fits, _, _ = _trial_fits(samples, 4, (seed, 202, 0), DEFAULT_TOL)
+        for fit in fits:
+            assert fit.iterations <= 200
+            assert 0 <= fit.newton_steps <= fit.iterations
+            hist = fit.loglik_history
+            assert all(b >= a - 1e-9 * (1.0 + abs(a)) for a, b in zip(hist, hist[1:]))
+
+
+def test_fit_switch_is_checked_from_sweep_3():
+    # started two sweeps before (3,3;2) seed 2's restart 0 switches, the
+    # second sweep already gains more than 0.9 of the first; the switch
+    # still waits for sweep 3's gain, so the first Newton step precedes
+    # sweep 4
+    s = sample_standard((3, 3), 2, seed=[2, 101, 0])
+    init = KroneckerPrecision(tuple(a[0] for a in _restart_inits((3, 3), 4, (2, 202, 0))))
+    first = next(k for k in range(1, 100) if fit_mle(s, init, max_iter=k).newton_steps)
+    start = fit_mle(s, init, max_iter=first - 2).factors
+    h = fit_mle(s, start, max_iter=2).loglik_history
+    assert h[2] - h[1] > _STALL_RATIO * (h[1] - h[0])
+    assert [fit_mle(s, start, max_iter=k).newton_steps for k in (3, 4)] == [0, 1]
+
+
+def test_fit_newton_step_that_cannot_be_formed(monkeypatch):
+    # a Newton step that raises LinAlgError is not taken and no exception
+    # leaves the fit: restarts sharing the failed call retry one by one, so
+    # a step that fails only in company changes nothing, and a step that
+    # always fails leaves plain flip-flop with its slow tail
+    s = sample_standard((3, 3), 2, seed=[2, 101, 0])
+    data = _Unfoldings(s.tensors())
+    inits = _restart_inits((3, 3), 4, (2, 202, 0))
+    want = _fit(data, [a.copy() for a in inits], DEFAULT_TOL, 10_000)
+    assert all(f.status is FitStatus.CONVERGED and f.newton_steps > 0 for f in want)
+    newton = tnm.mle._newton
+
+    def alone_only(data, mats):
+        if len(mats[0]) > 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return newton(data, mats)
+
+    monkeypatch.setattr(tnm.mle, "_newton", alone_only)
+    got = _fit(data, [a.copy() for a in inits], DEFAULT_TOL, 10_000)
+    assert all(_same_fit(a, b) and a.newton_steps == b.newton_steps for a, b in zip(got, want))
+
+    def never(data, mats):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(tnm.mle, "_newton", never)
+    plain = _fit(data, [a.copy() for a in inits], DEFAULT_TOL, 10_000)
+    assert all(f.status is FitStatus.CONVERGED and f.newton_steps == 0 for f in plain)
+    assert min(f.iterations for f in plain) > 1000
 
 
 def test_trial_reports_sweep_counts():
@@ -728,16 +794,15 @@ def test_verify_datum_threads_match_serial():
 def test_polish_cap_warns(caplog):
     """(3,3;2) at trial seed 2 held the old parameter-change polish at its
     2000-sweep cap on every restart; refinement meets its moment-map stop
-    there with no warning.  A cap it cannot meet still warns, once."""
+    there with no warning.  A cap it cannot meet, one iteration from the
+    restarts' random starting points, still warns, once."""
     with caplog.at_level(logging.WARNING, logger="tnm.mle"):
         rep = verify_datum(Datum((3, 3), 2), trials=1, restarts=4, seed=2)
     assert all(1 <= c < _REFINE_MAX_ITER for c in rep.trials[0].polish_sweeps)
     assert not [r for r in caplog.records if r.name == "tnm.mle"]
     s = sample_standard((3, 3), 2, seed=[2, 101, 0])
     data = _Unfoldings(s.tensors())
-    fits = _fit(data, _restart_inits((3, 3), 4, (2, 202, 0)), DEFAULT_TOL, 10_000)
-    assert all(f.status is FitStatus.CONVERGED for f in fits)
-    stacks = [np.stack(fs) for fs in zip(*(f.factors.factors for f in fits))]
+    stacks = _restart_inits((3, 3), 4, (2, 202, 0))
     with caplog.at_level(logging.WARNING, logger="tnm.mle"):
         _, counts = _polish(data, stacks, max_iter=1)
     assert counts == [1] * 4
