@@ -10,6 +10,9 @@ invariant-theoretic quotient; and checks the verdicts numerically with a
 flip-flop solver on simulated data.
 """
 
+import importlib.util
+import sys
+
 from .datum import (
     MAX_FACTORS,
     Datum,
@@ -42,30 +45,30 @@ from .classify import (
     mle_profile,
     thresholds,
 )
-from .mle import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    DESK_SCALE_LIMIT,
-    DegenerateStatistic,
-    DeskScaleExceeded,
-    FitReport,
-    FitStatus,
-    KroneckerPrecision,
-    NotPositiveDefinite,
-    SampleSet,
-    ShapeMismatch,
-    TrialResult,
-    VerificationReport,
-    fit_mle,
-    flip_flop_step,
-    gauge_fix,
-    log_likelihood,
-    mode_statistic,
-    sample_from_model,
-    sample_standard,
-    verify_datum,
-    verify_samples,
-)
+
+
+def _lazy_module(name: str):
+    """The submodule `name`, registered in sys.modules but run only when
+    one of its attributes is first read (importlib.util.LazyLoader)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The solver imports numpy; classify, threshold and scan never touch it, so
+# it loads on first use and `import tnm` stays numpy-free.
+mle = _lazy_module("mle")
+
+
+def __getattr__(name: str):
+    # reached only for names not bound here: the solver's part of __all__
+    if name in __all__:
+        return getattr(mle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -9,8 +9,9 @@ simulate   write a deterministic standard normal sample set to JSON
 verify     fit simulated (or supplied) data and compare with the prediction
 
 Exit codes: 0 success / checks agree, 1 a check or clause failed, 2 bad
-flags, I/O trouble or a malformed input file, 3 numerical failure unrelated
-to the prediction.
+flags, I/O trouble, a malformed input file or a request too large to
+simulate, 3 numerical failure unrelated to the prediction.  Only simulate
+and verify load the solver (tnm.mle), and numpy with it.
 Exact integers are printed as decimal strings in JSON so they survive
 parsers that truncate to 53-bit floats.  All output is deterministic for
 a given flag set; the environment variable TNM_SEED supplies a default
@@ -27,6 +28,7 @@ import os
 import sys
 from itertools import chain, combinations_with_replacement
 
+from . import mle  # loads, with numpy, when simulate or verify first uses it
 from .castling import NotCastlable, castle_step
 from .classify import (
     StabilityClass,
@@ -37,14 +39,7 @@ from .classify import (
     thresholds,
 )
 from .datum import Datum, InvalidDatum, big_r, delta, g_max
-from .mle import (
-    DEFAULT_TOL,
-    SampleSet,
-    _pool_map,
-    sample_standard,
-    verify_datum,
-    verify_samples,
-)
+from .pool import _pool_map
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -255,7 +250,7 @@ def cmd_scan(args) -> int:
 def cmd_simulate(args) -> int:
     dims = _parse_dims(args.dims)
     Datum(dims, args.samples)  # validate
-    samples = sample_standard(dims, args.samples, seed=args.seed)
+    samples = mle.sample_standard(dims, args.samples, seed=args.seed)
     samples.save(args.out)
     print(f"wrote {samples.m} samples of shape {_dims_str(dims)} to {args.out}")
     return EXIT_OK
@@ -286,17 +281,18 @@ def _verify_doc(rep) -> dict:
 
 
 def cmd_verify(args) -> int:
+    tol = mle.DEFAULT_TOL if args.tol is None else args.tol
     if args.data is not None:
-        samples = SampleSet.load(args.data)
-        rep = verify_samples(samples, restarts=args.restarts, seed=args.seed, tol=args.tol)
+        samples = mle.SampleSet.load(args.data)
+        rep = mle.verify_samples(samples, restarts=args.restarts, seed=args.seed, tol=tol)
     else:
         datum = Datum(_parse_dims(args.dims), args.samples)
-        rep = verify_datum(
+        rep = mle.verify_datum(
             datum,
             trials=args.trials,
             restarts=args.restarts,
             seed=args.seed,
-            tol=args.tol,
+            tol=tol,
             threads=args.threads,
         )
     if args.format == "json":
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--data", help="JSON sample set; skips simulation")
     p.add_argument("--threads", type=int, default=threads_default)
     p.add_argument("--format", choices=("json", "text"), default="text")

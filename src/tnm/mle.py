@@ -19,18 +19,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .classify import MleProfile, mle_profile
 from .datum import Datum
+from .pool import _pool_map
 
 __all__ = [
     "SYMMETRY_RTOL",
@@ -81,7 +78,9 @@ _STALL_RATIO = 0.9            # a fit sweep gaining more than this of the last g
 _CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
-_CHUNK_MAX = 1024             # most tasks a pool worker is handed at a time
+_CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block);
+                              # eigh / Cholesky time on 4-restart stacks: 0.79 at d = 4, 1.23 at 8, 2.07 at 16
+_MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +98,7 @@ class DegenerateStatistic(RuntimeError):
 
 
 class DeskScaleExceeded(ValueError):
-    """The requested simulation is larger than verify_datum supports."""
+    """The requested simulation is larger than tnm supports."""
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +335,81 @@ def _loglik(data: _Unfoldings, mats) -> np.ndarray:
 
 
 def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
-    """Set block j of every restart to its maximizer (m*n/d_j) * S_j^{-1},
-    in place, from one batched eigh.
+    """Set block j of every restart to its maximizer c_j S_j^{-1}, with
+    c_j = m*n/d_j, in place.
 
     Returns (lost, cond, ridged, logdet, norm), one entry per restart:
     whether its statistic had no usable scale (non-finite or vanishing), the
-    new factor's condition number, whether the step ridged, log det of the
-    new factor, and with `moment` block j's moment-map norm at the factor
-    the update replaces (None without).  With S_j = V W V^T and
-    c_j = m*n/d_j that norm is ||W^(1/2) V^T Psi_j V W^(1/2) / c_j - I||_F,
-    which equals ||B^T S_j B / c_j - I||_F for every root Psi_j = B B^T, so
-    no root is needed.  A lost restart has all its factors set to I, so the
-    rest of the sweep stays finite; the caller retires it.  A numerically
-    singular statistic certifies an unbounded ascent direction, and its
-    restart takes a ridge-regularized surrogate step whose huge condition
-    number trips the divergence detector.
+    new factor's condition number or a bound on it (see _cholesky_route),
+    whether the step ridged, log det of the new factor, and with `moment`
+    block j's moment-map norm ||B^T S_j B / c_j - I||_F at the factor
+    Psi_j = B B^T the update replaces (None without); every root B gives the
+    same norm.  A lost restart has all its factors set to I, so the rest of
+    the sweep stays finite; the caller retires it.  A numerically singular
+    statistic certifies an unbounded ascent direction, and its restart takes
+    a ridge-regularized surrogate step whose huge condition number trips the
+    divergence detector.
+
+    Blocks with d_j >= _CHOLESKY_MIN_DIM factor S_j = L L^T.  A restart whose
+    S_j has no Cholesky factor, or whose condition bound is too large to
+    rule out a ridge or a divergence, and every restart of a smaller block,
+    takes the eigendecomposition instead (_eigh_route), so every lost,
+    ridged and divergence decision is made from the eigenvalues.  Either
+    route treats each restart on its own.
     """
     s = _statistic(data, mats, j)
     if not math.isfinite(s.sum()):
         s[~np.isfinite(s).all(axis=(1, 2))] = 0.0  # lost, like a vanishing one
-    w, v = np.linalg.eigh(s)
-    lost = w[:, -1] <= 0.0
-    d, scale = data.dims[j], data.m * data.n // data.dims[j]
+    scale = data.m * data.n // data.dims[j]
+    new, lost, cond, ridged, logdet, norm = _maximizer(s, mats[j], scale, moment)
     if lost.any():
-        w[lost], v[lost] = scale, np.eye(d)  # the new factor is I
         for a in mats:
             a[lost] = np.eye(a.shape[-1])
+    mats[j] = new
+    return lost, cond, ridged, logdet, norm
+
+
+def _maximizer(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
+    """(new, lost, cond, ridged, logdet, norm) for the stack of statistics s
+    (consumed) and the factors psi they replace, routed as _update_block
+    describes."""
+    if s.shape[-1] < _CHOLESKY_MIN_DIM:
+        return _eigh_route(s, psi, scale, moment)
+    rows, out = _cholesky_route(s, psi, scale, moment)
+    if not len(rows):
+        return _eigh_route(s, psi, scale, moment)
+    if len(rows) < len(s):
+        rest = np.setdiff1d(np.arange(len(s)), rows)
+        out = [None if a is None else _scatter(rows, a, rest, b)
+               for a, b in zip(out, _eigh_route(s[rest], psi[rest], scale, moment))]
+    return out
+
+
+def _scatter(pos_a, a: np.ndarray, pos_b, b: np.ndarray) -> np.ndarray:
+    """One stack with a's rows at positions pos_a and b's at pos_b."""
+    out = np.empty((len(a) + len(b), *a.shape[1:]), dtype=a.dtype)
+    out[pos_a], out[pos_b] = a, b
+    return out
+
+
+def _eigh_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
+    """The block update of _update_block for every row of the stack s, from
+    one batched eigh; s is consumed, psi (the factors being replaced) is
+    read only with `moment`.
+
+    Returns (new, lost, cond, ridged, logdet, norm).  A lost row's new
+    factor is I, and so is the factor its norm is taken at.  With
+    S = V W V^T the norm is ||W^(1/2) V^T psi V W^(1/2) / c - I||_F, so no
+    root of psi is needed.
+    """
+    w, v = np.linalg.eigh(s)
+    lost = w[:, -1] <= 0.0
+    d = s.shape[-1]
+    if lost.any():
+        w[lost], v[lost] = scale, np.eye(d)
+        if moment:
+            psi = psi.copy()
+            psi[lost] = np.eye(d)
     top = w[:, -1:]
     ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
     if ridged.any():
@@ -370,13 +418,64 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     norm = None
     if moment:
         half = np.sqrt(w)
-        x = v.transpose(0, 2, 1) @ mats[j] @ v
+        x = v.transpose(0, 2, 1) @ psi @ v
         x *= half[:, :, None]
         x *= half[:, None, :]
         norm = _moment_norm(x, scale)
     v *= np.sqrt(scale / w)[:, None, :]
-    mats[j] = np.matmul(v, v.transpose(0, 2, 1), out=s)  # S_j's buffer takes the new factor
-    return lost, w[:, -1] / w[:, 0], ridged, logdet, norm
+    new = np.matmul(v, v.transpose(0, 2, 1), out=s)  # S's buffer takes the new factor
+    return new, lost, w[:, -1] / w[:, 0], ridged, logdet, norm
+
+
+def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, L): the positions of the rows of s that have a Cholesky
+    factor, and those factors.  A failing stack is retried row by row, so a
+    row's factor does not depend on its stack partners."""
+    try:
+        return np.arange(len(s)), np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        rows, low = [], []
+        for i, a in enumerate(s):
+            try:
+                low.append(np.linalg.cholesky(a))
+            except np.linalg.LinAlgError:
+                continue
+            rows.append(i)
+        return np.array(rows, dtype=int), np.array(low).reshape(-1, *s.shape[1:])
+
+
+def _cholesky_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
+    """The block update of _update_block through S = L L^T, for the rows of
+    the stack s it can take; psi holds the factors being replaced.
+
+    The new factor is c L^{-T} L^{-1}, its log det d log c - 2 sum log
+    diag L, and the norm ||L^T psi L / c - I||_F.  In place of the condition
+    number the route reports the bound b = ||S||_F ||S^{-1}||_F, which is at
+    least the condition number of S and of the new factor.  A row is taken
+    only if it has a Cholesky factor and b < 0.5 / DEGENERATE_EIG_RTOL: it
+    then neither ridges nor exceeds CONDITION_LIMIT.  Returns (rows, out):
+    the positions taken, and for those rows (new, lost, cond, ridged,
+    logdet, norm) as _eigh_route returns them (None if no row has a
+    Cholesky factor).
+    """
+    rows, low = _cholesky_rows(s)
+    if not len(rows):
+        return rows, None
+    if len(rows) < len(s):
+        s, psi = s[rows], psi[rows]
+    inv = np.linalg.inv(low)
+    new = inv.transpose(0, 2, 1) @ inv  # S^{-1}
+    cond = np.sqrt(np.einsum("rij,rij->r", s, s) * np.einsum("rij,rij->r", new, new))
+    new *= scale
+    diag = np.diagonal(low, axis1=1, axis2=2)
+    logdet = s.shape[-1] * math.log(scale) - 2.0 * np.log(diag).sum(axis=1)
+    norm = _moment_norm(low.transpose(0, 2, 1) @ psi @ low, scale) if moment else None
+    lost, ridged = np.zeros((2, len(rows)), dtype=bool)
+    out = [new, lost, cond, ridged, logdet, norm]
+    keep = cond < 0.5 / DEGENERATE_EIG_RTOL
+    if not keep.all():
+        rows, out = rows[keep], [None if x is None else x[keep] for x in out]
+    return rows, out
 
 
 def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
@@ -384,9 +483,10 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
 
     Returns (lost, cond, ridged, logdets, norm), one entry per restart:
     whether some block lost its statistic's scale (its factors are then I,
-    see _update_block), the largest new condition number, whether any block
-    ridged, log det Psi_i for every block, and with `moment` the largest
-    block moment-map norm met on the way (None without).
+    see _update_block), the largest new condition number (or bound on it),
+    whether any block ridged, log det Psi_i for every block, and with
+    `moment` the largest block moment-map norm met on the way (None
+    without).
     """
     r = len(mats[0])
     lost, ridged, cond, logdets = np.zeros(r, dtype=bool), np.zeros(r, dtype=bool), np.zeros(r), []
@@ -412,11 +512,12 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     by one sweep.  A restart whose step finds no rise, or cannot be formed,
     just sweeps.  A restart that stops, or whose statistic lost its scale,
     leaves the stack after the sweep, so later sweeps cost less.  The
-    log-likelihood after a sweep is read off the eigenvalues: with block k
-    at its maximizer the quadratic term is exactly m*n, so
-    l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is evaluated
-    explicitly for the initial value and after a sweep that ridged.  The
-    entries of `mats` are consumed.  Returns one FitReport per restart.
+    log-likelihood after a sweep is read off the log determinants the block
+    updates return: with block k at its maximizer the quadratic term is
+    exactly m*n, so l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is
+    evaluated explicitly for the initial value and after a sweep that
+    ridged.  The entries of `mats` are consumed.  Returns one FitReport per
+    restart.
     """
     r = len(mats[0])
     l_init = _loglik(data, mats)
@@ -504,9 +605,10 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 # gradient g_i = (S~_i - c_i I) / 2 with c_i = m*n/d_i, and Hessian
 #   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
 # The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
-# maximizer.  Its norm does not depend on the root: with S_i = V W V^T it is
-# ||W^(1/2) V^T Psi_i V W^(1/2) / c_i - I||_F, so a sweep reads it from the
-# eigenpairs its block updates form anyway, and a Newton step takes the
+# maximizer.  Its norm does not depend on the root, so a sweep reads it from
+# the factorization of S_i its block update forms anyway (with S_i = L L^T
+# it is ||L^T Psi_i L / c_i - I||_F, with S_i = V W V^T
+# ||W^(1/2) V^T Psi_i V W^(1/2) / c_i - I||_F), and a Newton step takes the
 # Cholesky root of the factors it is handed.  The gauge directions (c_i I
 # with sum c_i = 0) lie in the kernel of A, and so, at a maximizer that is
 # not unique, do the directions along the maximizer set.
@@ -728,12 +830,24 @@ def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
 # sampling
 
 
+def _check_draw(dims: Sequence[int], m: int) -> None:
+    """Refuse, before anything is allocated, a draw of more than
+    _MAX_DRAW_ENTRIES sample entries."""
+    entries = m * math.prod(dims)
+    if entries > _MAX_DRAW_ENTRIES:
+        raise DeskScaleExceeded(
+            f"m * prod(dims) = {entries} sample entries exceeds the limit {_MAX_DRAW_ENTRIES}"
+        )
+
+
 def sample_standard(dims: Sequence[int], m: int, seed=0) -> SampleSet:
     """m tensors with i.i.d. standard normal entries from a seeded generator.
 
-    Identical (dims, m, seed) always produce identical output.
+    Identical (dims, m, seed) always produce identical output.  More than
+    2^24 entries in all raise DeskScaleExceeded.
     """
     dims = tuple(int(d) for d in dims)
+    _check_draw(dims, m)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(m * math.prod(dims))
     return SampleSet(dims, m, data)
@@ -743,9 +857,11 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
     """m samples whose covariance is the inverse of the Kronecker concentration.
 
     Draws standard normal tensors and applies L_i^{-T} along each mode,
-    where Psi_i = L_i L_i^T is the Cholesky factorization.
+    where Psi_i = L_i L_i^T is the Cholesky factorization.  More than 2^24
+    entries in all raise DeskScaleExceeded.
     """
     dims = factors.dims
+    _check_draw(dims, m)
     z = np.random.default_rng(seed).standard_normal((1, m, *dims))
     pre, n = m, math.prod(dims)
     for d, psi in zip(dims, factors.factors):
@@ -1027,49 +1143,6 @@ def _assemble_report(datum: Datum, trials: Sequence[TrialResult]) -> Verificatio
     )
 
 
-def _pool_workers(requested: int, tasks: int) -> int:
-    """Pool size: the request capped by CPUs and tasks; 1 means run serially."""
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
-
-
-def _run_chunk(fn, chunk: list) -> list:
-    return [fn(task) for task in chunk]
-
-
-def _pool_map(fn, tasks, threads: int, n: int):
-    """Yield fn(task) for each of the n `tasks`, in task order.
-
-    Runs serially when _pool_workers(threads, n) is 1, otherwise in one
-    process pool that hands each worker about an eighth of its share, at
-    most _CHUNK_MAX tasks, at a time and keeps at most two such chunks per
-    worker in flight, so `tasks`, which may be a generator, is drawn only
-    as results are used and the look-ahead stays bounded however large n is.
-    """
-    workers = _pool_workers(threads, n)
-    if workers == 1:
-        yield from map(fn, tasks)
-        return
-    tasks, size = iter(tasks), max(1, min(_CHUNK_MAX, n // (8 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-
-        def submit():
-            chunk = list(islice(tasks, size))
-            if chunk:
-                pending.append(pool.submit(_run_chunk, fn, chunk))
-
-        for _ in range(2 * workers):
-            submit()
-        try:
-            while pending:
-                done = pending.popleft().result()
-                submit()
-                yield from done
-        finally:  # a consumer that stops early leaves chunks nobody reads
-            for future in pending:
-                future.cancel()
-
-
 def verify_datum(
     datum: Datum,
     trials: int = 20,
@@ -1083,8 +1156,9 @@ def verify_datum(
     Each trial draws a fresh data set and runs fit_mle from `restarts`
     random positive definite initializations (Psi_i = A_i^T A_i + 0.01 I
     with A_i standard normal, all seeded deterministically from `seed`).
-    Requires trials >= 1, restarts >= 2, a finite tol > 0 and
-    prod(d_i) <= 4096; larger models raise DeskScaleExceeded.  Trials run
+    Requires trials >= 1, restarts >= 2, a finite tol > 0,
+    prod(d_i) <= 4096 and m * prod(d_i) <= 2^24; larger models raise
+    DeskScaleExceeded.  Trials run
     in at most `threads` worker processes, capped by CPUs and trials;
     results do not depend on it.
     """
@@ -1097,6 +1171,7 @@ def verify_datum(
         raise DeskScaleExceeded(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
         )
+    _check_draw(datum.dims, datum.m)
     tasks = [(datum.dims, datum.m, t, restarts, seed, tol) for t in range(trials)]
     return _assemble_report(datum, _pool_map(_verify_trial_task, tasks, threads, trials))
 

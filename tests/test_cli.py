@@ -185,8 +185,41 @@ def test_scan_memory_does_not_grow_with_grid(tmp_path, capsys):
     assert large < 1.5 * small, (small, large)
 
 
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    # only simulate and verify load the solver, and numpy with it
+    calls = [
+        ["classify", "--dims", "3,3", "--samples", "2"],
+        ["threshold", "--dims", "2,3,5"],
+        ["scan", "--max-k", "2", "--max-dim", "5", "--max-m", "2",
+         "--out", str(tmp_path / "s.csv"), "--threads", "1"],
+    ]
+    code = ("import sys, tnm.cli\n"
+            f"codes = [tnm.cli.main(argv) for argv in {calls!r}]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 # ---------------------------------------------------------------------------
 # simulate / verify
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--dims", "64,64", "--samples", "1000000000"),
+    ("simulate", "--dims", "100000,100000", "--samples", "1000"),
+])
+def test_oversized_draw_exit_2(tmp_path, command):
+    # refused before anything is drawn, where numpy's memory error used to
+    # end the run with a traceback
+    out = tmp_path / "x.json"
+    res = run(*command, *(("--out", str(out)) if command[0] == "simulate" else ()))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"tnm {command[0]}: m * prod(dims) = ")
+    assert len(res.stderr.splitlines()) == 1 and "exceeds the limit" in res.stderr
+    assert res.stdout == "" and not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -286,9 +319,10 @@ def test_verify_from_simulated_file(tmp_path):
 
 def test_verify_zero_data_is_numerical_failure(tmp_path):
     path = tmp_path / "zeros.json"
-    SampleSet((2,), 2, np.zeros(4)).save(path)
-    res = run("verify", "--data", str(path), "--restarts", "2", "--threads", "1")
-    assert res.returncode == 3
+    for dims in ((2,), (8, 8)):  # eigh and Cholesky-sized blocks
+        SampleSet(dims, 2, np.zeros(2 * np.prod(dims))).save(path)
+        res = run("verify", "--data", str(path), "--restarts", "2", "--threads", "1")
+        assert res.returncode == 3, res.stderr
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

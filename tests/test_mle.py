@@ -28,28 +28,33 @@ from tnm import (
     verify_samples,
 )
 from tnm.mle import (
+    CONDITION_LIMIT,
     DEFAULT_TOL,
     GAUGE_AGREEMENT_RTOL,
+    _MAX_DRAW_ENTRIES,
     _MOMENT_TOL,
     _REFINE_MAX_ITER,
     _STALL_RATIO,
     TrialResult,
     _assemble_report,
+    _check_draw,
+    _cholesky_route,
+    _eigh_route,
     _fit,
     _gauge_fix,
     _grams,
     _hessian_product,
     _loglik,
+    _maximizer,
     _newton,
     _per_block,
     _polish,
-    _pool_map,
-    _pool_workers,
     _restart_inits,
     _trial_fits,
     _Unfoldings,
     _whiten,
 )
+from tnm.pool import _pool_map, _pool_workers
 
 from oracles import (
     dense_kron,
@@ -155,6 +160,17 @@ def test_sample_standard_deterministic():
     c = sample_standard((3, 2), 5, seed=8)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+def test_draws_are_capped_before_allocation():
+    # m * prod(d_i) is checked before anything is drawn
+    _check_draw((64, 64), _MAX_DRAW_ENTRIES // 4096)
+    with pytest.raises(DeskScaleExceeded):
+        _check_draw((64, 64), _MAX_DRAW_ENTRIES // 4096 + 1)
+    with pytest.raises(DeskScaleExceeded):
+        sample_standard((100_000, 100_000), 1000)
+    with pytest.raises(DeskScaleExceeded):
+        sample_from_model(KroneckerPrecision.identity((2,)), 10**12)
 
 
 def test_sample_standard_moments():
@@ -393,8 +409,10 @@ def test_fit_stationarity_at_convergence():
 
 
 def test_loglik_from_eigenvalues_matches_explicit():
-    # after every sweep the log-likelihood is read off the block eigenvalues;
-    # it must equal the explicit evaluation of the factors the sweep left
+    # after every sweep the log-likelihood is read off the log determinants
+    # the block updates return (eigenvalues, or Cholesky diagonals for the
+    # 8 x 8 blocks); it must equal the explicit evaluation of the factors
+    # the sweep left
     for dims, m in [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 3, 4), 2), ((8, 8, 8), 1)]:
         s = sample_standard(dims, m, seed=3)
         init = random_precision(dims, seed=3)
@@ -443,23 +461,76 @@ def test_stacked_restarts_equal_solo_fits(dims, m):
 def test_mixed_stack_restarts_leave_on_their_own():
     # one restart ridges and diverges in sweep 1, one hits a vanishing
     # statistic, one a statistic that overflows; the others converge as if
-    # alone
-    s = sample_standard((4, 4), 2, seed=5)
-    mats = _restart_inits((4, 4), 6, (5, 202, 0))
-    mats[1][1] = np.diag([1.0, 1e-30, 1e-30, 1e-30])
-    mats[1][3] = 1e-320 * np.eye(4)
-    mats[1][5] = 1e308 * np.eye(4)
-    inits = [a.copy() for a in mats]
-    with np.errstate(all="ignore"):
-        fits = _fit(_Unfoldings(s.tensors()), mats, DEFAULT_TOL, 10_000)
-        solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(6)]
-    assert [f.status for f in fits] == [
-        FitStatus.CONVERGED, FitStatus.DIVERGED, FitStatus.CONVERGED,
-        FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED, FitStatus.DEGENERATE_STATISTIC,
-    ]
-    assert fits[5].iterations == 1
-    for fit, solo in zip(fits, solos):
-        assert _same_fit(fit, solo)
+    # alone, with 4 x 4 blocks (eigh route) and 8 x 8 ones (Cholesky route,
+    # the three others falling back to eigh)
+    for d in (4, 8):
+        s = sample_standard((d, d), 2, seed=5)
+        mats = _restart_inits((d, d), 6, (5, 202, 0))
+        mats[1][1] = np.diag([1.0] + [1e-30] * (d - 1))
+        mats[1][3] = 1e-320 * np.eye(d)
+        mats[1][5] = 1e308 * np.eye(d)
+        inits = [a.copy() for a in mats]
+        with np.errstate(all="ignore"):
+            fits = _fit(_Unfoldings(s.tensors()), mats, DEFAULT_TOL, 10_000)
+            solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(6)]
+        assert [f.status for f in fits] == [
+            FitStatus.CONVERGED, FitStatus.DIVERGED, FitStatus.CONVERGED,
+            FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED, FitStatus.DEGENERATE_STATISTIC,
+        ]
+        assert fits[5].iterations == 1
+        for fit, solo in zip(fits, solos):
+            assert _same_fit(fit, solo)
+
+
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_cholesky_route_matches_eigh_route(d):
+    # on well-conditioned statistics the Cholesky route takes every row and
+    # agrees with the eigendecomposition; its condition bound is at least
+    # the condition number
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((2, 3, d, 2 * d))
+    s, psi = a @ a.transpose(0, 2, 1), b @ b.transpose(0, 2, 1)
+    rows, (new, lost, cond, ridged, logdet, norm) = _cholesky_route(s.copy(), psi, 2 * d, True)
+    e_new, e_lost, e_cond, e_ridged, e_logdet, e_norm = _eigh_route(s.copy(), psi, 2 * d, True)
+    assert rows.tolist() == [0, 1, 2]
+    assert not (lost.any() or ridged.any() or e_lost.any() or e_ridged.any())
+    gap = np.linalg.norm(new - e_new, axis=(1, 2)) / np.linalg.norm(e_new, axis=(1, 2))
+    assert gap.max() <= 1e-12
+    np.testing.assert_allclose(logdet, e_logdet, rtol=1e-12)
+    np.testing.assert_allclose(norm, e_norm, rtol=1e-12)
+    assert np.all(cond >= e_cond * (1.0 - 1e-12))
+
+
+def test_block_update_decisions_come_from_eigenvalues():
+    # one d = 8 stack: a well-conditioned statistic, one with condition
+    # number 1e13, an indefinite one and a vanishing one.  Only the first
+    # takes the Cholesky route; the lost, ridged and divergence flags are the
+    # eigh route's, the other rows are bitwise the eigh route's, and the
+    # first row is bitwise the Cholesky route's and its update alone
+    d, scale = 8, 16
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    a = rng.standard_normal((d, 2 * d))
+    s = np.stack([a @ a.T, (q * np.logspace(0, -13, d)) @ q.T,
+                  (q * np.r_[np.ones(d - 1), -1.0]) @ q.T, np.zeros((d, d))])
+    psi = np.stack([np.eye(d) + 0.1 * np.ones((d, d))] * 4)
+    rows, chol = _cholesky_route(s.copy(), psi, scale, True)
+    assert rows.tolist() == [0]
+    got = _maximizer(s.copy(), psi, scale, True)
+    want = _eigh_route(s.copy(), psi, scale, True)
+    for x, y in zip(got, chol):
+        assert np.array_equal(x[:1], y)
+    assert got[1].tolist() == want[1].tolist() == [False, False, False, True]  # lost
+    assert got[3].tolist() == want[3].tolist() == [False, True, True, False]  # ridged
+    diverged = [False, True, True, False]
+    assert (got[2] > CONDITION_LIMIT).tolist() == (want[2] > CONDITION_LIMIT).tolist() == diverged
+    for x, y in zip(got, want):
+        assert np.array_equal(x[1:], y[1:])
+    for x, y in zip(got, _maximizer(s[:1].copy(), psi[:1], scale, True)):
+        assert np.array_equal(x[:1], y)
+    # a stack in which no row has a Cholesky factor is all eigh's
+    for x, y in zip(_maximizer(s[2:].copy(), psi[2:], scale, True), want):
+        assert np.array_equal(x, y[2:])
 
 
 PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1)]
@@ -730,6 +801,8 @@ def test_gauge_fix_single_factor_unchanged():
 def test_verify_datum_guards():
     with pytest.raises(DeskScaleExceeded):
         verify_datum(Datum((16, 16, 17), 1))
+    with pytest.raises(DeskScaleExceeded):
+        verify_datum(Datum((64, 64), 10**9))
     with pytest.raises(ValueError):
         verify_datum(Datum((2,), 2), restarts=1)
     with pytest.raises(ValueError):
