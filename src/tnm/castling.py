@@ -6,8 +6,9 @@ largest dimension may be traded for N - d_k without changing the stability
 margin R, the excess Delta, the pairwise gcd bound g_max, or the stability
 classification.  Repeating the move while it strictly shrinks the datum
 (N/2 < d_k < N) reaches a minimal representative, which is unique.  N and
-the shrink rule live here only: one walk serves `reduce_to_minimal` and the
-recursive classifier.
+the shrink rule live here only: one walk, on normalized dimension tuples and
+the sample count, serves `reduce_to_minimal`, the recursive classifier and
+`scan`; only the public functions wrap what it visits in `Datum`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .datum import Datum, normalize
+from .datum import Datum, _normal_dims, normalize
 
 __all__ = [
     "NotCastlable",
@@ -30,9 +31,9 @@ class NotCastlable(ValueError):
     """Castling was requested where N <= d_k, so no move exists."""
 
 
-def _partner(datum: Datum) -> int:
-    """N = m * prod of all dimensions except the largest (datum normalized)."""
-    return datum.m * math.prod(datum.dims[:-1])
+def _partner(dims: tuple[int, ...], m: int) -> int:
+    """N = m * prod of all dimensions except the largest (dims normalized)."""
+    return m * math.prod(dims[:-1])
 
 
 def castle_step(datum: Datum) -> Datum:
@@ -43,28 +44,28 @@ def castle_step(datum: Datum) -> Datum:
     N <= d_k.
     """
     cur = normalize(datum)
-    n = _partner(cur)
+    n = _partner(cur.dims, cur.m)
     if n <= cur.dims[-1]:
         raise NotCastlable(f"no castling move for {cur}: N = {n} <= d_k = {cur.dims[-1]}")
-    return _castle(cur, n)
+    return Datum(_castle(cur.dims, n), cur.m)
 
 
-def _castle(cur: Datum, n: int) -> Datum:
-    """The castling move on a normalized datum whose partner N = n exceeds d_k."""
-    return normalize(Datum(cur.dims[:-1] + (n - cur.dims[-1],), cur.m))
+def _castle(dims: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The castling move on normalized dims whose partner N = n exceeds d_k."""
+    return _normal_dims(dims[:-1] + (n - dims[-1],))
 
 
-def _walk(datum: Datum) -> tuple[list[Datum], int]:
-    """The data visited by reduce_to_minimal, and the endpoint's partner N."""
-    cur = normalize(datum)
-    steps = [cur]
+def _walk(dims: tuple[int, ...], m: int) -> tuple[list[tuple[int, ...]], int]:
+    """The normalized dimension tuples visited by reduce_to_minimal from the
+    normalized `dims` at sample count m, and the endpoint's partner N."""
+    steps = [dims]
     while True:
-        n = _partner(cur)
-        d_k = cur.dims[-1]
+        n = _partner(dims, m)
+        d_k = dims[-1]
         if not d_k < n < 2 * d_k:
             return steps, n
-        cur = _castle(cur, n)
-        steps.append(cur)
+        dims = _castle(dims, n)
+        steps.append(dims)
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,11 @@ class CastlingTrace:
         return self.steps[-1]
 
 
+def _trace(steps: list[tuple[int, ...]], m: int) -> CastlingTrace:
+    """The walk's steps at sample count m, as the reported trace."""
+    return CastlingTrace(tuple(Datum(dims, m) for dims in steps))
+
+
 def reduce_to_minimal(datum: Datum) -> CastlingTrace:
     """Castle while the move strictly shrinks the datum.
 
@@ -90,7 +96,8 @@ def reduce_to_minimal(datum: Datum) -> CastlingTrace:
     exact integers).  At the end exactly one of d_k > N, d_k = N, or
     2*d_k <= N holds, and no further shrinking move exists.
     """
-    return CastlingTrace(tuple(_walk(datum)[0]))
+    norm = normalize(datum)
+    return _trace(_walk(norm.dims, norm.m)[0], norm.m)
 
 
 def castling_equivalent(a: Datum, b: Datum) -> bool:

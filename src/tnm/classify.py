@@ -6,6 +6,9 @@ maximizer but no unique one (polystable, not stable), or bounded with an
 almost surely unique maximizer (stable).  One classifier evaluates closed
 formulas in the exact invariants R, Delta, g_max; the other walks the
 castling recursion.  They agree on every input; `explain` cross-checks them.
+Their private cores take plain integers -- the closed form (m, R, g_max,
+Delta), the castling endpoint (dims, m, N) -- so `scan` can feed them
+invariants it computes once per shape.
 
 On top of the classifiers sit the exact sample-count thresholds (smallest m
 making the likelihood bounded / a maximizer exist / the maximizer unique)
@@ -20,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .castling import CastlingTrace, _partner, _walk
+from .castling import CastlingTrace, _partner, _trace, _walk
 from .datum import (
     Datum,
     _delta,
@@ -79,10 +82,9 @@ def classify_closed_form(datum: Datum) -> StabilityClass:
     return _closed_form(datum.m, big_r(datum), g_max(datum), delta(datum))
 
 
-def _is_exceptional(datum: Datum) -> bool:
+def _is_exceptional(dims: tuple[int, ...], m: int) -> bool:
     """Normalized data whose generic orbit is closed but never stable
     despite 2*d_k <= N: the shapes (2, d, d; 1) and (d, d; 2) with d >= 2."""
-    dims, m = datum.dims, datum.m
     if m == 1 and len(dims) == 3 and dims[0] == 2 and dims[1] == dims[2] >= 2:
         return True
     if m == 2 and len(dims) == 2 and dims[0] == dims[1] >= 2:
@@ -90,14 +92,14 @@ def _is_exceptional(datum: Datum) -> bool:
     return False
 
 
-def _classify_endpoint(end: Datum, n: int) -> StabilityClass:
-    """Class of the endpoint `end` of the castling walk, whose partner is n."""
-    d_k = end.dims[-1]
+def _classify_endpoint(dims: tuple[int, ...], m: int, n: int) -> StabilityClass:
+    """Class of the castling walk's endpoint (dims; m), whose partner is n."""
+    d_k = dims[-1]
     if d_k > n:
         return StabilityClass.UNSTABLE
     if d_k == n:
-        return StabilityClass.STABLE if end.k == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
-    return StabilityClass.POLYSTABLE_NOT_STABLE if _is_exceptional(end) else StabilityClass.STABLE
+        return StabilityClass.STABLE if len(dims) == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
+    return StabilityClass.POLYSTABLE_NOT_STABLE if _is_exceptional(dims, m) else StabilityClass.STABLE
 
 
 def classify_recursive(datum: Datum) -> StabilityClass:
@@ -114,8 +116,9 @@ def classify_recursive(datum: Datum) -> StabilityClass:
 
     The number of castling moves is at most log2(prod d_i).
     """
-    steps, n = _walk(datum)
-    return _classify_endpoint(steps[-1], n)
+    norm = normalize(datum)
+    steps, n = _walk(norm.dims, norm.m)
+    return _classify_endpoint(steps[-1], norm.m, n)
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def _thresholds(norm: Datum, p: int, z: int, g: int, dl: int) -> ThresholdReport
     cor_bounds = None
     if norm.k >= 3:
         # ceil(d_k / (d_1 ... d_{k-1})) = ceil(m * d_k / N), N the castling partner
-        lower = _ceil_div(norm.m * norm.dims[-1], _partner(norm))
+        lower = _ceil_div(norm.m * norm.dims[-1], _partner(norm.dims, norm.m))
         cor_bounds = (lower, lower + 1)
     return ThresholdReport(mlt_b=mlt_b, mlt_e=mlt_b, mlt_u=mlt_u, cor_bounds=cor_bounds)
 
@@ -264,15 +267,15 @@ def explain(datum: Datum) -> ClassificationReport:
     through the `classifiers_agree` flag and a logged warning, never by
     raising.
     """
-    steps, n = _walk(datum)
-    norm = steps[0]
+    norm = normalize(datum)
+    steps, n = _walk(norm.dims, datum.m)
     # the one subset-gcd sum: R = m * prod(d_i) - Z(d_1^2, ..., d_k^2)
     p = norm.product()
     z = z_quantity([d * d for d in norm.dims])
     r = datum.m * p - z
     dl, g = _delta(datum.m, p, norm.dims), g_max(norm)
     closed = _closed_form(datum.m, r, g, dl)
-    recursive = _classify_endpoint(steps[-1], n)
+    recursive = _classify_endpoint(steps[-1], datum.m, n)
     agree = closed is recursive
     if not agree:
         log.warning(
@@ -291,7 +294,7 @@ def explain(datum: Datum) -> ClassificationReport:
         g_max=g,
         z=z,
         indices=indices,
-        trace=CastlingTrace(tuple(steps)),
+        trace=_trace(steps, datum.m),
         class_closed_form=closed,
         class_recursive=recursive,
         classifiers_agree=agree,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -29,16 +30,26 @@ import sys
 from itertools import chain, combinations_with_replacement
 
 from . import mle  # loads, with numpy, when simulate or verify first uses it
-from .castling import NotCastlable, castle_step
+from .castling import NotCastlable, _walk, castle_step
 from .classify import (
     StabilityClass,
+    _classify_endpoint,
     _closed_form,
     _quotient_dimension,
-    classify_recursive,
     explain,
     thresholds,
 )
-from .datum import Datum, InvalidDatum, big_r, delta, g_max
+from .datum import (
+    MAX_FACTORS,
+    Datum,
+    InvalidDatum,
+    _delta,
+    _g_max,
+    _gcd_subset_sum,
+    big_r,
+    delta,
+    g_max,
+)
 from .pool import _pool_map
 
 EXIT_OK = 0
@@ -48,6 +59,7 @@ EXIT_NUMERICAL = 3
 
 SCAN_CHECKS = ("equivalence", "monotone", "castling")
 SCAN_GRID_LIMIT = 10_000_000
+_RUN_MAX = 64  # most sample counts in one scan task, so rows in flight do not grow with --max-m
 CSV_COLUMNS = ("dims", "m", "R", "Delta", "g_max", "class_closed_form", "class_recursive", "agree")
 
 
@@ -180,66 +192,90 @@ def cmd_threshold(args) -> int:
 # scan
 
 
-def _grid_size(max_k: int, max_dim: int, max_m: int) -> int:
+def _shape_count(max_k: int, max_dim: int) -> int:
     count = 1 if max_dim >= 1 else 0  # the (1,) datum
     for k in range(1, max_k + 1):
         count += math.comb(max_dim - 2 + k, k) if max_dim >= 2 else 0
-    return count * max_m
+    return count
 
 
-def _grid(max_k: int, max_dim: int, max_m: int):
+def _shape_runs(max_k: int, max_dim: int, max_m: int):
+    """The scan tasks (dims, m0, m1): each shape, normalized, with a run
+    m0 <= m < m1 of at most _RUN_MAX consecutive sample counts."""
     shapes = [[(1,)] if max_dim >= 1 else []]
     shapes.extend(combinations_with_replacement(range(2, max_dim + 1), k) for k in range(1, max_k + 1))
     for dims in chain.from_iterable(shapes):  # lazily: the grid is never held
-        for m in range(1, max_m + 1):
-            yield dims, m
+        for m0 in range(1, max_m + 1, _RUN_MAX):
+            yield dims, m0, min(m0 + _RUN_MAX, max_m + 1)
 
 
-def _scan_row(task):
-    dims, m, check = task
-    d = Datum(dims, m)
-    r, dl, gm = big_r(d), delta(d), g_max(d)
-    c1, c2 = _closed_form(m, r, gm, dl), classify_recursive(d)
-    if check == "equivalence":
-        ok = c1 is c2
-    elif check == "monotone":
-        # one more sample adds prod(d_i) to both R and Delta; g_max stays
-        p = d.product()
-        order = list(StabilityClass)  # unstable < polystable_not_stable < stable
-        ok = order.index(_closed_form(m + 1, r + p, gm, dl + p)) >= order.index(c1)
-    else:  # castling
-        try:
-            e = castle_step(d)
-        except NotCastlable:
-            ok = True
-        else:
-            er, edl, egm = big_r(e), delta(e), g_max(e)
-            ok = (
-                er == r
-                and edl == dl
-                and egm == gm
-                and _closed_form(e.m, er, egm, edl) is c1
-                and _quotient_dimension(e.m, er, egm, edl) == _quotient_dimension(m, r, gm, dl)
-            )
-    return (_dims_str(dims), m, str(r), str(dl), str(gm), c1.value, c2.value, ok)
+def _castling_ok(d: Datum, r: int, dl: int, gm: int, c1: StabilityClass) -> bool:
+    """Whether the castled datum's own R, Delta, g_max, class and quotient
+    dimension equal d's; True when d has no castling move."""
+    try:
+        e = castle_step(d)
+    except NotCastlable:
+        return True
+    er, edl, egm = big_r(e), delta(e), g_max(e)
+    return (
+        er == r
+        and edl == dl
+        and egm == gm
+        and _closed_form(e.m, er, egm, edl) is c1
+        and _quotient_dimension(e.m, er, egm, edl) == _quotient_dimension(d.m, r, gm, dl)
+    )
+
+
+def _scan_run(task) -> tuple[str, int]:
+    """The CSV rows of one shape over a run of sample counts, and how many failed.
+
+    prod(d_i), Z(d_1^2, ..., d_k^2), Delta at m0 and g_max are computed once
+    per run: one more sample adds prod(d_i) to R = m * prod(d_i) - Z and to
+    Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1), and g_max does not depend on m.
+    """
+    dims, m0, m1, check = task
+    p, gm = math.prod(dims), _g_max(dims)
+    # Z(d_1^2, ..., d_k^2) is the subset-gcd sum of the d_i with gcds squared
+    r, dl = m0 * p - _gcd_subset_sum(dims, power=2), _delta(m0, p, dims)
+    name, order = _dims_str(dims), list(StabilityClass)  # unstable < polystable < stable
+    text = io.StringIO()
+    writer = csv.writer(text)
+    failures = 0
+    for m in range(m0, m1):
+        c1 = _closed_form(m, r, gm, dl)
+        steps, n = _walk(dims, m)
+        c2 = _classify_endpoint(steps[-1], m, n)
+        if check == "equivalence":
+            ok = c1 is c2
+        elif check == "monotone":
+            ok = order.index(_closed_form(m + 1, r + p, gm, dl + p)) >= order.index(c1)
+        else:  # castling
+            ok = _castling_ok(Datum(dims, m), r, dl, gm, c1)
+        writer.writerow((name, m, r, dl, gm, c1.value, c2.value, ok))
+        failures += not ok
+        r, dl = r + p, dl + p
+    return text.getvalue(), failures
 
 
 def cmd_scan(args) -> int:
     if args.max_k < 1 or args.max_dim < 1 or args.max_m < 1:
         raise InvalidDatum("grid bounds must be >= 1")
-    size = _grid_size(args.max_k, args.max_dim, args.max_m)
+    if args.max_k > MAX_FACTORS:
+        raise InvalidDatum(f"--max-k must be at most {MAX_FACTORS}, got {args.max_k}")
+    shapes = _shape_count(args.max_k, args.max_dim)
+    size = shapes * args.max_m
     if size > SCAN_GRID_LIMIT:
         raise InvalidDatum(f"grid has {size} data, more than the {SCAN_GRID_LIMIT} limit")
-    tasks = ((dims, m, args.check) for dims, m in _grid(args.max_k, args.max_dim, args.max_m))
-    rows = failures = 0
+    runs = _shape_runs(args.max_k, args.max_dim, args.max_m)
+    tasks = ((dims, m0, m1, args.check) for dims, m0, m1 in runs)
+    n_tasks = shapes * -(-args.max_m // _RUN_MAX)
+    failures = 0
     with open(args.out, "w", newline="") as fh:  # an unwritable --out fails before any row
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in _pool_map(_scan_row, tasks, args.threads, size):
-            writer.writerow(row)
-            rows += 1
-            failures += not row[-1]
-    print(f"scanned {rows} data, check={args.check}, failures={failures}")
+        csv.writer(fh).writerow(CSV_COLUMNS)
+        for text, failed in _pool_map(_scan_run, tasks, args.threads, n_tasks):
+            fh.write(text)
+            failures += failed
+    print(f"scanned {size} data, check={args.check}, failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -380,6 +416,8 @@ def main(argv=None) -> int:
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.command in ("scan", "verify") and args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.command in ("simulate", "verify"):
             if args.seed is None:
                 args.seed = _default_seed()

@@ -93,10 +93,12 @@ def normalize(datum: Datum) -> Datum:
     An all-ones datum collapses to the single dimension (1,).  The sample
     count is untouched.  Idempotent.
     """
-    dims = tuple(sorted(d for d in datum.dims if d > 1))
-    if not dims:
-        dims = (1,)
-    return Datum(dims, datum.m)
+    return Datum(_normal_dims(datum.dims), datum.m)
+
+
+def _normal_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """The dimensions sorted ascending with 1-entries dropped; (1,) if none is left."""
+    return tuple(sorted(d for d in dims if d > 1)) or (1,)
 
 
 def _gcd_subset_sum(values: Sequence[int], power: int) -> int:
@@ -150,7 +152,11 @@ def g_max(datum: Datum) -> int:
 
     Invariant under normalization: 1-entries only ever contribute gcd 1.
     """
-    dims = datum.dims
+    return _g_max(datum.dims)
+
+
+def _g_max(dims: Sequence[int]) -> int:
+    """g_max of the dimensions `dims`."""
     if len(dims) == 1:
         return 1
     return max(math.gcd(a, b) for a, b in combinations(dims, 2))

@@ -1,22 +1,38 @@
 """Independent brute-force oracles for pinning expected values.
 
-Everything here deliberately avoids the library's closed formulas and
-stacked flip-flop kernel: fractions are enumerated one by one, thresholds
-found by linear search against the recursive classifier, likelihood
-quantities recomputed from the dense n x n Kronecker matrix, and flip-flop
-run one restart at a time with the log-likelihood evaluated explicitly
-after every iteration, and its refinement run one restart at a time with every
-mode product a tensordot.  Slow but unarguable.
+Everything here deliberately avoids the code paths it checks: fractions are
+enumerated one by one, thresholds found by linear search against the
+recursive classifier, the castling walk taken one castle_step at a time,
+each scan row computed from its own datum through the public invariants,
+likelihood quantities recomputed from the dense n x n Kronecker matrix, and
+flip-flop run one restart at a time with the log-likelihood evaluated
+explicitly after every iteration, and its refinement run one restart at a
+time with every mode product a tensordot.  Slow but unarguable.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from tnm import Datum, FitStatus, StabilityClass, classify_recursive
+from tnm import (
+    Datum,
+    FitStatus,
+    NotCastlable,
+    StabilityClass,
+    big_r,
+    castle_step,
+    classify_closed_form,
+    classify_recursive,
+    delta,
+    g_max,
+    git_dimension,
+    normalize,
+)
 from tnm.mle import (
     _CG_MAX_ITER,
     _CG_RTOL,
@@ -69,6 +85,70 @@ def min_m_unique_search(dims, limit: int = 10_000) -> int:
         if classify_recursive(Datum(tuple(dims), m)) is StabilityClass.STABLE:
             return m
     raise AssertionError(f"no stable sample count below {limit} for {dims}")
+
+
+# ---------------------------------------------------------------------------
+# castling walk and scan, one datum at a time
+
+
+def castle_chain(datum) -> list:
+    """normalize(datum), then castle_step while the move shrinks: N/2 < d_k < N."""
+    cur = normalize(datum)
+    chain = [cur]
+    while cur.dims[-1] < cur.m * math.prod(cur.dims[:-1]) < 2 * cur.dims[-1]:
+        cur = castle_step(cur)
+        chain.append(cur)
+    return chain
+
+
+def chain_class(datum) -> StabilityClass:
+    """The class of the endpoint of castle_chain(datum), read off its shape."""
+    end = castle_chain(datum)[-1]
+    dims, m = end.dims, end.m
+    n, d_k = m * math.prod(dims[:-1]), dims[-1]
+    if d_k > n:
+        return StabilityClass.UNSTABLE
+    if d_k == n:
+        return StabilityClass.STABLE if len(dims) == 1 else StabilityClass.POLYSTABLE_NOT_STABLE
+    exceptional = (m == 1 and len(dims) == 3 and dims[0] == 2 and dims[1] == dims[2]) or (
+        m == 2 and len(dims) == 2 and dims[0] == dims[1]
+    )
+    return StabilityClass.POLYSTABLE_NOT_STABLE if exceptional else StabilityClass.STABLE
+
+
+def scan_row_reference(dims, m: int, check: str) -> tuple:
+    """One `tnm scan` row, with every invariant computed from its own Datum."""
+    d = Datum(dims, m)
+    r, dl, gm, c1 = big_r(d), delta(d), g_max(d), classify_closed_form(d)
+    if check == "equivalence":
+        ok = c1 is chain_class(d)
+    elif check == "monotone":
+        order = list(StabilityClass)
+        ok = order.index(classify_closed_form(Datum(dims, m + 1))) >= order.index(c1)
+    else:
+        try:
+            e = castle_step(d)
+        except NotCastlable:
+            ok = True
+        else:
+            ok = (big_r(e), delta(e), g_max(e), classify_closed_form(e), git_dimension(e)) == (
+                r, dl, gm, c1, git_dimension(d))
+    return ("x".join(map(str, dims)), m, r, dl, gm, c1.value, chain_class(d).value, ok)
+
+
+def scan_csv_reference(max_k: int, max_dim: int, max_m: int, check: str) -> bytes:
+    """The bytes of `tnm scan`'s CSV for the grid: the shape (1,), then each
+    multiset of 1..max_k entries from 2..max_dim, each at m = 1..max_m."""
+    shapes = [(1,)] + [
+        dims for k in range(1, max_k + 1) for dims in combinations_with_replacement(range(2, max_dim + 1), k)
+    ]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("dims", "m", "R", "Delta", "g_max", "class_closed_form", "class_recursive", "agree"))
+    for dims in shapes:
+        for m in range(1, max_m + 1):
+            writer.writerow(scan_row_reference(dims, m, check))
+    return text.getvalue().encode()
 
 
 def dense_kron(mats) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tnm
+from oracles import scan_csv_reference
 from tnm import SampleSet, cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -134,6 +135,30 @@ def test_scan_rejects_bad_bounds(tmp_path):
     assert res.returncode == 2
 
 
+def test_scan_rejects_max_k_above_limit_before_out(tmp_path):
+    out = tmp_path / "x.csv"
+    res = run("scan", "--max-k", "17", "--max-dim", "2", "--max-m", "1",
+              "--out", str(out), "--threads", "1")
+    assert res.returncode == 2
+    assert res.stderr.strip().splitlines() == ["tnm scan: --max-k must be at most 16, got 17"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exit_2(tmp_path, command, threads):
+    out = tmp_path / "x.csv"
+    if command == "scan":
+        args = ("scan", "--max-k", "1", "--max-dim", "2", "--max-m", "1", "--out", str(out))
+    else:
+        args = ("verify", "--dims", "2", "--samples", "1", "--trials", "1")
+    res = run(*args, "--threads", threads)
+    assert res.returncode == 2
+    assert res.stderr.strip().splitlines() == [f"tnm {command}: --threads must be >= 1, got {threads}"]
+    assert res.stdout == ""
+    assert not out.exists()
+
+
 def test_scan_unwritable_out_exit_2(tmp_path):
     res = run("scan", "--max-k", "2", "--max-dim", "4", "--max-m", "2",
               "--out", str(tmp_path / "absent" / "x.csv"), "--threads", "1")
@@ -145,12 +170,36 @@ def test_scan_unwritable_out_exit_2(tmp_path):
 
 
 def test_grid_size_counts_grid():
+    run_max = cli._RUN_MAX
     for max_k in range(1, 4):
         for max_dim in range(1, 9):
-            for max_m in range(1, 4):
-                grid = list(cli._grid(max_k, max_dim, max_m))
-                assert cli._grid_size(max_k, max_dim, max_m) == len(grid)
+            for max_m in (1, 2, 3, run_max, run_max + 1, 2 * run_max + 5):
+                runs = list(cli._shape_runs(max_k, max_dim, max_m))
+                assert all(0 < m1 - m0 <= run_max for _, m0, m1 in runs)
+                # the task count _pool_map is told
+                assert len(runs) == cli._shape_count(max_k, max_dim) * -(-max_m // run_max)
+                grid = [(dims, m) for dims, m0, m1 in runs for m in range(m0, m1)]
+                assert cli._shape_count(max_k, max_dim) * max_m == len(grid)
                 assert len(set(grid)) == len(grid)
+                assert {m for _, m in grid} == set(range(1, max_m + 1))
+
+
+@pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])
+def test_scan_csv_matches_reference(tmp_path, check, monkeypatch, capsys):
+    """The CSV equals the per-row oracle's bytes, serial, on two workers, and
+    with every shape's sample counts split into runs of two."""
+    grid = ("--max-k", "3", "--max-dim", "7", "--max-m", "3", "--check", check)
+    expected = scan_csv_reference(3, 7, 3, check)
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        res = run("scan", *grid, "--out", str(out), "--threads", threads)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"scanned 252 data, check={check}, failures=0\n"
+        assert out.read_bytes() == expected
+    monkeypatch.setattr(cli, "_RUN_MAX", 2)
+    out = tmp_path / "split.csv"
+    assert cli.main(["scan", *grid, "--out", str(out), "--threads", "1"]) == 0
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])
@@ -182,6 +231,26 @@ def test_scan_memory_does_not_grow_with_grid(tmp_path, capsys):
     peak(12)  # warm-up: first-call caches are not the grid's memory
     small, large = peak(12), peak(20)
     assert "scanned 3080 data" in capsys.readouterr().out
+    assert large < 1.5 * small, (small, large)
+
+
+def test_scan_memory_does_not_grow_with_max_m(tmp_path, capsys):
+    """Long sample-count runs are split, so the serial peak of Python
+    allocations is about the same at --max-m 2000 and 20000 (unsplit, it
+    grows with the run: 0.5 and 3.8 MB)."""
+    def peak(max_m):
+        argv = ["scan", "--max-k", "1", "--max-dim", "2", "--max-m", str(max_m),
+                "--out", str(tmp_path / "m.csv"), "--threads", "1"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # warm-up: first-call caches are not the grid's memory
+    small, large = peak(2000), peak(20000)
+    assert "scanned 40000 data" in capsys.readouterr().out
     assert large < 1.5 * small, (small, large)
 
 

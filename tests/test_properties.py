@@ -1,10 +1,13 @@
 """Property tests over random big-integer dimensions, k <= 16."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from oracles import castle_chain, chain_class
 from tnm import (
     MAX_FACTORS,
     Datum,
@@ -19,8 +22,10 @@ from tnm import (
     g_max,
     git_dimension,
     reduce_to_minimal,
+    normalize,
     thresholds,
 )
+from tnm.castling import _walk
 
 # small entries make shared gcds likely, big ones exercise exact arithmetic
 dimension = st.one_of(st.integers(1, 12), st.integers(2, 10**40))
@@ -28,6 +33,29 @@ dims_list = st.lists(dimension, min_size=1, max_size=MAX_FACTORS)
 sample_count = st.integers(1, 5)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def inverse_castled(draw):
+    """A k = 3-4 datum built by inverse castling moves from small entries
+    until its largest entry has 100-300 digits: each move replaces some d_i,
+    not the one just made, by N_i - d_i (N_i = m * prod of the others) when
+    that makes it the strict largest and 2 d_i < N_i, so the castling walk
+    retraces every move."""
+    k, m = draw(st.integers(3, 4)), draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(2, 6), min_size=k, max_size=k))
+    digits, last = draw(st.integers(100, 300)), -1
+    while len(str(max(dims))) < digits:
+        moves = []
+        for i, d in enumerate(dims):
+            n_i = m * math.prod(dims[:i] + dims[i + 1:])
+            if i != last and 2 * d < n_i and n_i - d > max(dims):
+                moves.append((i, n_i - d))
+        if not moves:
+            break
+        i, new = draw(st.sampled_from(moves))
+        dims[i], last = new, i
+    return Datum(tuple(draw(st.permutations(dims))), m)
 
 
 def _invariants(d):
@@ -84,3 +112,16 @@ def test_classifiers_agree(dims, m):
     rep = explain(Datum(tuple(dims), m))
     assert rep.classifiers_agree
     assert rep.class_recursive is classify_recursive(rep.datum)
+
+
+@SETTINGS
+@given(st.one_of(inverse_castled(), st.builds(Datum, dims_list.map(tuple), sample_count)))
+def test_tuple_walk_is_the_castle_step_chain(d):
+    chain = castle_chain(d)
+    norm = normalize(d)
+    steps, n = _walk(norm.dims, norm.m)
+    assert steps == [c.dims for c in chain]
+    end = chain[-1]
+    assert n == end.m * math.prod(end.dims[:-1])
+    assert reduce_to_minimal(d).steps == tuple(chain)
+    assert classify_recursive(d) is chain_class(d) is classify_closed_form(d)
