@@ -78,8 +78,12 @@ _STALL_RATIO = 0.9            # a fit sweep gaining more than this of the last g
 _CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
-_CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block);
-                              # eigh / Cholesky time on 4-restart stacks: 0.79 at d = 4, 1.23 at 8, 2.07 at 16
+_CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block); eigh /
+                              # Cholesky route on 4-restart stacks, us: 36 / 37 at d = 4, 56 / 47
+                              # at 8, 146 / 71 at 16, 2008 / 430 at 64 (2-vCPU Xeon, 1 BLAS thread)
+_TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-restart inverse, us,
+                              # base 8 / base 16 / inv of the whole: 161 / 181 / 459 at d = 64,
+                              # 57 / 56 / 52 at d = 16 (same machine)
 _MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
 
 log = logging.getLogger(__name__)
@@ -449,21 +453,23 @@ def _cholesky_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
     the stack s it can take; psi holds the factors being replaced.
 
     The new factor is c L^{-T} L^{-1}, its log det d log c - 2 sum log
-    diag L, and the norm ||L^T psi L / c - I||_F.  In place of the condition
-    number the route reports the bound b = ||S||_F ||S^{-1}||_F, which is at
-    least the condition number of S and of the new factor.  A row is taken
-    only if it has a Cholesky factor and b < 0.5 / DEGENERATE_EIG_RTOL: it
-    then neither ridges nor exceeds CONDITION_LIMIT.  Returns (rows, out):
-    the positions taken, and for those rows (new, lost, cond, ridged,
-    logdet, norm) as _eigh_route returns them (None if no row has a
-    Cholesky factor).
+    diag L, and the norm ||L^T psi L / c - I||_F.  L^{-1} comes from
+    _tri_inv: blocked inversion by matrix products, with LAPACK inv only on
+    diagonal blocks of at most _TRI_INV_BASE rows.  In place of the
+    condition number the route reports the bound b = ||S||_F ||S^{-1}||_F,
+    which is at least the condition number of S and of the new factor.  A
+    row is taken only if it has a Cholesky factor and b < 0.5 /
+    DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds
+    CONDITION_LIMIT.  Returns (rows, out): the positions taken, and for
+    those rows (new, lost, cond, ridged, logdet, norm) as _eigh_route
+    returns them (None if no row has a Cholesky factor).
     """
     rows, low = _cholesky_rows(s)
     if not len(rows):
         return rows, None
     if len(rows) < len(s):
         s, psi = s[rows], psi[rows]
-    inv = np.linalg.inv(low)
+    inv = _tri_inv(low)
     new = inv.transpose(0, 2, 1) @ inv  # S^{-1}
     cond = np.sqrt(np.einsum("rij,rij->r", s, s) * np.einsum("rij,rij->r", new, new))
     new *= scale
@@ -476,6 +482,30 @@ def _cholesky_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
     if not keep.all():
         rows, out = rows[keep], [None if x is None else x[keep] for x in out]
     return rows, out
+
+
+def _tri_inv(low: np.ndarray) -> np.ndarray:
+    """Inverses of the stack of lower-triangular matrices low, by 2 x 2
+    blocks: [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]],
+    recursively, as LAPACK trtri blocks it (Du Croz and Higham, 1992).  When
+    d is even, the two diagonal halves of every row are inverted in one call
+    on a stack of twice the length.  Blocks of at most _TRI_INV_BASE rows go
+    to LAPACK inv, whose row pivoting can leave rounding-level entries above
+    the diagonal inside those blocks; every other entry above it is exactly
+    0.  Each row's arithmetic is its own."""
+    r, d = len(low), low.shape[-1]
+    if d <= _TRI_INV_BASE:
+        return np.linalg.inv(low)
+    h = d // 2
+    if d % 2:
+        a, c = _tri_inv(low[:, :h, :h]), _tri_inv(low[:, h:, h:])
+    else:
+        both = _tri_inv(np.concatenate([low[:, :h, :h], low[:, h:, h:]]))
+        a, c = both[:r], both[r:]
+    out = np.zeros_like(low)
+    out[:, :h, :h], out[:, h:, h:] = a, c
+    np.negative(c @ low[:, h:, :h] @ a, out=out[:, h:, :h])
+    return out
 
 
 def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
@@ -1080,10 +1110,13 @@ def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[floa
     return rel, abs_
 
 
+@np.errstate(all="ignore")
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
     """Fit, refine and compare the restarts of one data set.  Its inputs are
     checked before it runs, so a ValueError inside it is a solver fault, not
-    a usage error: it leaves as a RuntimeError chained to it."""
+    a usage error: it leaves as a RuntimeError chained to it.  Floating-point
+    warnings are off: the kernel turns non-finite and vanishing statistics
+    into lost, diverged or degenerate restarts, so they say nothing more."""
     try:
         fits, fixed, polish_sweeps = _trial_fits(samples, restarts, seed, tol)
         ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]

@@ -387,11 +387,16 @@ def test_verify_from_simulated_file(tmp_path):
 
 
 def test_verify_zero_data_is_numerical_failure(tmp_path):
+    # zeros with eigh and Cholesky-sized blocks, and entries near 1e200 whose
+    # statistics overflow: numpy's floating-point warnings stay off stderr
     path = tmp_path / "zeros.json"
-    for dims in ((2,), (8, 8)):  # eigh and Cholesky-sized blocks
-        SampleSet(dims, 2, np.zeros(2 * np.prod(dims))).save(path)
+    huge = 1e200 * np.random.default_rng(0).standard_normal(27)
+    for samples in (SampleSet((2,), 2, np.zeros(4)), SampleSet((8, 8), 2, np.zeros(128)),
+                    SampleSet((3, 3), 3, huge)):
+        samples.save(path)
         res = run("verify", "--data", str(path), "--restarts", "2", "--threads", "1")
         assert res.returncode == 3, res.stderr
+        assert res.stderr == ""
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -35,6 +35,7 @@ from tnm.mle import (
     _MOMENT_TOL,
     _REFINE_MAX_ITER,
     _STALL_RATIO,
+    _TRI_INV_BASE,
     TrialResult,
     _assemble_report,
     _check_draw,
@@ -51,6 +52,7 @@ from tnm.mle import (
     _polish,
     _restart_inits,
     _trial_fits,
+    _tri_inv,
     _Unfoldings,
     _whiten,
 )
@@ -461,9 +463,9 @@ def test_stacked_restarts_equal_solo_fits(dims, m):
 def test_mixed_stack_restarts_leave_on_their_own():
     # one restart ridges and diverges in sweep 1, one hits a vanishing
     # statistic, one a statistic that overflows; the others converge as if
-    # alone, with 4 x 4 blocks (eigh route) and 8 x 8 ones (Cholesky route,
-    # the three others falling back to eigh)
-    for d in (4, 8):
+    # alone, with 4 x 4 blocks (eigh route) and 8 x 8 and 17 x 17 ones
+    # (Cholesky route, the three others falling back to eigh)
+    for d in (4, 8, 17):
         s = sample_standard((d, d), 2, seed=5)
         mats = _restart_inits((d, d), 6, (5, 202, 0))
         mats[1][1] = np.diag([1.0] + [1e-30] * (d - 1))
@@ -482,7 +484,7 @@ def test_mixed_stack_restarts_leave_on_their_own():
             assert _same_fit(fit, solo)
 
 
-@pytest.mark.parametrize("d", [8, 16, 64])
+@pytest.mark.parametrize("d", [8, 16, 17, 64, 128])
 def test_cholesky_route_matches_eigh_route(d):
     # on well-conditioned statistics the Cholesky route takes every row and
     # agrees with the eigendecomposition; its condition bound is at least
@@ -499,6 +501,30 @@ def test_cholesky_route_matches_eigh_route(d):
     np.testing.assert_allclose(logdet, e_logdet, rtol=1e-12)
     np.testing.assert_allclose(norm, e_norm, rtol=1e-12)
     assert np.all(cond >= e_cond * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e11])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 17, 33, 64, 128])
+def test_tri_inv_matches_lapack_inverse(d, cond):
+    # a stack of three Cholesky-like factors with condition number cond (the
+    # R^T of a QR of U diag(sigma) V^T): the residual ||L X - I||_max stays
+    # within a factor 10 of LAPACK inv's, and each row is bitwise its inverse
+    # alone.  Above the diagonal, LAPACK inv pivots and may leave rounding in
+    # the base blocks; the blocks the recursion builds are exactly 0
+    rng = np.random.default_rng(d)
+    u, v = np.linalg.qr(rng.standard_normal((2, 3, d, d)))[0]
+    a = (u * np.logspace(0, -math.log10(cond), d)) @ v.transpose(0, 2, 1)
+    low = np.linalg.qr(a)[1].transpose(0, 2, 1).copy()
+    x = _tri_inv(low)
+    eye, eps = np.eye(d), np.finfo(float).eps
+    got = np.abs(low @ x - eye).max(axis=(1, 2))
+    want = np.abs(low @ np.linalg.inv(low) - eye).max(axis=(1, 2))
+    assert np.all(got <= 10 * np.maximum(want, eps))
+    assert np.all(np.abs(np.triu(x, 1)).max(axis=(1, 2)) <= 8 * eps * np.abs(x).max(axis=(1, 2)))
+    if d > _TRI_INV_BASE:
+        assert not x[:, : d // 2, d // 2 :].any()
+    for r in range(3):
+        assert np.array_equal(_tri_inv(low[r : r + 1])[0], x[r])
 
 
 def test_block_update_decisions_come_from_eigenvalues():
