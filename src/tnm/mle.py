@@ -16,6 +16,7 @@ numerical shadow of the exact stability classification.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -85,6 +86,8 @@ _TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-re
                               # base 8 / base 16 / inv of the whole: 161 / 181 / 459 at d = 64,
                               # 57 / 56 / 52 at d = 16 (same machine)
 _MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
+_MAX_STACK_ENTRIES = 1 << 27  # most entries restarts * (m * prod(d_i) + sum d_i^2) a trial's stacks
+                              # may hold: 4 * (2^24 + 4096^2), so 4 restarts fit every draw allowed
 
 log = logging.getLogger(__name__)
 
@@ -273,8 +276,7 @@ class FitReport:
 # slice of a stack on its own, so a restart's arithmetic does not depend on
 # which other restarts share its stack; the public functions are the R = 1
 # case.  No kernel function changes how many restarts a stack holds: they
-# report per-restart masks, and only the drivers (_fit, _polish) retire
-# restarts.
+# report per-restart masks, and only _solve retires restarts.
 
 
 class _Unfoldings:
@@ -532,79 +534,6 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
     return lost, cond, ridged, logdets, norm
 
 
-def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
-    """Flip-flop every restart of the stack until its own verdict (see fit_mle).
-
-    Each restart runs plain sweeps until its contraction stalls: from sweep
-    3 on, a sweep that gains more than _STALL_RATIO times the log-likelihood
-    the sweep before it gained switches that restart for good, and each of
-    its later iterations is one safeguarded Newton step (_newton) followed
-    by one sweep.  A restart whose step finds no rise, or cannot be formed,
-    just sweeps.  A restart that stops, or whose statistic lost its scale,
-    leaves the stack after the sweep, so later sweeps cost less.  The
-    log-likelihood after a sweep is read off the log determinants the block
-    updates return: with block k at its maximizer the quadratic term is
-    exactly m*n, so l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2.  It is
-    evaluated explicitly for the initial value and after a sweep that
-    ridged.  The entries of `mats` are consumed.  Returns one FitReport per
-    restart.
-    """
-    r = len(mats[0])
-    l_init = _loglik(data, mats)
-    if divergence_bound is None:
-        bound = 1e3 * (1.0 + np.abs(l_init))
-    else:
-        bound = np.full(r, float(divergence_bound))
-    histories = [[x] for x in l_init.tolist()]
-    reports, steps = [None] * r, np.zeros(r, dtype=int)
-
-    def finish(i, status, sweep, pos=None):
-        kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
-        factors = KroneckerPrecision(tuple(a[pos].copy() for a in mats)) if kept else None
-        reports[i] = FitReport(status, histories[i][-1], sweep, factors, tuple(histories[i]),
-                               int(steps[i]))
-
-    active, prev, last = np.arange(r), l_init, np.full(r, np.inf)
-    newton = np.zeros(r, dtype=bool)
-    switched = False  # whether any restart still in the stack has switched
-    for sweep in range(1, max_iter + 1):
-        if not len(active):
-            break
-        if switched:
-            steps[active[_newton_rows(data, mats, np.flatnonzero(newton))]] += 1
-        lost, cond, ridged, logdets, _ = _sweep(data, mats)
-        logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
-        loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
-        if ridged.any():
-            loglik[ridged] = _loglik(data, [a[ridged] for a in mats])
-        for i, x, gone in zip(active.tolist(), loglik.tolist(), lost.tolist()):
-            if not gone:
-                histories[i].append(x)
-        gain = loglik - prev
-        diverged = ~np.isfinite(loglik) | (loglik - l_init > bound) | (cond > CONDITION_LIMIT)
-        stop = lost | diverged | (np.abs(gain) < tol * (1.0 + np.abs(prev)))
-        if sweep > 2:
-            stall = gain > last
-            if stall.any():
-                newton |= stall
-                switched = True
-        last = _STALL_RATIO * gain
-        if stop.any():
-            for pos in np.flatnonzero(stop):
-                status = (FitStatus.DEGENERATE_STATISTIC if lost[pos]
-                          else FitStatus.DIVERGED if diverged[pos] else FitStatus.CONVERGED)
-                finish(active[pos], status, sweep, pos)
-            go = ~stop
-            active, l_init, bound, loglik = active[go], l_init[go], bound[go], loglik[go]
-            last, newton = last[go], newton[go]
-            switched = switched and newton.any()
-            mats[:] = [a[go] for a in mats]
-        prev = loglik
-    for pos, i in enumerate(active):
-        finish(i, FitStatus.MAX_ITERATIONS, max(max_iter, 0), pos)
-    return reports
-
-
 def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
     """||x / scale - I||_F per restart, for a stack x of whitened statistics
     S~ = B^T S B or their eigenbasis form W^(1/2) V^T Psi V W^(1/2) (see
@@ -626,13 +555,13 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# refinement of converged fits (private)
+# Newton steps, for refinement and the fit's slow tail (private)
 #
-# The factor stacks are the refinement's only state.  For any root
-# Psi_i = B_i B_i^T the whitened samples Z = (B_1^T (x) ... (x) B_k^T) Y
-# have block Grams S~_i = B_i^T S_i B_i.  On the log-factors H_i of
-# Psi_i = B_i exp(H_i) B_i^T the negative log-likelihood has, at H = 0,
-# gradient g_i = (S~_i - c_i I) / 2 with c_i = m*n/d_i, and Hessian
+# For any root Psi_i = B_i B_i^T the whitened samples
+# Z = (B_1^T (x) ... (x) B_k^T) Y have block Grams S~_i = B_i^T S_i B_i.
+# On the log-factors H_i of Psi_i = B_i exp(H_i) B_i^T the negative
+# log-likelihood has, at H = 0, gradient g_i = (S~_i - c_i I) / 2 with
+# c_i = m*n/d_i, and Hessian
 #   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
 # The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
 # maximizer.  Its norm does not depend on the root, so a sweep reads it from
@@ -736,7 +665,8 @@ def _newton(data: _Unfoldings, mats: list):
     with P the squared samples (B_i U_i)^T Y summed over samples and Lambda
     the outer sum of the lambda_i.  A restart that finds no rise in
     _MAX_HALVINGS halvings takes no step.  The stepped restarts' factors are
-    written into `mats`; the others are left as they are.
+    written into `mats`; the others are left as they are, and all are when a
+    root or a direction cannot be formed (LinAlgError).
     """
     r, dims = len(mats[0]), data.dims
     scales = [data.m * data.n // d for d in dims]
@@ -780,80 +710,154 @@ def _newton(data: _Unfoldings, mats: list):
     return norm, stepped
 
 
-def _newton_rows(data: _Unfoldings, mats: list, pos: np.ndarray) -> np.ndarray:
-    """_newton on the restarts at positions `pos` of the stack, written back
-    in place; returns the positions that took a step.  A step that cannot be
-    formed (LinAlgError) is not taken; when several restarts share the call
-    they then try one by one, so one restart does not hold back another.
+# ---------------------------------------------------------------------------
+# the solver loop (private): every restart of a stack, from its fit to its refinement
+
+
+def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None,
+           refine_iter: int = 0):
+    """Fit every restart of the stack until its own verdict (see fit_mle)
+    and, with refine_iter > 0, refine each converged fit until its moment-map
+    norm is below _MOMENT_TOL.
+
+    Every restart is in one of three phases: fit, refine or done.  A fitting
+    restart sweeps until its contraction stalls (from sweep 3 on, a sweep
+    gains more than _STALL_RATIO of the gain before it); from then on each
+    of its iterations is a safeguarded Newton step (_newton) followed by a
+    sweep.  Its log-likelihood after a sweep is read off the log
+    determinants the block updates return: with block k at its maximizer
+    the quadratic term is exactly m*n, so l = (m/2) sum_i (n/d_i) log det
+    Psi_i - m*n/2; it is evaluated explicitly at the start and after a sweep
+    that ridged.  When its fit stops, the FitReport is recorded.  The
+    likelihood-change rule can halt while slowly contracting directions
+    still carry a few 1e-6 of error, so a converged restart stays in the
+    stack and refines: each iteration is a sweep, which reads the norm off
+    its block updates (_update_block), while sweeps at least halve the norm,
+    and after the first that does not (_NEWTON_SWITCH) a Newton step, or a
+    sweep where that finds no rise.  A refining restart whose statistic
+    loses its scale ends where its fit ended; one still above the stop after
+    refine_iter iterations keeps its last iterate, with one warning.
+
+    Both phases share each _sweep and _newton call; a restart that is done
+    leaves the stack.  A Newton step costs several sweeps, so a refining
+    restart due one waits, taking neither, until every restart is due one
+    or a fitting restart takes one too; waiting changes no restart's
+    arithmetic.  A step that cannot be formed (LinAlgError) is not taken,
+    and restarts that shared the failed call try one by one.  The entries
+    of `mats` are consumed.  Returns (reports, refined, iterations), one
+    entry per restart: its FitReport, its gauge-fixed refined factors (None
+    unless it refined) and its refinement iterations.
     """
-    sub = [a[pos] for a in mats]
-    try:
-        _, stepped = _newton(data, sub)
-    except np.linalg.LinAlgError:
-        if len(pos) == 1:
-            return pos[:0]
-        return np.concatenate([_newton_rows(data, mats, pos[i:i + 1]) for i in range(len(pos))])
-    for a, b in zip(mats, sub):
-        a[pos] = b
-    return pos[stepped]
-
-
-def _polish(data: _Unfoldings, mats: list, max_iter: int = _REFINE_MAX_ITER):
-    """Refine converged fits until the moment-map norm is below _MOMENT_TOL.
-
-    The likelihood-change rule in fit_mle can halt while slowly contracting
-    directions still carry a few 1e-6 of error.  Each iteration of a
-    restart is one flip-flop sweep, whose norm its block updates read off
-    (_update_block), while sweeps cut the norm at least in half; after the
-    first sweep that does not, every iteration is a Newton step (_newton),
-    or a sweep where that finds no rise.  The factor stacks are the only
-    state, and per-restart masks say which rows still refine, so each
-    restart decides and stops on its own.  One whose statistic loses its
-    scale gets back the factors it came with; one still above the stop
-    after `max_iter` iterations keeps its last iterate, with one warning.
-    The gauge fix runs once, at exit.  The entries of `mats` are consumed.
-    Returns the gauge-fixed factors and the iterations run, one entry per
-    restart.
-    """
+    FIT, REFINE, DONE = range(3)
     r = len(mats[0])
-    start = [a.copy() for a in mats]
-    taken, prev = np.zeros(r, dtype=int), np.full(r, np.inf)
-    live, newton = np.ones(r, dtype=bool), np.zeros(r, dtype=bool)
-    for _ in range(max_iter):
-        if not live.any():
+    l_init = _loglik(data, mats)
+    if divergence_bound is None:
+        bound = 1e3 * (1.0 + np.abs(l_init))
+    else:
+        bound = np.full(r, float(divergence_bound))
+    histories = [[x] for x in l_init.tolist()]
+    reports, refined = [None] * r, [None] * r
+    counts = np.zeros(r, dtype=int)  # a fitting restart's Newton steps, a refining one's iterations
+    # row p of the stack holds restart rows[p], in phase[p]; the nf fitting rows come first
+    rows, phase, nf = np.arange(r), np.full(r, FIT), r
+    newton = np.zeros(r, dtype=bool)
+    prev = l_init.copy()  # a fitting row's last log-likelihood, a refining row's last norm
+    last = np.full(r, np.inf)  # _STALL_RATIO times a fitting row's last gain
+    it = capped = 0
+
+    def end_fit(p, status):
+        i = rows[p]
+        kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
+        factors = KroneckerPrecision(tuple(a[p].copy() for a in mats)) if kept else None
+        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]),
+                               int(counts[i]))
+        refine = status is FitStatus.CONVERGED and refine_iter > 0
+        phase[p], newton[p], prev[p], counts[i] = REFINE if refine else DONE, False, np.inf, 0
+
+    while True:
+        if it >= max_iter:
+            for p in np.flatnonzero(phase[:nf] == FIT):
+                end_fit(p, FitStatus.MAX_ITERATIONS)
+        if np.count_nonzero(phase[:nf]) or np.count_nonzero(phase[nf:] == DONE):
+            for p in nf + np.flatnonzero(phase[nf:] == DONE):
+                refined[rows[p]] = [a[p] for a in mats]
+            fit = np.flatnonzero(phase == FIT)
+            order, nf = np.concatenate([fit, np.flatnonzero(phase == REFINE)]), len(fit)
+            rows, phase, newton, prev, last, l_init, bound = (
+                x[order] for x in (rows, phase, newton, prev, last, l_init, bound))
+            mats[:] = [a[order] for a in mats]
+        if not len(rows):
             break
-        done, sweep = np.zeros(r, dtype=bool), live & ~newton
-        pos = np.flatnonzero(live & newton)
-        if len(pos):
-            sub = [a[pos] for a in mats]
-            norm, stepped = _newton(data, sub)
-            for a, s in zip(mats, sub):
-                a[pos] = s
-            done[pos] = norm < _MOMENT_TOL
-            sweep[pos] = ~done[pos] & ~stepped
-            taken[pos[stepped]] += 1
-        pos = np.flatnonzero(sweep)
-        if len(pos):
-            sub = [a[pos] for a in mats]
-            lost, _, _, _, norm = _sweep(data, sub, moment=True)
-            gone = pos[lost]
-            for a, s, a0 in zip(mats, sub, start):
-                a[pos] = s
-                a[gone] = a0[gone]
-            taken[pos] += 1
-            done[pos] = lost | (norm < _MOMENT_TOL)
-            newton[pos] |= norm > _NEWTON_SWITCH * prev[pos]
-            prev[pos] = norm
-        live &= ~done
-    if live.any():
+        it += 1
+        skip = newton[nf:]  # refining rows that take no sweep: without a Newton call, those due one
+        if np.count_nonzero(newton) == len(rows) or np.count_nonzero(newton[:nf]):
+            norm, stepped = np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool)
+            groups = [np.flatnonzero(newton)]
+            for g in groups:  # a shared call that fails adds its rows one by one
+                sub = [a[g] for a in mats]
+                try:
+                    norm[g], stepped[g] = _newton(data, sub)
+                except np.linalg.LinAlgError:  # not taken
+                    groups.extend(g[:, None] if len(g) > 1 else [])
+                    continue
+                for a, b in zip(mats, sub):
+                    a[g] = b
+            counts[rows[stepped]] += 1
+            done = norm[nf:] < _MOMENT_TOL
+            phase[nf:][done] = DONE
+            skip = stepped[nf:] | done
+        ref = nf + np.flatnonzero(~skip) if np.count_nonzero(skip) else np.arange(nf, len(rows))
+        swept = np.concatenate([np.arange(nf), ref]) if nf + len(ref) < len(rows) else None
+        sub = mats if swept is None else [a[swept] for a in mats]  # every fitting row sweeps
+        if nf + len(ref):
+            lost, cond, ridged, logdets, norm = _sweep(data, sub, moment=len(ref) > 0)
+            if sub is not mats:
+                for a, b in zip(mats, sub):
+                    a[swept] = b
+            if len(ref):
+                lo, norm = lost[nf:], norm[nf:]
+                for p in ref[lo]:  # its statistic lost its scale: back to where its fit ended
+                    for a, f in zip(mats, reports[rows[p]].factors.factors):
+                        a[p] = f
+                counts[rows[ref]] += 1
+                phase[ref[lo | (norm < _MOMENT_TOL)]] = DONE
+                newton[ref] |= norm > _NEWTON_SWITCH * prev[ref]
+                prev[ref] = norm
+            if nf:
+                lost, cond, ridged = lost[:nf], cond[:nf], ridged[:nf]
+                logdet = sum((data.n // d) * ld[:nf] for d, ld in zip(data.dims, logdets))
+                loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
+                if ridged.any():
+                    loglik[ridged] = _loglik(data, [a[:nf][ridged] for a in mats])
+                for i, x in itertools.compress(zip(rows[:nf].tolist(), loglik.tolist()), ~lost):
+                    histories[i].append(x)
+                gain = loglik - prev[:nf]
+                diverged = (~np.isfinite(loglik) | (loglik - l_init[:nf] > bound[:nf])
+                            | (cond > CONDITION_LIMIT))
+                stop = lost | diverged | (np.abs(gain) < tol * (1.0 + np.abs(prev[:nf])))
+                if it > 2:
+                    newton[:nf] |= gain > last[:nf]
+                last[:nf], prev[:nf] = _STALL_RATIO * gain, loglik
+                for p in np.flatnonzero(stop):
+                    end_fit(p, FitStatus.DEGENERATE_STATISTIC if lost[p] else
+                            FitStatus.DIVERGED if diverged[p] else FitStatus.CONVERGED)
+        if nf < len(rows):
+            out = nf + np.flatnonzero((phase[nf:] == REFINE) & (counts[rows[nf:]] >= refine_iter))
+            capped += len(out)
+            phase[out] = DONE
+    conv = [i for i, f in enumerate(refined) if f is not None]
+    if capped:
         log.warning(
             "refinement stopped at its %d-iteration cap on %d of %d restarts (dims %s, m = %d) "
             "before the moment-map norm fell below %g; the factor spreads come from "
             "unfinished iterates",
-            max_iter, live.sum(), r, "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
+            refine_iter, capped, len(conv), "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
         )
-    fixed = _gauge_fix(mats)
-    return [[a[i] for a in fixed] for i in range(r)], taken.tolist()
+    if conv:
+        fixed = _gauge_fix([np.stack(fs) for fs in zip(*(refined[i] for i in conv))])
+        for n, i in enumerate(conv):
+            refined[i] = [a[n] for a in fixed]
+    return reports, refined, counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +872,18 @@ def _check_draw(dims: Sequence[int], m: int) -> None:
         raise DeskScaleExceeded(
             f"m * prod(dims) = {entries} sample entries exceeds the limit {_MAX_DRAW_ENTRIES}"
         )
+
+
+def _check_restarts(dims: Sequence[int], m: int, restarts: int, tol: float) -> None:
+    """Refuse, before anything is allocated, fewer than 2 restarts, a bad tol,
+    or restart stacks of more than _MAX_STACK_ENTRIES entries."""
+    if restarts < 2:
+        raise ValueError(f"restarts must be >= 2, got {restarts}")
+    _check_tol(tol)
+    entries = restarts * (m * math.prod(dims) + sum(d * d for d in dims))
+    if entries > _MAX_STACK_ENTRIES:
+        raise DeskScaleExceeded(f"restarts * (m * prod(dims) + sum(d_i^2)) = {entries} "
+                                f"stack entries exceeds the limit {_MAX_STACK_ENTRIES}")
 
 
 def sample_standard(dims: Sequence[int], m: int, seed=0) -> SampleSet:
@@ -983,7 +999,7 @@ def fit_mle(
         init = KroneckerPrecision.identity(samples.dims)
     _check_compatible(samples, init)
     _check_tol(tol)
-    return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0]
+    return _solve(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
 
 
 def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
@@ -1008,8 +1024,9 @@ class TrialResult:
     factor_spread_abs the largest per-factor Frobenius gap between two
     gauge-fixed restarts (relative resp. absolute).  Before comparison
     each converged fit is refined until its moment-map norm is below
-    1e-10, by flip-flop sweeps and then safeguarded Newton steps, which
-    sharpens the maximizer location without touching the reported fit.
+    1e-10, by flip-flop sweeps and then safeguarded Newton steps, in the
+    stack its partners may still be fitting in (see _solve); that sharpens
+    the maximizer location without touching the reported fit.
     All spreads are 0 when fewer than two restarts converged.  iterations
     holds every restart's fit iterations: sweeps, each preceded by a Newton
     step once its flip-flop contraction stalled (see fit_mle), and
@@ -1083,22 +1100,6 @@ def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]
     return [np.stack(s) for s in zip(*starts)]
 
 
-def _trial_fits(samples: SampleSet, restarts: int, seed, tol: float):
-    """Fit all restarts of one trial as one stack, then refine the converged ones.
-
-    Returns (fits, polished, polish_sweeps): one FitReport per restart, the
-    gauge-fixed refined factors of the converged restarts in order, and
-    every restart's refinement iterations (0 unless it converged).
-    """
-    data = _Unfoldings(samples.tensors())
-    fits = _fit(data, _restart_inits(samples.dims, restarts, seed), tol, DEFAULT_MAX_SWEEPS)
-    conv = [f.factors.factors for f in fits if f.status is FitStatus.CONVERGED]
-    polished, sweeps = _polish(data, [np.stack(fs) for fs in zip(*conv)]) if conv else ([], [])
-    sweeps = iter(sweeps)
-    polish_sweeps = [next(sweeps) if f.status is FitStatus.CONVERGED else 0 for f in fits]
-    return fits, polished, polish_sweeps
-
-
 def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[float, float]:
     """Largest per-factor Frobenius gap between two factor tuples: (relative, absolute)."""
     rel = abs_ = 0.0
@@ -1118,17 +1119,18 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
     warnings are off: the kernel turns non-finite and vanishing statistics
     into lost, diverged or degenerate restarts, so they say nothing more."""
     try:
-        fits, fixed, polish_sweeps = _trial_fits(samples, restarts, seed, tol)
+        fits, refined, polish_sweeps = _solve(
+            _Unfoldings(samples.tensors()), _restart_inits(samples.dims, restarts, seed), tol,
+            DEFAULT_MAX_SWEEPS, refine_iter=_REFINE_MAX_ITER)
         ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
         spread = 0.0
         if len(ls) >= 2:
             spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
         rel = abs_ = 0.0
-        for x in range(len(fixed)):
-            for y in range(x + 1, len(fixed)):
-                r_xy, a_xy = _factor_gaps(fixed[x], fixed[y])
-                rel = max(rel, r_xy)
-                abs_ = max(abs_, a_xy)
+        for x, y in itertools.combinations([f for f in refined if f is not None], 2):
+            r_xy, a_xy = _factor_gaps(x, y)
+            rel = max(rel, r_xy)
+            abs_ = max(abs_, a_xy)
     except ValueError as exc:
         raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(
@@ -1186,25 +1188,24 @@ def verify_datum(
 ) -> VerificationReport:
     """Simulate standard normal data and test the predicted profile.
 
-    Each trial draws a fresh data set and runs fit_mle from `restarts`
-    random positive definite initializations (Psi_i = A_i^T A_i + 0.01 I
-    with A_i standard normal, all seeded deterministically from `seed`).
-    Requires trials >= 1, restarts >= 2, a finite tol > 0,
-    prod(d_i) <= 4096 and m * prod(d_i) <= 2^24; larger models raise
-    DeskScaleExceeded.  Trials run
-    in at most `threads` worker processes, capped by CPUs and trials;
-    results do not depend on it.
+    Each trial draws a fresh data set, fits it as fit_mle does from
+    `restarts` random positive definite initializations (Psi_i = A_i^T A_i
+    + 0.01 I with A_i standard normal, all seeded deterministically from
+    `seed`) and refines the converged fits.  Requires trials >= 1,
+    restarts >= 2, a finite tol > 0, prod(d_i) <= 4096, m * prod(d_i) <=
+    2^24 and restarts * (m * prod(d_i) + sum d_i^2) <= 2^27; larger models
+    raise DeskScaleExceeded before anything is drawn.  Trials run in at
+    most `threads` worker processes, capped by CPUs and trials; results do
+    not depend on it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if restarts < 2:
-        raise ValueError(f"restarts must be >= 2, got {restarts}")
-    _check_tol(tol)
     if datum.product() > DESK_SCALE_LIMIT:
         raise DeskScaleExceeded(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
         )
     _check_draw(datum.dims, datum.m)
+    _check_restarts(datum.dims, datum.m, restarts, tol)
     tasks = [(datum.dims, datum.m, t, restarts, seed, tol) for t in range(trials)]
     return _assemble_report(datum, _pool_map(_verify_trial_task, tasks, threads, trials))
 
@@ -1216,9 +1217,7 @@ def verify_samples(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Like verify_datum, but for one externally supplied data set."""
-    if restarts < 2:
-        raise ValueError(f"restarts must be >= 2, got {restarts}")
-    _check_tol(tol)
+    _check_restarts(samples.dims, samples.m, restarts, tol)
     datum = Datum(samples.dims, samples.m)
     trial = _run_trial(samples, restarts, (seed, 202, 0), tol)
     return _assemble_report(datum, [trial])

@@ -291,6 +291,22 @@ def test_oversized_draw_exit_2(tmp_path, command):
     assert res.stdout == "" and not out.exists()
 
 
+def test_oversized_restart_stack_exit_2(monkeypatch, capsys):
+    # 64 restarts of (64,64;4096) passed every check and then died in the
+    # first sweep with numpy's memory error; the restart stacks are bounded
+    # before anything is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(tnm.mle, "sample_standard", no_draw)
+    code = cli.main(["verify", "--dims", "64,64", "--samples", "4096", "--restarts", "64",
+                     "--trials", "1", "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("tnm verify: restarts * (m * prod(dims) + sum(d_i^2)) = ")
+    assert len(err.splitlines()) == 1 and "exceeds the limit" in err
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     r1 = run("simulate", "--dims", "2,3", "--samples", "2", "--seed", "4", "--out", str(a))
