@@ -368,7 +368,7 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
         s[~np.isfinite(s).all(axis=(1, 2))] = 0.0  # lost, like a vanishing one
     scale = data.m * data.n // data.dims[j]
     new, lost, cond, ridged, logdet, norm = _maximizer(s, mats[j], scale, moment)
-    if lost.any():
+    if np.count_nonzero(lost):
         for a in mats:
             a[lost] = np.eye(a.shape[-1])
     mats[j] = new
@@ -411,14 +411,14 @@ def _eigh_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
     w, v = np.linalg.eigh(s)
     lost = w[:, -1] <= 0.0
     d = s.shape[-1]
-    if lost.any():
+    if np.count_nonzero(lost):
         w[lost], v[lost] = scale, np.eye(d)
         if moment:
             psi = psi.copy()
             psi[lost] = np.eye(d)
     top = w[:, -1:]
     ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
-    if ridged.any():
+    if np.count_nonzero(ridged):
         w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     logdet = d * math.log(scale) - np.log(w).sum(axis=1)
     norm = None
@@ -642,7 +642,7 @@ def _newton_direction(data: _Unfoldings, zs, grams, res) -> list[np.ndarray]:
             b -= alpha * aq
         new = _dot(res, res)
         live &= new > target
-        if not live.any():
+        if not np.count_nonzero(live):
             break
         beta = np.divide(new, rr, out=np.zeros_like(rr), where=live)[:, None, None]
         p = [b + beta * q for b, q in zip(res, p)]
@@ -720,15 +720,23 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     and, with refine_iter > 0, refine each converged fit until its moment-map
     norm is below _MOMENT_TOL.
 
-    Every restart is in one of three phases: fit, refine or done.  A fitting
-    restart sweeps until its contraction stalls (from sweep 3 on, a sweep
-    gains more than _STALL_RATIO of the gain before it); from then on each
-    of its iterations is a safeguarded Newton step (_newton) followed by a
-    sweep.  Its log-likelihood after a sweep is read off the log
-    determinants the block updates return: with block k at its maximizer
-    the quadratic term is exactly m*n, so l = (m/2) sum_i (n/d_i) log det
-    Psi_i - m*n/2; it is evaluated explicitly at the start and after a sweep
-    that ridged.  When its fit stops, the FitReport is recorded.  The
+    A restart's state is plain Python: its phase (fit, refine or done), its
+    Newton flag, a count (a fit's Newton steps, a refinement's iterations),
+    its log-likelihood history and, once it refines, its last moment-map
+    norm.  The stack holds the factors of the restarts not yet done, one row
+    each (`rows` names the restart in each row); each iteration hands _newton
+    and _sweep the rows that take a step or a sweep, then applies each
+    restart's rules to what the calls return for it.
+
+    A fitting restart sweeps until its contraction stalls (from sweep 3 on,
+    a sweep gains more than _STALL_RATIO of the gain before it); from then
+    on each of its iterations is a safeguarded Newton step (_newton)
+    followed by a sweep.  Its log-likelihood after a sweep is read off the
+    log determinants the block updates return: with block k at its
+    maximizer the quadratic term is exactly m*n, so l = (m/2) sum_i (n/d_i)
+    log det Psi_i - m*n/2; it is evaluated explicitly at the start and after
+    a sweep that ridged.  The stop, divergence and stall tests read its
+    history.  When its fit stops, the FitReport is recorded.  The
     likelihood-change rule can halt while slowly contracting directions
     still carry a few 1e-6 of error, so a converged restart stays in the
     stack and refines: each iteration is a sweep, which reads the norm off
@@ -739,112 +747,108 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     refine_iter iterations keeps its last iterate, with one warning.
 
     Both phases share each _sweep and _newton call; a restart that is done
-    leaves the stack.  A Newton step costs several sweeps, so a refining
-    restart due one waits, taking neither, until every restart is due one
-    or a fitting restart takes one too; waiting changes no restart's
-    arithmetic.  A step that cannot be formed (LinAlgError) is not taken,
-    and restarts that shared the failed call try one by one.  The entries
-    of `mats` are consumed.  Returns (reports, refined, iterations), one
-    entry per restart: its FitReport, its gauge-fixed refined factors (None
-    unless it refined) and its refinement iterations.
+    leaves the stack, which shrinks, at the start of the next iteration.  A
+    Newton step costs several sweeps, so a refining restart due one waits,
+    taking neither, until every restart is due one or a fitting restart
+    takes one too; waiting changes no restart's arithmetic.  A step that
+    cannot be formed (LinAlgError) is not taken, and restarts that shared
+    the failed call try one by one.  The entries of `mats` are consumed.
+    Returns (reports, refined, iterations), one entry per restart: its
+    FitReport, its gauge-fixed refined factors (None unless it refined) and
+    its refinement iterations.
     """
     FIT, REFINE, DONE = range(3)
     r = len(mats[0])
-    l_init = _loglik(data, mats)
-    if divergence_bound is None:
-        bound = 1e3 * (1.0 + np.abs(l_init))
-    else:
-        bound = np.full(r, float(divergence_bound))
-    histories = [[x] for x in l_init.tolist()]
+    histories = [[x] for x in _loglik(data, mats).tolist()]
+    phase, newton, counts, norms = [FIT] * r, [False] * r, [0] * r, [math.inf] * r
     reports, refined = [None] * r, [None] * r
-    counts = np.zeros(r, dtype=int)  # a fitting restart's Newton steps, a refining one's iterations
-    # row p of the stack holds restart rows[p], in phase[p]; the nf fitting rows come first
-    rows, phase, nf = np.arange(r), np.full(r, FIT), r
-    newton = np.zeros(r, dtype=bool)
-    prev = l_init.copy()  # a fitting row's last log-likelihood, a refining row's last norm
-    last = np.full(r, np.inf)  # _STALL_RATIO times a fitting row's last gain
+    rows = list(range(r))  # the restart in each row of the stack
     it = capped = 0
 
     def end_fit(p, status):
         i = rows[p]
         kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
         factors = KroneckerPrecision(tuple(a[p].copy() for a in mats)) if kept else None
-        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]),
-                               int(counts[i]))
-        refine = status is FitStatus.CONVERGED and refine_iter > 0
-        phase[p], newton[p], prev[p], counts[i] = REFINE if refine else DONE, False, np.inf, 0
+        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), counts[i])
+        phase[i] = REFINE if status is FitStatus.CONVERGED and refine_iter > 0 else DONE
+        newton[i], counts[i] = False, 0
+
+    def end_refine(p, factors=None):
+        phase[rows[p]], refined[rows[p]] = DONE, factors or [a[p] for a in mats]
 
     while True:
         if it >= max_iter:
-            for p in np.flatnonzero(phase[:nf] == FIT):
-                end_fit(p, FitStatus.MAX_ITERATIONS)
-        if np.count_nonzero(phase[:nf]) or np.count_nonzero(phase[nf:] == DONE):
-            for p in nf + np.flatnonzero(phase[nf:] == DONE):
-                refined[rows[p]] = [a[p] for a in mats]
-            fit = np.flatnonzero(phase == FIT)
-            order, nf = np.concatenate([fit, np.flatnonzero(phase == REFINE)]), len(fit)
-            rows, phase, newton, prev, last, l_init, bound = (
-                x[order] for x in (rows, phase, newton, prev, last, l_init, bound))
-            mats[:] = [a[order] for a in mats]
-        if not len(rows):
+            for p, i in enumerate(rows):
+                if phase[i] == FIT:
+                    end_fit(p, FitStatus.MAX_ITERATIONS)
+        keep = [p for p, i in enumerate(rows) if phase[i] != DONE]
+        if len(keep) < len(rows):
+            rows, mats[:] = [rows[p] for p in keep], [a[keep] for a in mats]
+        if not rows:
             break
         it += 1
-        skip = newton[nf:]  # refining rows that take no sweep: without a Newton call, those due one
-        if np.count_nonzero(newton) == len(rows) or np.count_nonzero(newton[:nf]):
-            norm, stepped = np.full(len(rows), np.inf), np.zeros(len(rows), dtype=bool)
-            groups = [np.flatnonzero(newton)]
+        sweep = [phase[i] == FIT or not newton[i] for i in rows]  # a refining row due a step waits
+        due = [p for p, i in enumerate(rows) if newton[i]]
+        if len(due) == len(rows) or any(phase[rows[p]] == FIT for p in due):
+            taken, groups = {}, [due]
             for g in groups:  # a shared call that fails adds its rows one by one
                 sub = [a[g] for a in mats]
                 try:
-                    norm[g], stepped[g] = _newton(data, sub)
+                    norm, stepped = _newton(data, sub)
                 except np.linalg.LinAlgError:  # not taken
-                    groups.extend(g[:, None] if len(g) > 1 else [])
+                    groups.extend([p] for p in g if len(g) > 1)
                     continue
                 for a, b in zip(mats, sub):
                     a[g] = b
-            counts[rows[stepped]] += 1
-            done = norm[nf:] < _MOMENT_TOL
-            phase[nf:][done] = DONE
-            skip = stepped[nf:] | done
-        ref = nf + np.flatnonzero(~skip) if np.count_nonzero(skip) else np.arange(nf, len(rows))
-        swept = np.concatenate([np.arange(nf), ref]) if nf + len(ref) < len(rows) else None
-        sub = mats if swept is None else [a[swept] for a in mats]  # every fitting row sweeps
-        if nf + len(ref):
-            lost, cond, ridged, logdets, norm = _sweep(data, sub, moment=len(ref) > 0)
+                taken.update(zip(g, zip(norm.tolist(), stepped.tolist())))
+            for p in due:
+                i = rows[p]
+                norm, stepped = taken.get(p, (math.inf, False))
+                counts[i] += stepped
+                if phase[i] == REFINE:
+                    sweep[p] = not (stepped or norm < _MOMENT_TOL)
+                    if norm < _MOMENT_TOL:
+                        end_refine(p)
+        swept = [p for p, s in enumerate(sweep) if s]
+        if swept:
+            sub = mats if len(swept) == len(rows) else [a[swept] for a in mats]
+            moment = any(phase[rows[p]] == REFINE for p in swept)
+            lost, cond, ridged, logdets, norm = _sweep(data, sub, moment)
             if sub is not mats:
                 for a, b in zip(mats, sub):
                     a[swept] = b
-            if len(ref):
-                lo, norm = lost[nf:], norm[nf:]
-                for p in ref[lo]:  # its statistic lost its scale: back to where its fit ended
-                    for a, f in zip(mats, reports[rows[p]].factors.factors):
-                        a[p] = f
-                counts[rows[ref]] += 1
-                phase[ref[lo | (norm < _MOMENT_TOL)]] = DONE
-                newton[ref] |= norm > _NEWTON_SWITCH * prev[ref]
-                prev[ref] = norm
-            if nf:
-                lost, cond, ridged = lost[:nf], cond[:nf], ridged[:nf]
-                logdet = sum((data.n // d) * ld[:nf] for d, ld in zip(data.dims, logdets))
-                loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
-                if ridged.any():
-                    loglik[ridged] = _loglik(data, [a[:nf][ridged] for a in mats])
-                for i, x in itertools.compress(zip(rows[:nf].tolist(), loglik.tolist()), ~lost):
-                    histories[i].append(x)
-                gain = loglik - prev[:nf]
-                diverged = (~np.isfinite(loglik) | (loglik - l_init[:nf] > bound[:nf])
-                            | (cond > CONDITION_LIMIT))
-                stop = lost | diverged | (np.abs(gain) < tol * (1.0 + np.abs(prev[:nf])))
-                if it > 2:
-                    newton[:nf] |= gain > last[:nf]
-                last[:nf], prev[:nf] = _STALL_RATIO * gain, loglik
-                for p in np.flatnonzero(stop):
-                    end_fit(p, FitStatus.DEGENERATE_STATISTIC if lost[p] else
-                            FitStatus.DIVERGED if diverged[p] else FitStatus.CONVERGED)
-        if nf < len(rows):
-            out = nf + np.flatnonzero((phase[nf:] == REFINE) & (counts[rows[nf:]] >= refine_iter))
-            capped += len(out)
-            phase[out] = DONE
+            lost, cond, ridged = lost.tolist(), cond.tolist(), ridged.tolist()
+            norm = norm.tolist() if moment else None
+            logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
+            loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
+            fix = [q for q, p in enumerate(swept) if ridged[q] and phase[rows[p]] == FIT]
+            if fix:
+                loglik[fix] = _loglik(data, [a[fix] for a in sub])
+            for q, (p, x) in enumerate(zip(swept, loglik.tolist())):
+                i = rows[p]
+                if phase[i] == REFINE:
+                    counts[i] += 1
+                    if lost[q] or norm[q] < _MOMENT_TOL:  # a lost one ends where its fit ended
+                        end_refine(p, list(reports[i].factors.factors) if lost[q] else None)
+                    newton[i] = newton[i] or norm[q] > _NEWTON_SWITCH * norms[i]
+                    norms[i] = norm[q]
+                    continue
+                if lost[q]:
+                    end_fit(p, FitStatus.DEGENERATE_STATISTIC)
+                    continue
+                h = histories[i]
+                h.append(x)
+                bound = 1e3 * (1.0 + abs(h[0])) if divergence_bound is None else divergence_bound
+                if not math.isfinite(x) or x - h[0] > bound or cond[q] > CONDITION_LIMIT:
+                    end_fit(p, FitStatus.DIVERGED)
+                elif abs(x - h[-2]) < tol * (1.0 + abs(h[-2])):
+                    end_fit(p, FitStatus.CONVERGED)
+                elif len(h) > 3 and x - h[-2] > _STALL_RATIO * (h[-2] - h[-3]):
+                    newton[i] = True
+        for p, i in enumerate(rows):
+            if phase[i] == REFINE and counts[i] >= refine_iter:
+                capped += 1
+                end_refine(p)
     conv = [i for i, f in enumerate(refined) if f is not None]
     if capped:
         log.warning(
@@ -857,7 +861,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
         fixed = _gauge_fix([np.stack(fs) for fs in zip(*(refined[i] for i in conv))])
         for n, i in enumerate(conv):
             refined[i] = [a[n] for a in fixed]
-    return reports, refined, counts.tolist()
+    return reports, refined, counts
 
 
 # ---------------------------------------------------------------------------
@@ -993,12 +997,15 @@ def fit_mle(
     `divergence_bound` (default 1e3 * (1 + |l_initial|)) or some factor's
     condition number exceeds 1e12.  MaxIterations: neither after `max_iter`
     iterations.  DegenerateStatistic: a block statistic had no usable scale;
-    reported as a status, not an exception.
+    reported as a status, not an exception.  A divergence_bound that is NaN
+    or not positive raises ValueError.
     """
     if init is None:
         init = KroneckerPrecision.identity(samples.dims)
     _check_compatible(samples, init)
     _check_tol(tol)
+    if divergence_bound is not None and not divergence_bound > 0.0:
+        raise ValueError(f"divergence_bound must be positive, got {divergence_bound}")
     return _solve(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
 
 

@@ -310,7 +310,7 @@ def polish_sequential(samples, factors, ptol=1e-10, max_sweeps=2000):
 
 
 # ---------------------------------------------------------------------------
-# refinement, one restart at a time (the stacked _polish loop, written out)
+# refinement, one restart at a time (the refine phase of mle._solve, written out)
 
 
 def _unfold(tens, axis):

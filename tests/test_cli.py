@@ -272,6 +272,23 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    # every top-level module that tnm, its CLI and the solver bring in is
+    # from the standard library, numpy or tnm; the snapshot comes first
+    # because site's .pth hooks load modules of their own before tnm
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import tnm, tnm.cli\n"
+            "tnm.mle.fit_mle\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'tnm'}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # simulate / verify
 

@@ -414,6 +414,9 @@ def test_fit_rejects_bad_tol_and_shapes():
             verify_samples(s, tol=tol)
         with pytest.raises(ValueError):
             verify_datum(Datum((2, 2), 2), tol=tol)
+    for bound in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            fit_mle(s, divergence_bound=bound)
     with pytest.raises(ShapeMismatch):
         fit_mle(s, init=KroneckerPrecision.identity((2, 3)))
 
@@ -736,6 +739,32 @@ def test_trial_reports_sweep_counts():
     div = verify_datum(Datum((2, 3), 1), trials=1, restarts=2, seed=1).trials[0]
     assert div.statuses == ("diverged", "diverged")
     assert div.iterations == (1, 1) and div.polish_sweeps == (0, 0)
+
+
+@pytest.mark.parametrize("dims,m,seed,want", [
+    ((3, 3), 3, 0, ((3, 10), (48, 5))),
+    ((2, 5, 5), 1, 4, ((8, 24), (34, 4))),
+])
+def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
+    # restarts start refining at different iterations; a refining restart
+    # due a Newton step waits for the others, so their steps share _newton
+    # calls (without the wait, (3,3;3) seed 0 makes 7 calls), and one trial
+    # makes these (calls, rows) of _newton and (calls, moment calls) of _sweep
+    newton, sweep = tnm.mle._newton, tnm.mle._sweep
+    newtons, sweeps = [], []
+
+    def counted_newton(data, mats):
+        newtons.append(len(mats[0]))
+        return newton(data, mats)
+
+    def counted_sweep(data, mats, moment=False):
+        sweeps.append(moment)
+        return sweep(data, mats, moment)
+
+    monkeypatch.setattr(tnm.mle, "_newton", counted_newton)
+    monkeypatch.setattr(tnm.mle, "_sweep", counted_sweep)
+    verify_datum(Datum(dims, m), trials=1, restarts=4, seed=seed, threads=1)
+    assert ((len(newtons), sum(newtons)), (len(sweeps), sum(sweeps))) == want
 
 
 def test_newton_step_safeguards(monkeypatch):
