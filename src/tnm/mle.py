@@ -20,6 +20,7 @@ import itertools
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -87,7 +88,10 @@ _TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-re
                               # 57 / 56 / 52 at d = 16 (same machine)
 _MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
 _MAX_STACK_ENTRIES = 1 << 27  # most entries restarts * (m * prod(d_i) + sum d_i^2) a trial's stacks
-                              # may hold: 4 * (2^24 + 4096^2), so 4 restarts fit every draw allowed
+                              # may hold: 4 * (2^24 + 4096^2), so 4 restarts fit every draw allowed.
+                              # The two scratch buffers of _Unfoldings add up to 2 * restarts * m *
+                              # prod(d_i) entries to a trial's peak: a (2,16,128;1) trial peaks at
+                              # 1.99 MB under tracemalloc, 1.73 MB without them
 
 log = logging.getLogger(__name__)
 
@@ -285,6 +289,14 @@ class _Unfoldings:
     rows[j] holds the samples with axis j moved last, as a matrix with d_j
     columns.  plans[j] lists, for every other block i in order, the split
     (pre, d_i, post) of that layout around axis i.
+
+    The mode products of _applied and _hessian_product, R * m * n entries
+    each, are written into two scratch buffers kept here, so that a sweep
+    or a Newton-CG iteration allocates no array of that size: an array
+    that large is served by mmap or trimmed back to the system when freed,
+    and faulted in page by page when allocated again.  An _applied result
+    is therefore valid only until the next _applied or _hessian_product
+    call on the same data.
     """
 
     def __init__(self, tens: np.ndarray) -> None:
@@ -299,21 +311,40 @@ class _Unfoldings:
                     plan.append((i, pre, d_i, self.m * self.n // (pre * d_i)))
                     pre *= d_i
             self.plans.append(plan)
+        self._buffers = np.empty((2, 0))
+        self._outs = {}
+
+    def outs(self, r: int) -> list:
+        """For a stack of r restarts: outs(r)[j][s] is the pair of views,
+        one into each scratch buffer, shaped (r, pre, d_i, post) as the
+        mode product of step s of plans[j] returns it.  The views of each r
+        are made once."""
+        outs = self._outs.get(r)
+        if outs is None:
+            size = r * self.m * self.n if len(self.dims) > 1 else 0  # one block: no mode products
+            if size > self._buffers.shape[1]:
+                self._buffers, self._outs = np.empty((2, size)), {}
+            outs = self._outs[r] = [[tuple(b[:size].reshape(r, pre, d, post) for b in self._buffers)
+                                     for _, pre, d, post in plan] for plan in self.plans]
+        return outs
 
 
-def _mode_product(a: np.ndarray, x: np.ndarray, pre: int, d: int, post: int) -> np.ndarray:
+def _mode_product(a: np.ndarray, x: np.ndarray, pre: int, d: int, post: int,
+                  out=None) -> np.ndarray:
     """Multiply each matrix of the stack `a` (R, d, d) into its slice of x
     along the axis that splits a slice as (pre, d, post); x is (R, ...) or
-    (1, ...), one slice shared by every restart."""
-    return a[:, None] @ x.reshape(len(x), pre, d, post)
+    (1, ...), one slice shared by every restart.  out, if given, is an
+    (R, pre, d, post) array that does not overlap x."""
+    return np.matmul(a[:, None], x.reshape(len(x), pre, d, post), out=out)
 
 
 def _applied(data: _Unfoldings, mats, j: int) -> np.ndarray:
-    """(prod_{i != j} Psi_i) applied to the samples in block j's layout, (R or 1, M, d_j)."""
+    """(prod_{i != j} Psi_i) applied to the samples in block j's layout, (R or 1, M, d_j),
+    written into data's scratch buffers, alternately."""
     rows = data.rows[j]
     w = rows[None]
-    for i, pre, d, post in data.plans[j]:
-        w = _mode_product(mats[i], w, pre, d, post)
+    for s, ((i, pre, d, post), out) in enumerate(zip(data.plans[j], data.outs(len(mats[0]))[j])):
+        w = _mode_product(mats[i], w, pre, d, post, out[s % 2])
     return w.reshape(len(w), *rows.shape)
 
 
@@ -360,7 +391,9 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     S_j has no Cholesky factor, or whose condition bound is too large to
     rule out a ridge or a divergence, and every restart of a smaller block,
     takes the eigendecomposition instead (_eigh_route), so every lost,
-    ridged and divergence decision is made from the eigenvalues.  Either
+    ridged and divergence decision is made from the eigenvalues.  So does
+    every restart of a block with c_j < d_j: S_j is then a Gram of c_j
+    vectors, of rank below d_j, and would fail one of the two tests.  Either
     route treats each restart on its own.
     """
     s = _statistic(data, mats, j)
@@ -379,7 +412,7 @@ def _maximizer(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
     """(new, lost, cond, ridged, logdet, norm) for the stack of statistics s
     (consumed) and the factors psi they replace, routed as _update_block
     describes."""
-    if s.shape[-1] < _CHOLESKY_MIN_DIM:
+    if s.shape[-1] < _CHOLESKY_MIN_DIM or scale < s.shape[-1]:  # small or of low rank
         return _eigh_route(s, psi, scale, moment)
     rows, out = _cholesky_route(s, psi, scale, moment)
     if not len(rows):
@@ -595,26 +628,32 @@ def _grams(zs) -> list[np.ndarray]:
     return out
 
 
-def _dot(a, b) -> np.ndarray:
-    """Frobenius inner product over all blocks, per restart."""
-    return sum((x * y).reshape(len(x), -1).sum(axis=1) for x, y in zip(a, b))
+def _dot(a, b, tmp) -> np.ndarray:
+    """Frobenius inner product over all blocks, per restart; tmp holds one
+    scratch array per block."""
+    return sum(np.multiply(x, y, out=t).reshape(len(x), -1).sum(axis=1) for x, y, t in zip(a, b, tmp))
 
 
-def _hessian_product(data: _Unfoldings, zs, grams, vs) -> list[np.ndarray]:
+def _hessian_product(data: _Unfoldings, zs, grams, vs, out=None) -> list[np.ndarray]:
     """A V at H = 0 (see above), with one mode product per ordered block pair
-    and one Gram per block."""
-    out = []
-    for i, (z, s) in enumerate(zip(zs, grams)):
-        p = vs[i] @ s
+    and one Gram per block, written into out (one (R, d_i, d_i) array per
+    block; new ones if None) and returned.  The cross term of block i is
+    summed in data's first scratch buffer, each further mode product written
+    into the second."""
+    if out is None:
+        out = [np.empty_like(s) for s in grams]
+    for i, (z, s, p) in enumerate(zip(zs, grams, out)):
+        np.matmul(vs[i], s, out=p)
         cross = None
-        for j, pre, d, post in data.plans[i]:
-            y = _mode_product(vs[j], z, pre, d, post).reshape(z.shape)
-            cross = y if cross is None else cross + y
+        for (j, pre, d, post), bufs in zip(data.plans[i], data.outs(len(z))[i]):
+            if cross is None:
+                cross = _mode_product(vs[j], z, pre, d, post, bufs[0]).reshape(z.shape)
+            else:
+                cross += _mode_product(vs[j], z, pre, d, post, bufs[1]).reshape(z.shape)
         if cross is not None:
             p += z.transpose(0, 2, 1) @ cross
         p += p.transpose(0, 2, 1)
         p *= 0.25
-        out.append(p)
     return out
 
 
@@ -625,27 +664,31 @@ def _newton_direction(data: _Unfoldings, zs, grams, res) -> list[np.ndarray]:
     Each restart has its own step lengths and freezes on its own once its
     residual is at most _CG_RTOL times the initial one, or when it meets a
     direction without positive curvature.  Started from 0, the iterates stay
-    in the range of A, so kernel directions are left alone.
+    in the range of A, so kernel directions are left alone.  The iterates,
+    residuals and search directions are updated in place.
     """
     x = [np.zeros_like(a) for a in res]
     p = [a.copy() for a in res]
-    rr = _dot(res, res)
+    ap, tmp = [np.empty_like(a) for a in res], [np.empty_like(a) for a in res]
+    rr = _dot(res, res, tmp)
     target = _CG_RTOL * _CG_RTOL * rr
     live = rr > target
     for _ in range(_CG_MAX_ITER):
-        ap = _hessian_product(data, zs, grams, p)
-        pap = _dot(p, ap)
+        _hessian_product(data, zs, grams, p, ap)
+        pap = _dot(p, ap, tmp)
         live &= pap > 0.0
         alpha = (np.where(live, rr, 0.0) / np.where(live, pap, 1.0))[:, None, None]
-        for a, q, b, aq in zip(x, p, res, ap):
-            a += alpha * q
-            b -= alpha * aq
-        new = _dot(res, res)
+        for a, q, b, aq, t in zip(x, p, res, ap, tmp):
+            a += np.multiply(alpha, q, out=t)
+            b -= np.multiply(alpha, aq, out=t)
+        new = _dot(res, res, tmp)
         live &= new > target
         if not np.count_nonzero(live):
             break
         beta = np.divide(new, rr, out=np.zeros_like(rr), where=live)[:, None, None]
-        p = [b + beta * q for b, q in zip(res, p)]
+        for b, q in zip(res, p):  # p <- res + beta p
+            q *= beta
+            q += b
         rr = new
     return x
 
@@ -1118,28 +1161,30 @@ def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[floa
     return rel, abs_
 
 
-@np.errstate(all="ignore")
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
     """Fit, refine and compare the restarts of one data set.  Its inputs are
     checked before it runs, so a ValueError inside it is a solver fault, not
     a usage error: it leaves as a RuntimeError chained to it.  Floating-point
-    warnings are off: the kernel turns non-finite and vanishing statistics
-    into lost, diverged or degenerate restarts, so they say nothing more."""
-    try:
-        fits, refined, polish_sweeps = _solve(
-            _Unfoldings(samples.tensors()), _restart_inits(samples.dims, restarts, seed), tol,
-            DEFAULT_MAX_SWEEPS, refine_iter=_REFINE_MAX_ITER)
-        ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
-        spread = 0.0
-        if len(ls) >= 2:
-            spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
-        rel = abs_ = 0.0
-        for x, y in itertools.combinations([f for f in refined if f is not None], 2):
-            r_xy, a_xy = _factor_gaps(x, y)
-            rel = max(rel, r_xy)
-            abs_ = max(abs_, a_xy)
-    except ValueError as exc:
-        raise RuntimeError(f"solver fault: {exc}") from exc
+    warnings are filtered out for the trial: the kernel turns non-finite and
+    vanishing statistics into lost, diverged or degenerate restarts, so they
+    say nothing more.  numpy's error state is left as it is."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            fits, refined, polish_sweeps = _solve(
+                _Unfoldings(samples.tensors()), _restart_inits(samples.dims, restarts, seed), tol,
+                DEFAULT_MAX_SWEEPS, refine_iter=_REFINE_MAX_ITER)
+            ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
+            spread = 0.0
+            if len(ls) >= 2:
+                spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
+            rel = abs_ = 0.0
+            for x, y in itertools.combinations([f for f in refined if f is not None], 2):
+                r_xy, a_xy = _factor_gaps(x, y)
+                rel = max(rel, r_xy)
+                abs_ = max(abs_, a_xy)
+        except ValueError as exc:
+            raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(
         statuses=tuple(f.status.value for f in fits),
         logliks=tuple(f.loglik for f in fits),

@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ from tnm.mle import (
     _per_block,
     _restart_inits,
     _solve,
+    _statistic,
+    _sweep,
     _tri_inv,
     _Unfoldings,
     _whiten,
@@ -475,6 +478,7 @@ def _same_fit(a, b) -> bool:
 
 @pytest.mark.parametrize("dims,m", [
     ((3, 3), 3), ((2, 5, 5), 1), ((4, 4, 4), 1), ((8, 8, 8), 1), ((64, 64), 3), ((2, 2, 8), 1),
+    ((2, 2, 3, 3), 1),
 ])
 def test_stacked_restarts_equal_solo_fits(dims, m):
     # a restart's result does not depend on which restarts share its stack,
@@ -600,6 +604,51 @@ def test_block_update_decisions_come_from_eigenvalues():
     # a stack in which no row has a Cholesky factor is all eigh's
     for x, y in zip(_maximizer(s[2:].copy(), psi[2:], scale, True), want):
         assert np.array_equal(x, y[2:])
+
+
+def test_low_rank_statistic_skips_cholesky(monkeypatch):
+    # the d = 128 block of (2,16,128;1) has a statistic of rank at most
+    # m*n/d = 32, so its update goes straight to the eigendecomposition; the
+    # d = 16 block (rank up to 256) still tries Cholesky.  The attempt it
+    # skips would have taken no row, so the update is bitwise the same
+    dims, seen = (2, 16, 128), []
+    cholesky_rows = tnm.mle._cholesky_rows
+
+    def spy(s):
+        seen.append(s.shape[-1])
+        return cholesky_rows(s)
+
+    samples = sample_standard(dims, 1, seed=[0, 101, 0])
+    data = _Unfoldings(samples.tensors())
+    mats = _restart_inits(dims, 4, (0, 202, 0))
+    monkeypatch.setattr(tnm.mle, "_cholesky_rows", spy)
+    _sweep(data, mats)
+    assert seen == [16]
+    monkeypatch.undo()
+    s, scale = _statistic(data, mats, 2), samples.n // 128
+    rows, _ = _cholesky_route(s.copy(), mats[2], scale, True)
+    assert not len(rows)
+    want = _eigh_route(s.copy(), mats[2], scale, True)
+    for x, y in zip(_maximizer(s.copy(), mats[2], scale, True), want):
+        assert np.array_equal(x, y)
+
+
+def test_sweep_writes_large_temporaries_into_scratch_buffers():
+    # after a warm-up sweep, a sweep of 4 restarts on (16,16,16;4) writes
+    # its mode products into the data's scratch buffers: its allocations
+    # peak below one array of R*m*n entries (524,288 bytes; 53,560 measured,
+    # against 1,067,696 when each mode product allocated its result)
+    dims, m, r = (16, 16, 16), 4, 4
+    data = _Unfoldings(sample_standard(dims, m, seed=[0, 101, 0]).tensors())
+    mats = _restart_inits(dims, r, (0, 202, 0))
+    _sweep(data, mats)
+    tracemalloc.start()
+    try:
+        _sweep(data, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r * m * math.prod(dims) * 8
 
 
 PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1)]
