@@ -13,38 +13,10 @@ flip-flop solver on simulated data.
 import importlib.util
 import sys
 
-from .datum import (
-    MAX_FACTORS,
-    Datum,
-    EmptyInput,
-    InvalidDatum,
-    TrivialFactor,
-    big_r,
-    delta,
-    g_max,
-    index_of_factor,
-    normalize,
-    z_quantity,
-)
-from .castling import (
-    CastlingTrace,
-    NotCastlable,
-    castle_step,
-    castling_equivalent,
-    reduce_to_minimal,
-)
-from .classify import (
-    ClassificationReport,
-    MleProfile,
-    StabilityClass,
-    ThresholdReport,
-    classify_closed_form,
-    classify_recursive,
-    explain,
-    git_dimension,
-    mle_profile,
-    thresholds,
-)
+from . import castling, classify, datum
+from .datum import *
+from .castling import *
+from .classify import *
 
 
 def _lazy_module(name: str):
@@ -72,33 +44,12 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
+# The solver's names are written out: reading mle.__all__ would run the lazy
+# module and load numpy.
 __all__ = [
-    "MAX_FACTORS",
-    "Datum",
-    "EmptyInput",
-    "InvalidDatum",
-    "TrivialFactor",
-    "big_r",
-    "delta",
-    "g_max",
-    "index_of_factor",
-    "normalize",
-    "z_quantity",
-    "CastlingTrace",
-    "NotCastlable",
-    "castle_step",
-    "castling_equivalent",
-    "reduce_to_minimal",
-    "ClassificationReport",
-    "MleProfile",
-    "StabilityClass",
-    "ThresholdReport",
-    "classify_closed_form",
-    "classify_recursive",
-    "explain",
-    "git_dimension",
-    "mle_profile",
-    "thresholds",
+    *datum.__all__,
+    *castling.__all__,
+    *classify.__all__,
     "DEFAULT_MAX_SWEEPS",
     "DEFAULT_TOL",
     "DESK_SCALE_LIMIT",

@@ -88,8 +88,19 @@ def _dims_str(dims) -> str:
     return "x".join(str(d) for d in dims)
 
 
-def _datum_doc(datum: Datum) -> dict:
-    return {"dims": list(datum.dims), "m": datum.m}
+def _json_doc(value):
+    """`value` as JSON data: a tuple as a list, a float that is not finite as
+    None (null), a dataclass as a dict of its fields in order.  Fields come
+    from __dataclass_fields__, which dataclasses.fields filters of ClassVar
+    pseudo-fields (no dataclass written here has one), in a third of the time that fields()
+    and is_dataclass take."""
+    if isinstance(value, tuple):
+        return [_json_doc(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _json_doc(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +116,19 @@ def _threshold_doc(rep) -> dict:
     }
 
 
-def _profile_doc(profile) -> dict:
-    return {
-        "bounded_as": profile.bounded_as,
-        "exists_as": profile.exists_as,
-        "unique_as": profile.unique_as,
-        "always_unbounded": profile.always_unbounded,
-    }
-
-
 def _report_doc(rep) -> dict:
     return {
-        "datum": _datum_doc(rep.datum),
-        "normalized": _datum_doc(rep.normalized),
+        "datum": _json_doc(rep.datum),
+        "normalized": _json_doc(rep.normalized),
         "R": str(rep.big_r),
         "Delta": str(rep.delta),
         "g_max": str(rep.g_max),
         "Z": str(rep.z),
         "indices": [str(x) for x in rep.indices],
-        "castling_trace": [_datum_doc(d) for d in rep.trace.steps],
+        "castling_trace": _json_doc(rep.trace.steps),
         "class": rep.stability.value,
         "classifiers_agree": rep.classifiers_agree,
-        "mle_profile": _profile_doc(rep.profile),
+        "mle_profile": _json_doc(rep.profile),
         "thresholds": _threshold_doc(rep.thresholds),
         "git_dimension": None if rep.git_dimension is None else str(rep.git_dimension),
     }
@@ -292,30 +294,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_doc(rep) -> dict:
-    return {
-        "datum": _datum_doc(rep.datum),
-        "profile": _profile_doc(rep.profile),
-        "trials": [
-            {
-                "statuses": list(t.statuses),
-                "logliks": list(t.logliks),
-                "loglik_spread": t.loglik_spread,
-                "factor_spread_rel": t.factor_spread_rel,
-                "factor_spread_abs": t.factor_spread_abs,
-                "iterations": list(t.iterations),
-                "polish_sweeps": list(t.polish_sweeps),
-                "fit_newton_steps": list(t.fit_newton_steps),
-            }
-            for t in rep.trials
-        ],
-        "bounded_agrees": rep.bounded_agrees,
-        "exists_agrees": rep.exists_agrees,
-        "unique_agrees": rep.unique_agrees,
-        "nonuniqueness_witness_fraction": rep.nonuniqueness_witness_fraction,
-    }
-
-
 def cmd_verify(args) -> int:
     tol = mle.DEFAULT_TOL if args.tol is None else args.tol
     if args.data is not None:
@@ -332,7 +310,7 @@ def cmd_verify(args) -> int:
             threads=args.threads,
         )
     if args.format == "json":
-        print(json.dumps(_verify_doc(rep), indent=2))
+        print(json.dumps(_json_doc(rep), indent=2, allow_nan=False))
     else:
         n_trials = len(rep.trials)
         n_all_conv = sum(t.all_converged for t in rep.trials)

@@ -180,12 +180,12 @@ class SampleSet:
         if not (isinstance(dims, list) and isinstance(data, list)
                 and all(type(v) is int for v in [m, *dims])):
             raise ShapeMismatch("dims must be a list of integers, m an integer, data a list")
+        if not all(type(v) in (int, float) for v in data):  # no bool, string or nested list
+            raise ValueError("data must be a list of numbers")
         try:
             values = np.asarray(data, float)
-        except (TypeError, ValueError):
-            raise ValueError("data must be a list of numbers") from None
-        if values.ndim != 1:
-            raise ShapeMismatch("data must be a flat list of numbers")
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("sample data contains non-finite entries") from None
         return cls(tuple(dims), m, values)
 
     def save(self, path) -> None:
@@ -1066,7 +1066,8 @@ def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Restart-level tallies for one simulated data set.
+    """Restart-level tallies for one simulated data set; the fields, in
+    order, are the keys of a trial in `tnm verify --format json`.
 
     logliks holds the final log-likelihood of every restart in order.
     The spreads compare converged restarts only: loglik_spread is the
@@ -1109,7 +1110,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Numerical tallies compared clause by clause with the prediction.
+    """Numerical tallies compared clause by clause with the prediction; the
+    fields, in order, are the keys of `tnm verify --format json`.
 
     bounded_agrees / exists_agrees are the hard checks: convergence
     everywhere when a maximizer should exist, divergence in at least 95%

@@ -31,6 +31,14 @@ def has_line(text, key, value):
     return re.search(rf"^{re.escape(key)}\s\s+{re.escape(value)}$", text, re.M) is not None
 
 
+def strict_json(text):
+    """`text` parsed as RFC 8259 JSON: NaN and Infinity are errors, as in jq."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # ---------------------------------------------------------------------------
 # classify / threshold
 
@@ -272,6 +280,41 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+EXACT_NAMES = [
+    "MAX_FACTORS", "Datum", "EmptyInput", "InvalidDatum", "TrivialFactor", "big_r", "delta",
+    "g_max", "index_of_factor", "normalize", "z_quantity",
+    "CastlingTrace", "NotCastlable", "castle_step", "castling_equivalent", "reduce_to_minimal",
+    "ClassificationReport", "MleProfile", "StabilityClass", "ThresholdReport",
+    "classify_closed_form", "classify_recursive", "explain", "git_dimension", "mle_profile",
+    "thresholds",
+]
+SOLVER_NAMES = [
+    "DEFAULT_MAX_SWEEPS", "DEFAULT_TOL", "DESK_SCALE_LIMIT", "DegenerateStatistic",
+    "DeskScaleExceeded", "FitReport", "FitStatus", "KroneckerPrecision", "NotPositiveDefinite",
+    "SampleSet", "ShapeMismatch", "TrialResult", "VerificationReport", "fit_mle",
+    "flip_flop_step", "gauge_fix", "log_likelihood", "mode_statistic", "sample_from_model",
+    "sample_standard", "verify_datum", "verify_samples",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(tnm.__all__) == 48
+    assert set(tnm.__all__) == set(EXACT_NAMES + SOLVER_NAMES)
+    for name in tnm.__all__:
+        getattr(tnm, name)
+
+
+def test_exact_names_do_not_load_numpy():
+    code = ("import sys, tnm\n"
+            f"for name in {EXACT_NAMES!r}: getattr(tnm, name)\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # every top-level module that tnm, its CLI and the solver bring in is
     # from the standard library, numpy or tnm; the snapshot comes first
@@ -430,6 +473,34 @@ def test_verify_zero_data_is_numerical_failure(tmp_path):
         res = run("verify", "--data", str(path), "--restarts", "2", "--threads", "1")
         assert res.returncode == 3, res.stderr
         assert res.stderr == ""
+
+
+def test_verify_json_keys_in_order():
+    res = run("verify", "--dims", "3,3", "--samples", "2", "--trials", "2",
+              "--restarts", "2", "--threads", "1", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    doc = strict_json(res.stdout)
+    assert list(doc) == ["datum", "profile", "trials", "bounded_agrees", "exists_agrees",
+                         "unique_agrees", "nonuniqueness_witness_fraction"]
+    assert list(doc["datum"]) == ["dims", "m"]
+    assert list(doc["profile"]) == ["bounded_as", "exists_as", "unique_as", "always_unbounded"]
+    assert len(doc["trials"]) == 2
+    for trial in doc["trials"]:
+        assert list(trial) == ["statuses", "logliks", "loglik_spread", "factor_spread_rel",
+                               "factor_spread_abs", "iterations", "polish_sweeps",
+                               "fit_newton_steps"]
+
+
+def test_verify_non_finite_loglik_is_null(tmp_path):
+    # statistics of entries near 1e200 overflow; the log-likelihoods used to
+    # be printed as bare NaN, which strict JSON parsers reject
+    path = tmp_path / "huge.json"
+    SampleSet((3, 3), 3, 1e200 * np.random.default_rng(0).standard_normal(27)).save(path)
+    res = run("verify", "--data", str(path), "--restarts", "4", "--threads", "1",
+              "--format", "json")
+    assert res.returncode == 3, res.stderr
+    (trial,) = strict_json(res.stdout)["trials"]
+    assert trial["logliks"] == [None] * 4
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -130,10 +130,19 @@ def test_sampleset_rejects_other_fields():
     {"dims": [2], "m": 1, "data": {"a": 0.0}},
     {"dims": [2], "m": 1, "data": [0.0, {}]},
     {"dims": [2], "m": 2, "data": [[0.5, 1.0], [2.0, -1.0]]},
+    {"dims": [2, 2], "m": 1, "data": ["1", "2", "3", "4"]},
+    {"dims": [2, 2], "m": 1, "data": [True, False, True, True]},
 ])
 def test_sampleset_from_json_rejects_malformed(doc):
     with pytest.raises(ValueError):  # ShapeMismatch is a ValueError
         SampleSet.from_json_dict(doc)
+
+
+def test_sampleset_from_json_rejects_integer_beyond_float():
+    # json reads 10**400 as an int that numpy cannot convert; its
+    # OverflowError used to end `tnm verify --data` in a traceback
+    with pytest.raises(ValueError):
+        SampleSet.from_json_dict({"dims": [2], "m": 1, "data": [1, 10**400]})
 
 
 def test_precision_validation():
