@@ -21,8 +21,6 @@ seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -61,6 +59,7 @@ SCAN_CHECKS = ("equivalence", "monotone", "castling")
 SCAN_GRID_LIMIT = 10_000_000
 _RUN_MAX = 64  # most sample counts in one scan task, so rows in flight do not grow with --max-m
 CSV_COLUMNS = ("dims", "m", "R", "Delta", "g_max", "class_closed_form", "class_recursive", "agree")
+_CLASS_ORDER = list(StabilityClass)  # unstable < polystable < stable
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -229,19 +228,19 @@ def _castling_ok(d: Datum, r: int, dl: int, gm: int, c1: StabilityClass) -> bool
 
 
 def _scan_run(task) -> tuple[str, int]:
-    """The CSV rows of one shape over a run of sample counts, and how many failed.
+    """The CSV text of one shape over a run of sample counts, and how many failed.
 
     prod(d_i), Z(d_1^2, ..., d_k^2), Delta at m0 and g_max are computed once
     per run: one more sample adds prod(d_i) to R = m * prod(d_i) - Z and to
     Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1), and g_max does not depend on m.
+    Each row is one f-string in the csv module's default dialect, the bytes
+    csv.writer would write, and the run's rows are joined once.
     """
     dims, m0, m1, check = task
     p, gm = math.prod(dims), _g_max(dims)
     # Z(d_1^2, ..., d_k^2) is the subset-gcd sum of the d_i with gcds squared
     r, dl = m0 * p - _gcd_subset_sum(dims, power=2), _delta(m0, p, dims)
-    name, order = _dims_str(dims), list(StabilityClass)  # unstable < polystable < stable
-    text = io.StringIO()
-    writer = csv.writer(text)
+    name, rows = _dims_str(dims), []
     failures = 0
     for m in range(m0, m1):
         c1 = _closed_form(m, r, gm, dl)
@@ -250,13 +249,16 @@ def _scan_run(task) -> tuple[str, int]:
         if check == "equivalence":
             ok = c1 is c2
         elif check == "monotone":
-            ok = order.index(_closed_form(m + 1, r + p, gm, dl + p)) >= order.index(c1)
+            ok = _CLASS_ORDER.index(_closed_form(m + 1, r + p, gm, dl + p)) >= _CLASS_ORDER.index(c1)
         else:  # castling
             ok = _castling_ok(Datum(dims, m), r, dl, gm, c1)
-        writer.writerow((name, m, r, dl, gm, c1.value, c2.value, ok))
+        # No field needs csv quoting: dims is digits joined by "x", m, R,
+        # Delta and g_max are ints, the classes are three fixed words and
+        # agree is True or False, so none holds a comma, quote or line break.
+        rows.append(f"{name},{m},{r},{dl},{gm},{c1._value_},{c2._value_},{ok}\r\n")
         failures += not ok
         r, dl = r + p, dl + p
-    return text.getvalue(), failures
+    return "".join(rows), failures
 
 
 def cmd_scan(args) -> int:
@@ -273,7 +275,7 @@ def cmd_scan(args) -> int:
     n_tasks = shapes * -(-args.max_m // _RUN_MAX)
     failures = 0
     with open(args.out, "w", newline="") as fh:  # an unwritable --out fails before any row
-        csv.writer(fh).writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")  # csv's default dialect, as _scan_run's rows
         for text, failed in _pool_map(_scan_run, tasks, args.threads, n_tasks):
             fh.write(text)
             failures += failed

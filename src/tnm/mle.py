@@ -20,10 +20,20 @@ import itertools
 import json
 import logging
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
+
+# One BLAS thread, so a reduction's order, and with it every printed float,
+# depends on the flags alone.  A process that loaded numpy first keeps its
+# own setting; an explicit setting in the environment is kept too.  The
+# variables stay set for the rest of the process and its children.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 

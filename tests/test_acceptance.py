@@ -35,6 +35,7 @@ from tnm import (
 )
 
 from oracles import dense_loglik, fraction_count
+from threshold_walk import walk
 
 
 def grid(max_k, max_dim, max_m):
@@ -223,3 +224,10 @@ def test_criterion_9_solver_numerics():
             got = log_likelihood(samples, factors)
             want = dense_loglik(samples, factors.factors)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), dims
+
+
+def test_criterion_10_thresholds_checked_numerically():
+    with criterion(10, "fits agree with the profile next to every threshold, so mlt_b = mlt_e"):
+        n_shapes, n_data, failures = walk(max_k=3, max_entry=8, max_prod=200, max_mn=4096, trials=1)
+        assert (n_shapes, n_data) == (95, 169)
+        assert failures == []

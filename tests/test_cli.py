@@ -503,6 +503,18 @@ def test_verify_non_finite_loglik_is_null(tmp_path):
     assert trial["logliks"] == [None] * 4
 
 
+def test_verify_output_does_not_depend_on_blas_threads():
+    # the diverged log-likelihoods of (2,16,128;1) moved with OpenBLAS's
+    # default thread count on a machine with 2 or more CPUs
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas}
+    args = ("verify", "--dims", "2,16,128", "--samples", "1", "--trials", "1", "--restarts", "4",
+            "--threads", "1", "--seed", "0", "--format", "json")
+    default, one = run(*args, env=unset), run(*args, env=dict(unset, OPENBLAS_NUM_THREADS="1"))
+    assert default.returncode == one.returncode == 0, (default.stderr, one.stderr)
+    assert default.stdout == one.stdout
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_verify_bad_tol_exit_2(tol):
     # 0, -1 and nan used to run 10,000 sweeps per restart and exit 1; inf
