@@ -16,6 +16,7 @@ numerical shadow of the exact stability classification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -389,48 +390,49 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     whether its statistic had no usable scale (non-finite or vanishing), the
     new factor's condition number or a bound on it (see _cholesky_route),
     whether the step ridged, log det of the new factor, and with `moment`
-    block j's moment-map norm ||B^T S_j B / c_j - I||_F at the factor
-    Psi_j = B B^T the update replaces (None without); every root B gives the
-    same norm.  A lost restart has all its factors set to I, so the rest of
-    the sweep stays finite; the caller retires it.  A numerically singular
+    the _block_norm at the factor the update replaces (None without).  A
+    lost restart has all its factors set to I, the replaced one too, so the
+    sweep stays finite; the caller retires it.  A numerically singular
     statistic certifies an unbounded ascent direction, and its restart takes
     a ridge-regularized surrogate step whose huge condition number trips the
     divergence detector.
 
-    Blocks with d_j >= _CHOLESKY_MIN_DIM factor S_j = L L^T.  A restart whose
-    S_j has no Cholesky factor, or whose condition bound is too large to
-    rule out a ridge or a divergence, and every restart of a smaller block,
-    takes the eigendecomposition instead (_eigh_route), so every lost,
-    ridged and divergence decision is made from the eigenvalues.  So does
-    every restart of a block with c_j < d_j: S_j is then a Gram of c_j
-    vectors, of rank below d_j, and would fail one of the two tests.  Either
-    route treats each restart on its own.
+    Blocks with d_j >= _CHOLESKY_MIN_DIM factor S_j = L L^T.  Every other
+    restart takes the eigendecomposition (_eigh_route): one whose S_j has no
+    Cholesky factor or too large a condition bound to rule out a ridge or a
+    divergence, and every one of a block with c_j < d_j, whose S_j is a Gram
+    of c_j vectors and would fail one of the two tests.  So every lost,
+    ridged and divergence decision is made from the eigenvalues, and each
+    restart on its own.
     """
     s = _statistic(data, mats, j)
     if not math.isfinite(s.sum()):
         s[~np.isfinite(s).all(axis=(1, 2))] = 0.0  # lost, like a vanishing one
     scale = data.m * data.n // data.dims[j]
-    new, lost, cond, ridged, logdet, norm = _maximizer(s, mats[j], scale, moment)
+    new, lost, cond, ridged, logdet, f, w = _maximizer(s, scale)
     if np.count_nonzero(lost):
         for a in mats:
             a[lost] = np.eye(a.shape[-1])
+    norm = _block_norm(mats[j], f, w, scale) if moment else None
     mats[j] = new
     return lost, cond, ridged, logdet, norm
 
 
-def _maximizer(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
-    """(new, lost, cond, ridged, logdet, norm) for the stack of statistics s
-    (consumed) and the factors psi they replace, routed as _update_block
-    describes."""
+def _maximizer(s: np.ndarray, scale: int):
+    """(new, lost, cond, ridged, logdet, f, w) for the stack of statistics s
+    (consumed), routed as _update_block describes.  The new factor is
+    c (f diag(w) f^T)^{-1}, or c (f f^T)^{-1} where w is None: the statistic
+    as the route factored it, ridged or lost rows replaced."""
     if s.shape[-1] < _CHOLESKY_MIN_DIM or scale < s.shape[-1]:  # small or of low rank
-        return _eigh_route(s, psi, scale, moment)
-    rows, out = _cholesky_route(s, psi, scale, moment)
+        return _eigh_route(s, scale)
+    rows, out = _cholesky_route(s, scale)
     if not len(rows):
-        return _eigh_route(s, psi, scale, moment)
+        return _eigh_route(s, scale)
     if len(rows) < len(s):
         rest = np.setdiff1d(np.arange(len(s)), rows)
-        out = [None if a is None else _scatter(rows, a, rest, b)
-               for a, b in zip(out, _eigh_route(s[rest], psi[rest], scale, moment))]
+        ones = np.ones((len(rows), s.shape[-1]))  # L = L diag(1)
+        out = [_scatter(rows, ones if a is None else a, rest, b)
+               for a, b in zip(out, _eigh_route(s[rest], scale))]
     return out
 
 
@@ -441,39 +443,26 @@ def _scatter(pos_a, a: np.ndarray, pos_b, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigh_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
+def _eigh_route(s: np.ndarray, scale: int):
     """The block update of _update_block for every row of the stack s, from
-    one batched eigh; s is consumed, psi (the factors being replaced) is
-    read only with `moment`.
+    one batched eigh, S = V diag(w) V^T; s is consumed.
 
-    Returns (new, lost, cond, ridged, logdet, norm).  A lost row's new
-    factor is I, and so is the factor its norm is taken at.  With
-    S = V W V^T the norm is ||W^(1/2) V^T psi V W^(1/2) / c - I||_F, so no
-    root of psi is needed.
+    Returns (new, lost, cond, ridged, logdet, V, w).  A lost row's new
+    factor is I, with V = I and w = c; a ridged row's w is the ridged one.
     """
     w, v = np.linalg.eigh(s)
     lost = w[:, -1] <= 0.0
     d = s.shape[-1]
     if np.count_nonzero(lost):
         w[lost], v[lost] = scale, np.eye(d)
-        if moment:
-            psi = psi.copy()
-            psi[lost] = np.eye(d)
     top = w[:, -1:]
     ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
     if np.count_nonzero(ridged):
         w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     logdet = d * math.log(scale) - np.log(w).sum(axis=1)
-    norm = None
-    if moment:
-        half = np.sqrt(w)
-        x = v.transpose(0, 2, 1) @ psi @ v
-        x *= half[:, :, None]
-        x *= half[:, None, :]
-        norm = _moment_norm(x, scale)
-    v *= np.sqrt(scale / w)[:, None, :]
-    new = np.matmul(v, v.transpose(0, 2, 1), out=s)  # S's buffer takes the new factor
-    return new, lost, w[:, -1] / w[:, 0], ridged, logdet, norm
+    u = v * np.sqrt(scale / w)[:, None, :]
+    new = np.matmul(u, u.transpose(0, 2, 1), out=s)  # S's buffer takes the new factor
+    return new, lost, w[:, -1] / w[:, 0], ridged, logdet, v, w
 
 
 def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,40 +482,35 @@ def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array(rows, dtype=int), np.array(low).reshape(-1, *s.shape[1:])
 
 
-def _cholesky_route(s: np.ndarray, psi: np.ndarray, scale: int, moment: bool):
+def _cholesky_route(s: np.ndarray, scale: int):
     """The block update of _update_block through S = L L^T, for the rows of
-    the stack s it can take; psi holds the factors being replaced.
+    the stack s it can take: (rows, out), the positions taken and for them
+    (new, lost, cond, ridged, logdet, L, None) as _maximizer returns them
+    (None if no row has a Cholesky factor).
 
-    The new factor is c L^{-T} L^{-1}, its log det d log c - 2 sum log
-    diag L, and the norm ||L^T psi L / c - I||_F.  L^{-1} comes from
-    _tri_inv: blocked inversion by matrix products, with LAPACK inv only on
-    diagonal blocks of at most _TRI_INV_BASE rows.  In place of the
-    condition number the route reports the bound b = ||S||_F ||S^{-1}||_F,
+    The new factor is c L^{-T} L^{-1}, with L^{-1} from _tri_inv.  In place
+    of the condition number the route reports the bound ||S||_F ||S^{-1}||_F,
     which is at least the condition number of S and of the new factor.  A
-    row is taken only if it has a Cholesky factor and b < 0.5 /
-    DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds
-    CONDITION_LIMIT.  Returns (rows, out): the positions taken, and for
-    those rows (new, lost, cond, ridged, logdet, norm) as _eigh_route
-    returns them (None if no row has a Cholesky factor).
+    row is taken only if it has a Cholesky factor and a bound below 0.5 /
+    DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds CONDITION_LIMIT.
     """
     rows, low = _cholesky_rows(s)
     if not len(rows):
         return rows, None
     if len(rows) < len(s):
-        s, psi = s[rows], psi[rows]
+        s = s[rows]
     inv = _tri_inv(low)
     new = inv.transpose(0, 2, 1) @ inv  # S^{-1}
     cond = np.sqrt(np.einsum("rij,rij->r", s, s) * np.einsum("rij,rij->r", new, new))
     new *= scale
     diag = np.diagonal(low, axis1=1, axis2=2)
     logdet = s.shape[-1] * math.log(scale) - 2.0 * np.log(diag).sum(axis=1)
-    norm = _moment_norm(low.transpose(0, 2, 1) @ psi @ low, scale) if moment else None
     lost, ridged = np.zeros((2, len(rows)), dtype=bool)
-    out = [new, lost, cond, ridged, logdet, norm]
+    out = [new, lost, cond, ridged, logdet, low]
     keep = cond < 0.5 / DEGENERATE_EIG_RTOL
     if not keep.all():
-        rows, out = rows[keep], [None if x is None else x[keep] for x in out]
-    return rows, out
+        rows, out = rows[keep], [x[keep] for x in out]
+    return rows, [*out, None]
 
 
 def _tri_inv(low: np.ndarray) -> np.ndarray:
@@ -577,10 +561,19 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
     return lost, cond, ridged, logdets, norm
 
 
+def _block_norm(psi: np.ndarray, f: np.ndarray, w, scale: int) -> np.ndarray:
+    """The moment-map norm ||R^T psi R / c - I||_F per restart at the factors
+    psi, from the root R = f, or f diag(w^(1/2)) if w is given, of their
+    statistic S (see _maximizer).  R^T psi R has the spectrum of B^T S B for
+    any root psi = B B^T, so this is the norm of the moment map."""
+    if w is not None:
+        f = f * np.sqrt(w)[:, None, :]
+    return _moment_norm(f.transpose(0, 2, 1) @ psi @ f, scale)
+
+
 def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
-    """||x / scale - I||_F per restart, for a stack x of whitened statistics
-    S~ = B^T S B or their eigenbasis form W^(1/2) V^T Psi V W^(1/2) (see
-    below); x is overwritten by x - scale I."""
+    """||x / scale - I||_F per restart for a stack x of whitened statistics,
+    which is overwritten by x - scale I."""
     x.reshape(len(x), -1)[:, :: x.shape[-1] + 1] -= scale
     return np.sqrt(np.einsum("rij,rij->r", x, x)) / scale
 
@@ -607,13 +600,11 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 # c_i = m*n/d_i, and Hessian
 #   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
 # The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
-# maximizer.  Its norm does not depend on the root, so a sweep reads it from
-# the factorization of S_i its block update forms anyway (with S_i = L L^T
-# it is ||L^T Psi_i L / c_i - I||_F, with S_i = V W V^T
-# ||W^(1/2) V^T Psi_i V W^(1/2) / c_i - I||_F), and a Newton step takes the
-# Cholesky root of the factors it is handed.  The gauge directions (c_i I
-# with sum c_i = 0) lie in the kernel of A, and so, at a maximizer that is
-# not unique, do the directions along the maximizer set.
+# maximizer.  A sweep reads its norm off the factorization of S_i that a
+# block update forms anyway (_block_norm); a Newton step takes the Cholesky
+# root of the factors it is handed.  The gauge directions (c_i I with
+# sum c_i = 0) lie in the kernel of A, and so, at a maximizer that is not
+# unique, do the directions along the maximizer set.
 
 
 def _whiten(data: _Unfoldings, roots) -> np.ndarray:
@@ -644,14 +635,12 @@ def _dot(a, b, tmp) -> np.ndarray:
     return sum(np.multiply(x, y, out=t).reshape(len(x), -1).sum(axis=1) for x, y, t in zip(a, b, tmp))
 
 
-def _hessian_product(data: _Unfoldings, zs, grams, vs, out=None) -> list[np.ndarray]:
+def _hessian_product(data: _Unfoldings, zs, grams, vs, out) -> list[np.ndarray]:
     """A V at H = 0 (see above), with one mode product per ordered block pair
     and one Gram per block, written into out (one (R, d_i, d_i) array per
-    block; new ones if None) and returned.  The cross term of block i is
-    summed in data's first scratch buffer, each further mode product written
-    into the second."""
-    if out is None:
-        out = [np.empty_like(s) for s in grams]
+    block) and returned.  The cross term of block i is summed in data's
+    first scratch buffer, each further mode product written into the
+    second."""
     for i, (z, s, p) in enumerate(zip(zs, grams, out)):
         np.matmul(vs[i], s, out=p)
         cross = None
@@ -768,10 +757,10 @@ def _newton(data: _Unfoldings, mats: list):
 
 
 def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None,
-           refine_iter: int = 0):
+           refine: bool = False):
     """Fit every restart of the stack until its own verdict (see fit_mle)
-    and, with refine_iter > 0, refine each converged fit until its moment-map
-    norm is below _MOMENT_TOL.
+    and, with `refine`, refine each converged fit until its moment-map norm
+    is below _MOMENT_TOL.
 
     A restart's state is plain Python: its phase (fit, refine or done), its
     Newton flag, a count (a fit's Newton steps, a refinement's iterations),
@@ -797,7 +786,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     and after the first that does not (_NEWTON_SWITCH) a Newton step, or a
     sweep where that finds no rise.  A refining restart whose statistic
     loses its scale ends where its fit ended; one still above the stop after
-    refine_iter iterations keeps its last iterate, with one warning.
+    _REFINE_MAX_ITER iterations keeps its last iterate, with one warning.
 
     Both phases share each _sweep and _newton call; a restart that is done
     leaves the stack, which shrinks, at the start of the next iteration.  A
@@ -823,7 +812,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
         kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
         factors = KroneckerPrecision(tuple(a[p].copy() for a in mats)) if kept else None
         reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), counts[i])
-        phase[i] = REFINE if status is FitStatus.CONVERGED and refine_iter > 0 else DONE
+        phase[i] = REFINE if status is FitStatus.CONVERGED and refine else DONE
         newton[i], counts[i] = False, 0
 
     def end_refine(p, factors=None):
@@ -899,7 +888,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
                 elif len(h) > 3 and x - h[-2] > _STALL_RATIO * (h[-2] - h[-3]):
                     newton[i] = True
         for p, i in enumerate(rows):
-            if phase[i] == REFINE and counts[i] >= refine_iter:
+            if phase[i] == REFINE and counts[i] >= _REFINE_MAX_ITER:
                 capped += 1
                 end_refine(p)
     conv = [i for i, f in enumerate(refined) if f is not None]
@@ -908,7 +897,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
             "refinement stopped at its %d-iteration cap on %d of %d restarts (dims %s, m = %d) "
             "before the moment-map norm fell below %g; the factor spreads come from "
             "unfinished iterates",
-            refine_iter, capped, len(conv), "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
+            _REFINE_MAX_ITER, capped, len(conv), "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
         )
     if conv:
         fixed = _gauge_fix([np.stack(fs) for fs in zip(*(refined[i] for i in conv))])
@@ -1185,7 +1174,7 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
         try:
             fits, refined, polish_sweeps = _solve(
                 _Unfoldings(samples.tensors()), _restart_inits(samples.dims, restarts, seed), tol,
-                DEFAULT_MAX_SWEEPS, refine_iter=_REFINE_MAX_ITER)
+                DEFAULT_MAX_SWEEPS, refine=True)
             ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
             spread = 0.0
             if len(ls) >= 2:
@@ -1209,8 +1198,7 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
     )
 
 
-def _verify_trial_task(args) -> TrialResult:
-    dims, m, trial, restarts, seed, tol = args
+def _simulated_trial(dims, m: int, restarts: int, seed: int, tol: float, trial: int) -> TrialResult:
     samples = sample_standard(dims, m, seed=[seed, 101, trial])
     return _run_trial(samples, restarts, (seed, 202, trial), tol)
 
@@ -1270,8 +1258,8 @@ def verify_datum(
         )
     _check_draw(datum.dims, datum.m)
     _check_restarts(datum.dims, datum.m, restarts, tol)
-    tasks = [(datum.dims, datum.m, t, restarts, seed, tol) for t in range(trials)]
-    return _assemble_report(datum, _pool_map(_verify_trial_task, tasks, threads, trials))
+    trial = functools.partial(_simulated_trial, datum.dims, datum.m, restarts, seed, tol)
+    return _assemble_report(datum, _pool_map(trial, range(trials), threads, trials))
 
 
 def verify_samples(

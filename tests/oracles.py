@@ -48,6 +48,15 @@ from tnm.mle import (
 )
 
 
+def grid(max_k, max_dim, max_m):
+    """Every datum of 1..max_k dimensions from 1..max_dim (a multiset) and
+    m in 1..max_m."""
+    dims_list = []
+    for k in range(1, max_k + 1):
+        dims_list.extend(combinations_with_replacement(range(1, max_dim + 1), k))
+    return [Datum(dims, m) for dims in dims_list for m in range(1, max_m + 1)]
+
+
 def fraction_count(values) -> int:
     """Count fractions j/L in [0, 1), L = lcm(values), whose reduced
     denominator divides one of `values` -- by direct enumeration."""

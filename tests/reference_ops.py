@@ -1,0 +1,68 @@
+"""Digest the reference `verify` ops, so that a solver change can be shown
+to leave their output byte-identical.
+
+Each op runs in process through `tnm.cli.main`; one line per op gives its
+argv and the SHA-256 of its exit code, stdout and stderr (warnings
+included).  The ops are every datum of the benchmark's `verify_panel` and
+`verify_large` panels at trial seeds 0..7, plus (64,64;2) seed 1 and
+(2,32,32;1) seed 2, each with `--trials 1 --restarts 4` (74 ops), and then
+the data of the tier-1 threshold walk (`threshold_walk.shapes(3, 8, 200)`
+at each shape's threshold sample counts) with `--trials 2`.  Run it from
+the repository root at two commits and compare:
+
+    PYTHONPATH=src python tests/reference_ops.py > after.txt
+    diff before.txt after.txt
+
+It takes no flags and is not collected by pytest; a full run takes about
+a minute on one CPU.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import sys
+
+from threshold_walk import shapes, threshold_samples
+from tnm import cli, thresholds
+
+PANEL = (((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1))
+LARGE = (((64, 64), 3), ((16, 16, 16), 4), ((2, 16, 128), 1))
+EXTRA = ((((64, 64), 2), 1), (((2, 32, 32), 1), 2))  # ((dims, m), trial seed)
+
+
+def verify_argv(dims, m, seed: int, trials: int) -> list[str]:
+    return ["verify", "--dims", ",".join(map(str, dims)), "--samples", str(m),
+            "--trials", str(trials), "--restarts", "4", "--threads", "1",
+            "--format", "json", "--seed", str(seed)]
+
+
+def ops():
+    """The reference ops, then the walk grid's, as argv lists."""
+    for datum in PANEL + LARGE:
+        for seed in range(8):
+            yield verify_argv(*datum, seed, 1)
+    for datum, seed in EXTRA:
+        yield verify_argv(*datum, seed, 1)
+    for dims in shapes(3, 8, 200):
+        for m in threshold_samples(thresholds(dims), math.prod(dims), 4096):
+            yield verify_argv(dims, m, 0, 2)
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
+def main() -> int:
+    for argv in ops():
+        print(" ".join(argv), digest(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,15 +34,8 @@ from tnm import (
     z_quantity,
 )
 
-from oracles import dense_loglik, fraction_count
+from oracles import dense_loglik, fraction_count, grid
 from threshold_walk import walk
-
-
-def grid(max_k, max_dim, max_m):
-    dims_list = []
-    for k in range(1, max_k + 1):
-        dims_list.extend(combinations_with_replacement(range(1, max_dim + 1), k))
-    return [Datum(dims, m) for dims in dims_list for m in range(1, max_m + 1)]
 
 
 class criterion:

@@ -26,18 +26,11 @@ from tnm import (
     z_quantity,
 )
 
-from oracles import min_m_bounded_search, min_m_unique_search
+from oracles import grid, min_m_bounded_search, min_m_unique_search
 
 UNSTABLE = StabilityClass.UNSTABLE
 POLY = StabilityClass.POLYSTABLE_NOT_STABLE
 STABLE = StabilityClass.STABLE
-
-
-def grid(max_k, max_dim, max_m, min_dim=1):
-    dims_list = []
-    for k in range(1, max_k + 1):
-        dims_list.extend(combinations_with_replacement(range(min_dim, max_dim + 1), k))
-    return [Datum(dims, m) for dims in dims_list for m in range(1, max_m + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,16 @@ from tnm import SampleSet, cli
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
 
 
-def run(*args, env=None):
-    """`python -m tnm` in a child that imports the same tnm as the tests."""
+def python(*args, env=None):
+    """`python *args` in a child that imports the same tnm as the tests."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "tnm", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run(*args, env=None):
+    """`python -m tnm *args` in such a child."""
+    return python("-m", "tnm", *args, env=env)
 
 
 def has_line(text, key, value):
@@ -273,9 +277,7 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     code = ("import sys, tnm.cli\n"
             f"codes = [tnm.cli.main(argv) for argv in {calls!r}]\n"
             "print(codes, 'numpy' in sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    res = python("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
@@ -308,9 +310,7 @@ def test_exact_names_do_not_load_numpy():
     code = ("import sys, tnm\n"
             f"for name in {EXACT_NAMES!r}: getattr(tnm, name)\n"
             "print('numpy' in sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    res = python("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
 
@@ -325,9 +325,7 @@ def test_numpy_is_the_only_runtime_dependency():
             "tnm.mle.fit_mle\n"
             "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'tnm'}))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    res = python("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
 

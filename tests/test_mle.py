@@ -41,6 +41,7 @@ from tnm.mle import (
     _TRI_INV_BASE,
     TrialResult,
     _assemble_report,
+    _block_norm,
     _check_draw,
     _check_restarts,
     _cholesky_route,
@@ -471,7 +472,7 @@ def solve_trial(samples, mats, tol=DEFAULT_TOL):
     trial: (FitReports, refined factors or None, refinement iterations), one
     entry per restart."""
     data = _Unfoldings(samples.tensors())
-    return _solve(data, mats, tol, DEFAULT_MAX_SWEEPS, refine_iter=tnm.mle._REFINE_MAX_ITER)
+    return _solve(data, mats, tol, DEFAULT_MAX_SWEEPS, refine=True)
 
 
 def _same_fit(a, b) -> bool:
@@ -548,8 +549,9 @@ def test_cholesky_route_matches_eigh_route(d):
     rng = np.random.default_rng(d)
     a, b = rng.standard_normal((2, 3, d, 2 * d))
     s, psi = a @ a.transpose(0, 2, 1), b @ b.transpose(0, 2, 1)
-    rows, (new, lost, cond, ridged, logdet, norm) = _cholesky_route(s.copy(), psi, 2 * d, True)
-    e_new, e_lost, e_cond, e_ridged, e_logdet, e_norm = _eigh_route(s.copy(), psi, 2 * d, True)
+    rows, (new, lost, cond, ridged, logdet, low, w) = _cholesky_route(s.copy(), 2 * d)
+    e_new, e_lost, e_cond, e_ridged, e_logdet, v, e_w = _eigh_route(s.copy(), 2 * d)
+    norm, e_norm = _block_norm(psi, low, w, 2 * d), _block_norm(psi, v, e_w, 2 * d)
     assert rows.tolist() == [0, 1, 2]
     assert not (lost.any() or ridged.any() or e_lost.any() or e_ridged.any())
     gap = np.linalg.norm(new - e_new, axis=(1, 2)) / np.linalg.norm(e_new, axis=(1, 2))
@@ -596,10 +598,17 @@ def test_block_update_decisions_come_from_eigenvalues():
     s = np.stack([a @ a.T, (q * np.logspace(0, -13, d)) @ q.T,
                   (q * np.r_[np.ones(d - 1), -1.0]) @ q.T, np.zeros((d, d))])
     psi = np.stack([np.eye(d) + 0.1 * np.ones((d, d))] * 4)
-    rows, chol = _cholesky_route(s.copy(), psi, scale, True)
+
+    def normed(out, rows=slice(None)):
+        # the six returns of a route before its factorization took the norm
+        *head, f, w = out
+        return [*head, _block_norm(psi[rows], f, w, scale)]
+
+    rows, chol = _cholesky_route(s.copy(), scale)
     assert rows.tolist() == [0]
-    got = _maximizer(s.copy(), psi, scale, True)
-    want = _eigh_route(s.copy(), psi, scale, True)
+    chol = normed(chol, rows)
+    got = normed(_maximizer(s.copy(), scale))
+    want = normed(_eigh_route(s.copy(), scale))
     for x, y in zip(got, chol):
         assert np.array_equal(x[:1], y)
     assert got[1].tolist() == want[1].tolist() == [False, False, False, True]  # lost
@@ -608,10 +617,10 @@ def test_block_update_decisions_come_from_eigenvalues():
     assert (got[2] > CONDITION_LIMIT).tolist() == (want[2] > CONDITION_LIMIT).tolist() == diverged
     for x, y in zip(got, want):
         assert np.array_equal(x[1:], y[1:])
-    for x, y in zip(got, _maximizer(s[:1].copy(), psi[:1], scale, True)):
+    for x, y in zip(got, normed(_maximizer(s[:1].copy(), scale), slice(1))):
         assert np.array_equal(x[:1], y)
     # a stack in which no row has a Cholesky factor is all eigh's
-    for x, y in zip(_maximizer(s[2:].copy(), psi[2:], scale, True), want):
+    for x, y in zip(normed(_maximizer(s[2:].copy(), scale), slice(2, None)), want):
         assert np.array_equal(x, y[2:])
 
 
@@ -635,10 +644,10 @@ def test_low_rank_statistic_skips_cholesky(monkeypatch):
     assert seen == [16]
     monkeypatch.undo()
     s, scale = _statistic(data, mats, 2), samples.n // 128
-    rows, _ = _cholesky_route(s.copy(), mats[2], scale, True)
+    rows, _ = _cholesky_route(s.copy(), scale)
     assert not len(rows)
-    want = _eigh_route(s.copy(), mats[2], scale, True)
-    for x, y in zip(_maximizer(s.copy(), mats[2], scale, True), want):
+    want = _eigh_route(s.copy(), scale)
+    for x, y in zip(_maximizer(s.copy(), scale), want):
         assert np.array_equal(x, y)
 
 
@@ -914,7 +923,8 @@ def test_hessian_product_matches_finite_differences(dims, m):
         return a + a.T
 
     def hess(vs):
-        return [a[0] for a in _hessian_product(data, zs, grams, [v[None] for v in vs])]
+        out = [np.empty_like(g) for g in grams]
+        return [a[0] for a in _hessian_product(data, zs, grams, [v[None] for v in vs], out)]
 
     def inner(a, b):
         return sum(float(np.sum(x * y)) for x, y in zip(a, b))
@@ -1039,6 +1049,30 @@ def test_verify_datum_threads_match_serial():
     b = verify_datum(Datum((2,), 2), trials=3, restarts=2, seed=5, threads=2)
     assert a.trials == b.trials
     assert a.hard_clauses_agree == b.hard_clauses_agree
+
+
+def test_verify_datum_draws_no_task_ahead(monkeypatch):
+    # the pool is handed the trial numbers as a range, so nothing is
+    # allocated per trial before one runs; a list of task tuples built up
+    # front peaked at 12.8 MB for these 10^5 trials
+    class Drawn(Exception):
+        pass
+
+    def first_draw_raises(fn, tasks, threads, n):
+        raise Drawn
+        yield
+
+    monkeypatch.setattr(tnm.mle, "_pool_map", first_draw_raises)
+    with pytest.raises(Drawn):  # warm-up: first-call imports are not the trials' memory
+        verify_datum(Datum((2, 2), 1), trials=1, threads=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Drawn):
+            verify_datum(Datum((2, 2), 1), trials=10**5, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_polish_cap_warns(caplog, monkeypatch):
