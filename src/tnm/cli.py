@@ -37,17 +37,7 @@ from .classify import (
     explain,
     thresholds,
 )
-from .datum import (
-    MAX_FACTORS,
-    Datum,
-    InvalidDatum,
-    _delta,
-    _g_max,
-    _gcd_subset_sum,
-    big_r,
-    delta,
-    g_max,
-)
+from .datum import MAX_FACTORS, Datum, InvalidDatum, _last_entry_invariants, big_r, delta, g_max
 from .pool import _pool_map
 
 EXIT_OK = 0
@@ -57,7 +47,7 @@ EXIT_NUMERICAL = 3
 
 SCAN_CHECKS = ("equivalence", "monotone", "castling")
 SCAN_GRID_LIMIT = 10_000_000
-_RUN_MAX = 64  # most sample counts in one scan task, so rows in flight do not grow with --max-m
+_RUN_MAX = 64  # most rows per scan task, so rows in flight grow neither with the grid nor with --max-m
 CSV_COLUMNS = ("dims", "m", "R", "Delta", "g_max", "class_closed_form", "class_recursive", "agree")
 _CLASS_ORDER = list(StabilityClass)  # unstable < polystable < stable
 
@@ -200,14 +190,27 @@ def _shape_count(max_k: int, max_dim: int) -> int:
     return count
 
 
-def _shape_runs(max_k: int, max_dim: int, max_m: int):
-    """The scan tasks (dims, m0, m1): each shape, normalized, with a run
-    m0 <= m < m1 of at most _RUN_MAX consecutive sample counts."""
-    shapes = [[(1,)] if max_dim >= 1 else []]
-    shapes.extend(combinations_with_replacement(range(2, max_dim + 1), k) for k in range(1, max_k + 1))
-    for dims in chain.from_iterable(shapes):  # lazily: the grid is never held
-        for m0 in range(1, max_m + 1, _RUN_MAX):
-            yield dims, m0, min(m0 + _RUN_MAX, max_m + 1)
+def _scan_tasks(max_k: int, max_dim: int, max_m: int, check: str):
+    """The scan tasks (prefix, lo, hi, m0, m1, check), lazily and in CSV order.
+
+    A task covers the shapes prefix + (v,) for lo <= v <= hi at the sample
+    counts m0 <= m < m1: a run of at most _RUN_MAX consecutive m, and as many
+    consecutive last entries v as fit in _RUN_MAX rows.  The (1,) datum is
+    the empty prefix with v = 1; every other shape is a multiset of entries
+    from 2..max_dim, sorted ascending, so its last entry runs from the
+    prefix's own last entry (2 for the empty prefix) up to max_dim.  The
+    empty prefix is not drawn from combinations_with_replacement, which holds
+    its whole pool: a k = 1 grid keeps nothing that grows with max_dim.
+    """
+    run = min(max_m, _RUN_MAX)
+    width = _RUN_MAX // run  # last entries per task
+    prefixes = chain.from_iterable(combinations_with_replacement(range(2, max_dim + 1), k) for k in range(1, max_k))
+    heads = chain([((), 1, 1), ((), 2, max_dim)], ((prefix, prefix[-1], max_dim) for prefix in prefixes))
+    for prefix, first, last in heads:
+        for lo in range(first, last + 1, width):
+            hi = min(lo + width - 1, last)
+            for m0 in range(1, max_m + 1, run):
+                yield prefix, lo, hi, m0, min(m0 + run, max_m + 1), check
 
 
 def _castling_ok(d: Datum, r: int, dl: int, gm: int, c1: StabilityClass) -> bool:
@@ -227,37 +230,37 @@ def _castling_ok(d: Datum, r: int, dl: int, gm: int, c1: StabilityClass) -> bool
     )
 
 
-def _scan_run(task) -> tuple[str, int]:
-    """The CSV text of one shape over a run of sample counts, and how many failed.
+def _scan_task(task) -> tuple[str, int]:
+    """The CSV text of one task's rows, and how many failed.
 
-    prod(d_i), Z(d_1^2, ..., d_k^2), Delta at m0 and g_max are computed once
-    per run: one more sample adds prod(d_i) to R = m * prod(d_i) - Z and to
-    Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1), and g_max does not depend on m.
-    Each row is one f-string in the csv module's default dialect, the bytes
-    csv.writer would write, and the run's rows are joined once.
+    prod(d_i), R, Delta and g_max at m0 come once per shape from
+    `_last_entry_invariants`, which computes the prefix's share of them once
+    per task.  One more sample adds prod(d_i) to R = m * prod(d_i) - Z and
+    to Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1), and g_max does not depend
+    on m.  Each row is one f-string in the csv module's default dialect, the
+    bytes csv.writer would write, and the task's rows are joined once.
     """
-    dims, m0, m1, check = task
-    p, gm = math.prod(dims), _g_max(dims)
-    # Z(d_1^2, ..., d_k^2) is the subset-gcd sum of the d_i with gcds squared
-    r, dl = m0 * p - _gcd_subset_sum(dims, power=2), _delta(m0, p, dims)
-    name, rows = _dims_str(dims), []
+    prefix, lo, hi, m0, m1, check = task
+    head, rows = "".join(f"{d}x" for d in prefix), []
     failures = 0
-    for m in range(m0, m1):
-        c1 = _closed_form(m, r, gm, dl)
-        steps, n = _walk(dims, m)
-        c2 = _classify_endpoint(steps[-1], m, n)
-        if check == "equivalence":
-            ok = c1 is c2
-        elif check == "monotone":
-            ok = _CLASS_ORDER.index(_closed_form(m + 1, r + p, gm, dl + p)) >= _CLASS_ORDER.index(c1)
-        else:  # castling
-            ok = _castling_ok(Datum(dims, m), r, dl, gm, c1)
-        # No field needs csv quoting: dims is digits joined by "x", m, R,
-        # Delta and g_max are ints, the classes are three fixed words and
-        # agree is True or False, so none holds a comma, quote or line break.
-        rows.append(f"{name},{m},{r},{dl},{gm},{c1._value_},{c2._value_},{ok}\r\n")
-        failures += not ok
-        r, dl = r + p, dl + p
+    for dims, p, r, dl, gm in _last_entry_invariants(prefix, lo, hi, m0):
+        name = f"{head}{dims[-1]}"
+        for m in range(m0, m1):
+            c1 = _closed_form(m, r, gm, dl)
+            steps, n = _walk(dims, m)
+            c2 = _classify_endpoint(steps[-1], m, n)
+            if check == "equivalence":
+                ok = c1 is c2
+            elif check == "monotone":
+                ok = _CLASS_ORDER.index(_closed_form(m + 1, r + p, gm, dl + p)) >= _CLASS_ORDER.index(c1)
+            else:  # castling
+                ok = _castling_ok(Datum(dims, m), r, dl, gm, c1)
+            # No field needs csv quoting: dims is digits joined by "x", m, R,
+            # Delta and g_max are ints, the classes are three fixed words and
+            # agree is True or False, so none holds a comma, quote or line break.
+            rows.append(f"{name},{m},{r},{dl},{gm},{c1._value_},{c2._value_},{ok}\r\n")
+            failures += not ok
+            r, dl = r + p, dl + p
     return "".join(rows), failures
 
 
@@ -270,13 +273,13 @@ def cmd_scan(args) -> int:
     size = shapes * args.max_m
     if size > SCAN_GRID_LIMIT:
         raise InvalidDatum(f"grid has {size} data, more than the {SCAN_GRID_LIMIT} limit")
-    runs = _shape_runs(args.max_k, args.max_dim, args.max_m)
-    tasks = ((dims, m0, m1, args.check) for dims, m0, m1 in runs)
-    n_tasks = shapes * -(-args.max_m // _RUN_MAX)
+    tasks = _scan_tasks(args.max_k, args.max_dim, args.max_m, args.check)
+    # _pool_map's n: the tasks drawn once more, lazily, at about 1.5 us a task
+    n_tasks = sum(1 for _ in _scan_tasks(args.max_k, args.max_dim, args.max_m, args.check))
     failures = 0
     with open(args.out, "w", newline="") as fh:  # an unwritable --out fails before any row
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")  # csv's default dialect, as _scan_run's rows
-        for text, failed in _pool_map(_scan_run, tasks, args.threads, n_tasks):
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")  # csv's default dialect, as _scan_task's rows
+        for text, failed in _pool_map(_scan_task, tasks, args.threads, n_tasks):
             fh.write(text)
             failures += failed
     print(f"scanned {size} data, check={args.check}, failures={failures}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -104,21 +104,31 @@ def _normal_dims(dims: Iterable[int]) -> tuple[int, ...]:
 def _gcd_subset_sum(values: Sequence[int], power: int) -> int:
     """Inclusion-exclusion sum over nonempty subsets S of (-1)^(|S|+1) * gcd(S)^power.
 
-    Built one value at a time as a map from each distinct subset gcd to its
-    signed multiplicity: adding v contributes the subset {v} with sign +1,
-    and every earlier subset S joined with v, with gcd(gcd(S), v) and the
-    opposite sign.  The cost is O(k x number of distinct subset gcds), which
-    never exceeds the 2^k - 1 subsets.
+    Built one value at a time by `_gcd_step` as a map from each distinct
+    subset gcd to its signed multiplicity, then summed as c * g^power.  The
+    cost is O(k x number of distinct subset gcds), which never exceeds the
+    2^k - 1 subsets.
     """
     counts: dict[int, int] = {}
     for v in values:
-        new = counts.copy()
-        new[v] = new.get(v, 0) + 1
-        for g, c in counts.items():
-            h = math.gcd(g, v)
-            new[h] = new.get(h, 0) - c
-        counts = new
+        counts = _gcd_step(counts, v)
     return sum(c * g**power for g, c in counts.items())
+
+
+def _gcd_step(counts: dict[int, int], v: int) -> dict[int, int]:
+    """The subset-gcd map of some values extended by one more value v.
+
+    `counts` maps each distinct subset gcd of the values to its signed
+    multiplicity (-1)^(|S|+1) summed over the subsets S; adding v contributes
+    the subset {v} with sign +1, and every earlier subset S joined with v,
+    with gcd(gcd(S), v) and the opposite sign.  `counts` is not changed.
+    """
+    new = counts.copy()
+    new[v] = new.get(v, 0) + 1
+    for g, c in counts.items():
+        h = math.gcd(g, v)
+        new[h] = new.get(h, 0) - c
+    return new
 
 
 def big_r(datum: Datum) -> int:
@@ -156,10 +166,28 @@ def g_max(datum: Datum) -> int:
 
 
 def _g_max(dims: Sequence[int]) -> int:
-    """g_max of the dimensions `dims`."""
-    if len(dims) == 1:
+    """g_max of the dimensions `dims`; 1 for fewer than two of them."""
+    if len(dims) < 2:
         return 1
     return max(math.gcd(a, b) for a, b in combinations(dims, 2))
+
+
+def _last_entry_invariants(prefix: tuple[int, ...], lo: int, hi: int, m: int):
+    """(dims, prod(d_i), R, Delta, g_max) at m of each dims = prefix + (v,), lo <= v <= hi.
+
+    The prefix's subset-gcd map, product, sum of (d_i^2 - 1) and g_max are
+    computed once, and each v extends them: one `_gcd_step` gives
+    Z(d_1^2, ..., d_k^2), and the pairs new to g_max are those with v.
+    """
+    counts: dict[int, int] = {}
+    for d in prefix:
+        counts = _gcd_step(counts, d)
+    p0, excess0, gm0 = math.prod(prefix), sum(d * d - 1 for d in prefix), _g_max(prefix)
+    for v in range(lo, hi + 1):
+        p = p0 * v
+        z = sum(c * g * g for g, c in _gcd_step(counts, v).items())
+        gm = max(gm0, *map(math.gcd, prefix, repeat(v))) if prefix else gm0
+        yield prefix + (v,), p, m * p - z, m * p - 1 - excess0 - (v * v - 1), gm
 
 
 def z_quantity(values: Iterable[int]) -> int:

@@ -145,16 +145,21 @@ def scan_row_reference(dims, m: int, check: str) -> tuple:
     return ("x".join(map(str, dims)), m, r, dl, gm, c1.value, chain_class(d).value, ok)
 
 
-def scan_csv_reference(max_k: int, max_dim: int, max_m: int, check: str) -> bytes:
-    """The bytes of `tnm scan`'s CSV for the grid: the shape (1,), then each
-    multiset of 1..max_k entries from 2..max_dim, each at m = 1..max_m."""
-    shapes = [(1,)] + [
+def scan_shapes(max_k: int, max_dim: int) -> list[tuple[int, ...]]:
+    """The shapes of `tnm scan`'s grid in CSV order: (1,), then each multiset
+    of 1..max_k entries from 2..max_dim, sorted ascending."""
+    return [(1,)] + [
         dims for k in range(1, max_k + 1) for dims in combinations_with_replacement(range(2, max_dim + 1), k)
     ]
+
+
+def scan_csv_reference(max_k: int, max_dim: int, max_m: int, check: str) -> bytes:
+    """The bytes of `tnm scan`'s CSV for the grid: each shape of
+    `scan_shapes`, each at m = 1..max_m."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(("dims", "m", "R", "Delta", "g_max", "class_closed_form", "class_recursive", "agree"))
-    for dims in shapes:
+    for dims in scan_shapes(max_k, max_dim):
         for m in range(1, max_m + 1):
             writer.writerow(scan_row_reference(dims, m, check))
     return text.getvalue().encode()

@@ -1,20 +1,25 @@
-"""Digest the reference `verify` ops, so that a solver change can be shown
-to leave their output byte-identical.
+"""Digest the reference `verify` and `scan` ops, so that a change to the
+solver or to `scan` can be shown to leave their output byte-identical.
 
 Each op runs in process through `tnm.cli.main`; one line per op gives its
 argv and the SHA-256 of its exit code, stdout and stderr (warnings
-included).  The ops are every datum of the benchmark's `verify_panel` and
-`verify_large` panels at trial seeds 0..7, plus (64,64;2) seed 1 and
-(2,32,32;1) seed 2, each with `--trials 1 --restarts 4` (74 ops), and then
-the data of the tier-1 threshold walk (`threshold_walk.shapes(3, 8, 200)`
-at each shape's threshold sample counts) with `--trials 2`.  Run it from
-the repository root at two commits and compare:
+included), and for `scan` of the CSV it wrote as well.  The `verify` ops are
+every datum of the benchmark's `verify_panel` and `verify_large` panels at
+trial seeds 0..7, plus (64,64;2) seed 1 and (2,32,32;1) seed 2, each with
+`--trials 1 --restarts 4` (74 ops), and then the data of the tier-1
+threshold walk (`threshold_walk.shapes(3, 8, 200)` at each shape's threshold
+sample counts) with `--trials 2`.  The `scan` ops, all at `--threads 1`, are
+the benchmark's `scan_grid` grid (`--max-k 3 --max-dim 60 --max-m 4`) with
+`--check equivalence`, and `--max-k 4 --max-dim 12 --max-m 3` with
+`--check monotone` and with `--check castling`; the CSV goes to a temporary
+file, printed as `scan.csv`.  Run it from the repository root at two commits
+and compare:
 
     PYTHONPATH=src python tests/reference_ops.py > after.txt
     diff before.txt after.txt
 
 It takes no flags and is not collected by pytest; a full run takes about
-a minute on one CPU.
+20 s on one CPU of a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import sys
+import tempfile
 
 from threshold_walk import shapes, threshold_samples
 from tnm import cli, thresholds
@@ -31,6 +38,8 @@ from tnm import cli, thresholds
 PANEL = (((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1))
 LARGE = (((64, 64), 3), ((16, 16, 16), 4), ((2, 16, 128), 1))
 EXTRA = ((((64, 64), 2), 1), (((2, 32, 32), 1), 2))  # ((dims, m), trial seed)
+SCANS = (((3, 60, 4), "equivalence"), ((4, 12, 3), "monotone"), ((4, 12, 3), "castling"))
+CSV = "scan.csv"  # stands for the temporary file a scan op writes
 
 
 def verify_argv(dims, m, seed: int, trials: int) -> list[str]:
@@ -39,8 +48,13 @@ def verify_argv(dims, m, seed: int, trials: int) -> list[str]:
             "--format", "json", "--seed", str(seed)]
 
 
+def scan_argv(max_k: int, max_dim: int, max_m: int, check: str) -> list[str]:
+    return ["scan", "--max-k", str(max_k), "--max-dim", str(max_dim), "--max-m", str(max_m),
+            "--check", check, "--out", CSV, "--threads", "1"]
+
+
 def ops():
-    """The reference ops, then the walk grid's, as argv lists."""
+    """The reference ops, then the walk grid's, then the scans, as argv lists."""
     for datum in PANEL + LARGE:
         for seed in range(8):
             yield verify_argv(*datum, seed, 1)
@@ -49,13 +63,21 @@ def ops():
     for dims in shapes(3, 8, 200):
         for m in threshold_samples(thresholds(dims), math.prod(dims), 4096):
             yield verify_argv(dims, m, 0, 2)
+    for grid, check in SCANS:
+        yield scan_argv(*grid, check)
 
 
 def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, CSV)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([path if a == CSV else a for a in argv])
+        payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
+        if CSV in argv:
+            with open(path, "rb") as fh:
+                payload += b"\0" + fh.read()
+    return hashlib.sha256(payload).hexdigest()
 
 
 def main() -> int:

@@ -1,6 +1,8 @@
 """End-to-end runs of the command line, mostly through a real subprocess."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import tnm
-from oracles import scan_csv_reference
+from oracles import scan_csv_reference, scan_shapes
 from tnm import SampleSet, cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -181,37 +183,72 @@ def test_scan_unwritable_out_exit_2(tmp_path):
     assert res.stdout == ""
 
 
-def test_grid_size_counts_grid():
-    run_max = cli._RUN_MAX
-    for max_k in range(1, 4):
-        for max_dim in range(1, 9):
-            for max_m in (1, 2, 3, run_max, run_max + 1, 2 * run_max + 5):
-                runs = list(cli._shape_runs(max_k, max_dim, max_m))
-                assert all(0 < m1 - m0 <= run_max for _, m0, m1 in runs)
-                # the task count _pool_map is told
-                assert len(runs) == cli._shape_count(max_k, max_dim) * -(-max_m // run_max)
-                grid = [(dims, m) for dims, m0, m1 in runs for m in range(m0, m1)]
-                assert cli._shape_count(max_k, max_dim) * max_m == len(grid)
-                assert len(set(grid)) == len(grid)
-                assert {m for _, m in grid} == set(range(1, max_m + 1))
+def test_grid_size_counts_grid(monkeypatch):
+    """The tasks cover each (dims, m) of the grid once, in CSV order, and
+    hold at most the row bound each; at bound 7 and --max-m 3 a task holds
+    two last entries."""
+    for bound in (cli._RUN_MAX, 7):
+        monkeypatch.setattr(cli, "_RUN_MAX", bound)
+        for max_k in range(1, 5):
+            for max_dim in range(1, 9):
+                shapes = scan_shapes(max_k, max_dim)
+                for max_m in (1, 2, 3, bound, bound + 1, 2 * bound + 5):
+                    tasks = list(cli._scan_tasks(max_k, max_dim, max_m, "monotone"))
+                    assert all(t[-1] == "monotone" for t in tasks)
+                    assert all(0 < (hi - lo + 1) * (m1 - m0) <= bound for _, lo, hi, m0, m1, _ in tasks)
+                    grid = [(prefix + (v,), m) for prefix, lo, hi, m0, m1, _ in tasks
+                            for v in range(lo, hi + 1) for m in range(m0, m1)]
+                    assert grid == [(dims, m) for dims in shapes for m in range(1, max_m + 1)]
+                    # the size the summary line reports and SCAN_GRID_LIMIT guards
+                    assert len(grid) == cli._shape_count(max_k, max_dim) * max_m
+                    if bound == 7 and max_m == 3 and max_dim >= 3:
+                        assert max(hi - lo for _, lo, hi, *_ in tasks) == 1
+
+    # the task count _pool_map is told is the number of tasks it is handed
+    seen = []
+
+    def pool_map(fn, tasks, threads, n):
+        tasks = list(tasks)
+        seen.append((n, len(tasks)))
+        return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "_pool_map", pool_map)
+    grids = (((1, 1, 1), 1), ((1, 200, 1), 200), ((3, 9, 4), 660), ((4, 6, 3), 378), ((2, 5, 130), 1950))
+    for grid, size in grids:
+        argv = ["scan", "--max-k", str(grid[0]), "--max-dim", str(grid[1]), "--max-m", str(grid[2]),
+                "--out", os.devnull, "--threads", "1"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue() == f"scanned {size} data, check=equivalence, failures=0\n"
+    assert all(n == count for n, count in seen) and len(seen) == 5, seen
 
 
-@pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])
-def test_scan_csv_matches_reference(tmp_path, check, monkeypatch, capsys):
-    """The CSV equals the per-row oracle's bytes, serial, on two workers, and
-    with every shape's sample counts split into runs of two."""
-    grid = ("--max-k", "3", "--max-dim", "7", "--max-m", "3", "--check", check)
-    expected = scan_csv_reference(3, 7, 3, check)
+@pytest.mark.parametrize("check, grid, size", [
+    *(pytest.param(check, (3, 7, 3), 252, id=check) for check in cli.SCAN_CHECKS),
+    *(pytest.param(check, (4, 6, 3), 378, id=f"k4-{check}") for check in cli.SCAN_CHECKS),
+])
+def test_scan_csv_matches_reference(tmp_path, check, grid, size, monkeypatch, capsys):
+    """The CSV equals the per-row oracle's bytes, serial and on two workers,
+    at the default row bound and at bounds that split the tasks further: at
+    2 rows each shape's three sample counts split 2 + 1 and every last entry
+    is a task of its own; at 7 rows a prefix's last entries go two to a task.
+    The k = 4 grid has prefixes of three entries."""
+    flags = ["--max-k", str(grid[0]), "--max-dim", str(grid[1]), "--max-m", str(grid[2]), "--check", check]
+    expected = scan_csv_reference(*grid, check)
+    summary = f"scanned {size} data, check={check}, failures=0\n"
     for threads in ("1", "2"):
         out = tmp_path / f"{threads}.csv"
-        res = run("scan", *grid, "--out", str(out), "--threads", threads)
+        res = run("scan", *flags, "--out", str(out), "--threads", threads)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == f"scanned 252 data, check={check}, failures=0\n"
+        assert res.stdout == summary
         assert out.read_bytes() == expected
-    monkeypatch.setattr(cli, "_RUN_MAX", 2)
-    out = tmp_path / "split.csv"
-    assert cli.main(["scan", *grid, "--out", str(out), "--threads", "1"]) == 0
-    assert out.read_bytes() == expected
+    for bound in (2, 7):
+        monkeypatch.setattr(cli, "_RUN_MAX", bound)
+        for threads in ("1", "2"):
+            out = tmp_path / f"split-{bound}-{threads}.csv"
+            assert cli.main(["scan", *flags, "--out", str(out), "--threads", threads]) == 0
+            assert capsys.readouterr().out == summary
+            assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])
@@ -263,6 +300,28 @@ def test_scan_memory_does_not_grow_with_max_m(tmp_path, capsys):
     peak(200)  # warm-up: first-call caches are not the grid's memory
     small, large = peak(2000), peak(20000)
     assert "scanned 40000 data" in capsys.readouterr().out
+    assert large < 1.5 * small, (small, large)
+
+
+def test_scan_memory_does_not_grow_with_one_long_prefix(tmp_path, capsys):
+    """A k = 1 grid is the empty prefix alone: its last entries are split
+    into tasks generated lazily, so the serial peak of Python allocations is
+    about the same at --max-dim 2000 and 20000 (with the entries 2..max_dim
+    held as one tuple, as combinations_with_replacement holds its pool, the
+    peak grows with them: 0.15 and 0.86 MB)."""
+    def peak(max_dim):
+        argv = ["scan", "--max-k", "1", "--max-dim", str(max_dim), "--max-m", "1",
+                "--out", str(tmp_path / "m.csv"), "--threads", "1"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # warm-up: first-call caches are not the grid's memory
+    small, large = peak(2000), peak(20000)
+    assert "scanned 20000 data" in capsys.readouterr().out
     assert large < 1.5 * small, (small, large)
 
 
