@@ -44,10 +44,18 @@ def castle_step(datum: Datum) -> Datum:
     N <= d_k.
     """
     cur = normalize(datum)
-    n = _partner(cur.dims, cur.m)
-    if n <= cur.dims[-1]:
+    dims = _castle_step(cur.dims, cur.m)
+    if dims is None:
+        n = _partner(cur.dims, cur.m)
         raise NotCastlable(f"no castling move for {cur}: N = {n} <= d_k = {cur.dims[-1]}")
-    return Datum(_castle(cur.dims, n), cur.m)
+    return Datum(dims, cur.m)
+
+
+def _castle_step(dims: tuple[int, ...], m: int) -> tuple[int, ...] | None:
+    """castle_step on normalized dims at sample count m: the normalized dims
+    after the move, or None when N <= d_k and there is no move."""
+    n = _partner(dims, m)
+    return _castle(dims, n) if n > dims[-1] else None
 
 
 def _castle(dims: tuple[int, ...], n: int) -> tuple[int, ...]:

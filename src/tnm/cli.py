@@ -28,7 +28,7 @@ import sys
 from itertools import chain, combinations_with_replacement
 
 from . import mle  # loads, with numpy, when simulate or verify first uses it
-from .castling import NotCastlable, _walk, castle_step
+from .castling import _castle_step, _walk
 from .classify import (
     StabilityClass,
     _classify_endpoint,
@@ -37,7 +37,7 @@ from .classify import (
     explain,
     thresholds,
 )
-from .datum import MAX_FACTORS, Datum, InvalidDatum, _last_entry_invariants, big_r, delta, g_max
+from .datum import MAX_FACTORS, Datum, InvalidDatum, _big_r, _delta, _g_max, _last_entry_invariants
 from .pool import _pool_map
 
 EXIT_OK = 0
@@ -213,20 +213,21 @@ def _scan_tasks(max_k: int, max_dim: int, max_m: int, check: str):
                 yield prefix, lo, hi, m0, min(m0 + run, max_m + 1), check
 
 
-def _castling_ok(d: Datum, r: int, dl: int, gm: int, c1: StabilityClass) -> bool:
+def _castling_ok(dims: tuple[int, ...], m: int, r: int, dl: int, gm: int, c1: StabilityClass) -> bool:
     """Whether the castled datum's own R, Delta, g_max, class and quotient
-    dimension equal d's; True when d has no castling move."""
-    try:
-        e = castle_step(d)
-    except NotCastlable:
+    dimension equal those of (dims; m), dims normalized; True when it has no
+    castling move.  The castled dims stay a tuple: no Datum is built."""
+    e = _castle_step(dims, m)
+    if e is None:
         return True
-    er, edl, egm = big_r(e), delta(e), g_max(e)
+    p = math.prod(e)
+    er, edl, egm = _big_r(m, p, e), _delta(m, p, e), _g_max(e)
     return (
         er == r
         and edl == dl
         and egm == gm
-        and _closed_form(e.m, er, egm, edl) is c1
-        and _quotient_dimension(e.m, er, egm, edl) == _quotient_dimension(d.m, r, gm, dl)
+        and _closed_form(m, er, egm, edl) is c1
+        and _quotient_dimension(m, er, egm, edl) == _quotient_dimension(m, r, gm, dl)
     )
 
 
@@ -254,7 +255,7 @@ def _scan_task(task) -> tuple[str, int]:
             elif check == "monotone":
                 ok = _CLASS_ORDER.index(_closed_form(m + 1, r + p, gm, dl + p)) >= _CLASS_ORDER.index(c1)
             else:  # castling
-                ok = _castling_ok(Datum(dims, m), r, dl, gm, c1)
+                ok = _castling_ok(dims, m, r, dl, gm, c1)
             # No field needs csv quoting: dims is digits joined by "x", m, R,
             # Delta and g_max are ints, the classes are three fixed words and
             # agree is True or False, so none holds a comma, quote or line break.
@@ -343,57 +344,74 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command: help, handler and the (flag, add_argument keywords) of each
+# argument; --threads takes its default, os.cpu_count() or 1, when the parser
+# is built
+_COMMANDS = {
+    "classify": ("full dossier for one datum", cmd_classify, (
+        ("--dims", {"required": True, "help": "comma-separated dimensions, e.g. 2,3,3"}),
+        ("--samples", {"type": int, "required": True, "help": "sample count m"}),
+        ("--format", {"choices": ("json", "text"), "default": "json"}),
+    )),
+    "threshold": ("sample-count thresholds for dimensions", cmd_threshold, (
+        ("--dims", {"required": True}),
+        ("--format", {"choices": ("json", "text"), "default": "json"}),
+    )),
+    "scan": ("grid consistency check, CSV output", cmd_scan, (
+        ("--max-k", {"type": int, "required": True}),
+        ("--max-dim", {"type": int, "required": True}),
+        ("--max-m", {"type": int, "required": True}),
+        ("--check", {"choices": SCAN_CHECKS, "default": "equivalence"}),
+        ("--out", {"required": True, "help": "CSV file to write"}),
+        ("--threads", {"type": int}),
+    )),
+    "simulate": ("write a deterministic sample set", cmd_simulate, (
+        ("--dims", {"required": True}),
+        ("--samples", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": None}),
+        ("--out", {"required": True, "help": "JSON file to write"}),
+    )),
+    "verify": ("fit simulated or supplied data, compare with prediction", cmd_verify, (
+        ("--dims", {"help": "required unless --data is given"}),
+        ("--samples", {"type": int, "help": "required unless --data is given"}),
+        ("--trials", {"type": int, "default": 20}),
+        ("--restarts", {"type": int, "default": 4}),
+        ("--seed", {"type": int, "default": None}),
+        ("--tol", {"type": float, "default": None}),
+        ("--data", {"help": "JSON sample set; skips simulation"}),
+        ("--threads", {"type": int}),
+        ("--format", {"choices": ("json", "text"), "default": "text"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tnm parser.  Every subcommand is registered, so `tnm --help` and
+    every usage error read the same however it was built; arguments are added
+    to `command`'s subparser only, or to all of them when `command` is None.
+    Adding arguments is most of the parser's cost, and a call parses one
+    command."""
     parser = argparse.ArgumentParser(
         prog="tnm",
         description="Classify tensor normal models and verify the classification numerically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     threads_default = os.cpu_count() or 1
-
-    p = sub.add_parser("classify", help="full dossier for one datum")
-    p.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 2,3,3")
-    p.add_argument("--samples", type=int, required=True, help="sample count m")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("threshold", help="sample-count thresholds for dimensions")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("scan", help="grid consistency check, CSV output")
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--check", choices=SCAN_CHECKS, default="equivalence")
-    p.add_argument("--out", required=True, help="CSV file to write")
-    p.add_argument("--threads", type=int, default=threads_default)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("simulate", help="write a deterministic sample set")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="JSON file to write")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="fit simulated or supplied data, compare with prediction")
-    p.add_argument("--dims", help="required unless --data is given")
-    p.add_argument("--samples", type=int, help="required unless --data is given")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--data", help="JSON sample set; skips simulation")
-    p.add_argument("--threads", type=int, default=threads_default)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_verify)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            for flag, kwargs in arguments:
+                if flag == "--threads":
+                    kwargs = {**kwargs, "default": threads_default}
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)

@@ -139,7 +139,12 @@ def big_r(datum: Datum) -> int:
     surely bounded above, and a maximizer almost surely exists, exactly
     when R >= 0.
     """
-    return datum.m * datum.product() - _gcd_subset_sum(datum.dims, power=2)
+    return _big_r(datum.m, datum.product(), datum.dims)
+
+
+def _big_r(m: int, p: int, dims: Sequence[int]) -> int:
+    """R from m, p = prod(d_i) and the dimensions."""
+    return m * p - _gcd_subset_sum(dims, power=2)
 
 
 def delta(datum: Datum) -> int:

@@ -1,19 +1,28 @@
-"""Digest the reference `verify` and `scan` ops, so that a change to the
-solver or to `scan` can be shown to leave their output byte-identical.
+"""Digest the reference ops, so that a change to the solver, to `scan` or
+to the command line can be shown to leave their output byte-identical.
 
 Each op runs in process through `tnm.cli.main`; one line per op gives its
-argv and the SHA-256 of its exit code, stdout and stderr (warnings
-included), and for `scan` of the CSV it wrote as well.  The `verify` ops are
-every datum of the benchmark's `verify_panel` and `verify_large` panels at
-trial seeds 0..7, plus (64,64;2) seed 1 and (2,32,32;1) seed 2, each with
-`--trials 1 --restarts 4` (74 ops), and then the data of the tier-1
-threshold walk (`threshold_walk.shapes(3, 8, 200)` at each shape's threshold
-sample counts) with `--trials 2`.  The `scan` ops, all at `--threads 1`, are
-the benchmark's `scan_grid` grid (`--max-k 3 --max-dim 60 --max-m 4`) with
-`--check equivalence`, and `--max-k 4 --max-dim 12 --max-m 3` with
-`--check monotone` and with `--check castling`; the CSV goes to a temporary
-file, printed as `scan.csv`.  Run it from the repository root at two commits
-and compare:
+argv and the SHA-256 of its exit code (or `SystemExit` code), stdout and
+stderr (warnings included), and for `scan` of the CSV it wrote as well.
+The ops, in order:
+
+- `verify`: every datum of the benchmark's `verify_panel` and
+  `verify_large` panels at trial seeds 0..7, plus (64,64;2) seed 1 and
+  (2,32,32;1) seed 2, each with `--trials 1 --restarts 4` (74 ops), and
+  then the 169 data of the tier-1 threshold walk
+  (`threshold_walk.shapes(3, 8, 200)` at each shape's threshold sample
+  counts) with `--trials 2`;
+- `scan`, all at `--threads 1`: the benchmark's `scan_grid` grid
+  (`--max-k 3 --max-dim 60 --max-m 4`) with `--check equivalence`, and
+  `--max-k 4 --max-dim 12 --max-m 3` with `--check monotone` and with
+  `--check castling`; the CSV goes to a temporary file, printed as
+  `scan.csv`;
+- `classify` in `json` and in `text` on the same 169 walk data, and
+  `threshold` in `json` and in `text` on its 95 shapes;
+- the 40 help and usage-error cases of `USAGE_CASES`, with `COLUMNS=80`
+  so that argparse wraps its help the same on every terminal.
+
+Run it from the repository root at two commits and compare:
 
     PYTHONPATH=src python tests/reference_ops.py > after.txt
     diff before.txt after.txt
@@ -40,6 +49,14 @@ LARGE = (((64, 64), 3), ((16, 16, 16), 4), ((2, 16, 128), 1))
 EXTRA = ((((64, 64), 2), 1), (((2, 32, 32), 1), 2))  # ((dims, m), trial seed)
 SCANS = (((3, 60, 4), "equivalence"), ((4, 12, 3), "monotone"), ((4, 12, 3), "castling"))
 CSV = "scan.csv"  # stands for the temporary file a scan op writes
+# argv lists that print help or end in a usage error: five top-level ones,
+# then seven for each command, whether or not it has the flag
+USAGE_CASES = [[], ["-h"], ["--help"], ["bogus"], ["--dims", "2"]] + [
+    [command, *flags]
+    for command in ("classify", "threshold", "scan", "simulate", "verify")
+    for flags in (["--help"], [], ["--samples", "x"], ["--format", "xml"], ["--max-k", "3"],
+                  ["--bogus"], ["--threads", "x"])
+]
 
 
 def verify_argv(dims, m, seed: int, trials: int) -> list[str]:
@@ -53,18 +70,31 @@ def scan_argv(max_k: int, max_dim: int, max_m: int, check: str) -> list[str]:
             "--check", check, "--out", CSV, "--threads", "1"]
 
 
+def walk_data():
+    """The (dims, m) of the tier-1 threshold walk, shape by shape."""
+    for dims in shapes(3, 8, 200):
+        for m in threshold_samples(thresholds(dims), math.prod(dims), 4096):
+            yield dims, m
+
+
 def ops():
-    """The reference ops, then the walk grid's, then the scans, as argv lists."""
+    """The reference ops in the order of the module docstring, as argv lists."""
     for datum in PANEL + LARGE:
         for seed in range(8):
             yield verify_argv(*datum, seed, 1)
     for datum, seed in EXTRA:
         yield verify_argv(*datum, seed, 1)
-    for dims in shapes(3, 8, 200):
-        for m in threshold_samples(thresholds(dims), math.prod(dims), 4096):
-            yield verify_argv(dims, m, 0, 2)
+    for dims, m in walk_data():
+        yield verify_argv(dims, m, 0, 2)
     for grid, check in SCANS:
         yield scan_argv(*grid, check)
+    for fmt in ("json", "text"):
+        for dims, m in walk_data():
+            yield ["classify", "--dims", ",".join(map(str, dims)), "--samples", str(m), "--format", fmt]
+    for fmt in ("json", "text"):
+        for dims in shapes(3, 8, 200):
+            yield ["threshold", "--dims", ",".join(map(str, dims)), "--format", fmt]
+    yield from USAGE_CASES
 
 
 def digest(argv: list[str]) -> str:
@@ -72,7 +102,10 @@ def digest(argv: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, CSV)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([path if a == CSV else a for a in argv])
+            try:
+                code = cli.main([path if a == CSV else a for a in argv])
+            except SystemExit as exc:  # argparse's help and usage errors
+                code = f"SystemExit({exc.code})"
         payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
         if CSV in argv:
             with open(path, "rb") as fh:
@@ -81,6 +114,7 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
     for argv in ops():
         print(" ".join(argv), digest(argv), flush=True)
     return 0

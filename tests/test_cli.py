@@ -1,5 +1,6 @@
 """End-to-end runs of the command line, mostly through a real subprocess."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,6 +16,7 @@ import pytest
 
 import tnm
 from oracles import scan_csv_reference, scan_shapes
+from reference_ops import USAGE_CASES
 from tnm import SampleSet, cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -387,6 +389,91 @@ def test_numpy_is_the_only_runtime_dependency():
     res = python("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+THREADS = os.cpu_count() or 1
+HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, None, False)
+# per command: option strings, dest, type, default, choices, required
+CLI_FLAGS = {
+    "classify": [
+        (("--dims",), "dims", None, None, None, True),
+        (("--samples",), "samples", int, None, None, True),
+        (("--format",), "format", None, "json", ("json", "text"), False),
+    ],
+    "threshold": [
+        (("--dims",), "dims", None, None, None, True),
+        (("--format",), "format", None, "json", ("json", "text"), False),
+    ],
+    "scan": [
+        (("--max-k",), "max_k", int, None, None, True),
+        (("--max-dim",), "max_dim", int, None, None, True),
+        (("--max-m",), "max_m", int, None, None, True),
+        (("--check",), "check", None, "equivalence", ("equivalence", "monotone", "castling"), False),
+        (("--out",), "out", None, None, None, True),
+        (("--threads",), "threads", int, THREADS, None, False),
+    ],
+    "simulate": [
+        (("--dims",), "dims", None, None, None, True),
+        (("--samples",), "samples", int, None, None, True),
+        (("--seed",), "seed", int, None, None, False),
+        (("--out",), "out", None, None, None, True),
+    ],
+    "verify": [
+        (("--dims",), "dims", None, None, None, False),
+        (("--samples",), "samples", int, None, None, False),
+        (("--trials",), "trials", int, 20, None, False),
+        (("--restarts",), "restarts", int, 4, None, False),
+        (("--seed",), "seed", int, None, None, False),
+        (("--tol",), "tol", float, None, None, False),
+        (("--data",), "data", None, None, None, False),
+        (("--threads",), "threads", int, THREADS, None, False),
+        (("--format",), "format", None, "text", ("json", "text"), False),
+    ],
+}
+
+
+def subparser_flags(parser):
+    """{command: its subparser's actions as CLI_FLAGS rows, -h first}."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [(tuple(a.option_strings), a.dest, a.type, a.default, a.choices, a.required) for a in p._actions]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_cli_flags_are_pinned():
+    assert subparser_flags(cli.build_parser()) == {name: [HELP, *rows] for name, rows in CLI_FLAGS.items()}
+    for command, rows in CLI_FLAGS.items():
+        # every command stays registered, and only `command` gets its arguments
+        flags = subparser_flags(cli.build_parser(command))
+        assert list(flags) == list(CLI_FLAGS)
+        assert flags == {name: [HELP, *rows] if name == command else [HELP] for name in CLI_FLAGS}
+
+
+def test_usage_output_does_not_depend_on_parser_build(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcomes():
+        seen = []
+        for argv in USAGE_CASES:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = ("return", cli.main(list(argv)))
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+            seen.append((argv, code, out.getvalue(), err.getvalue()))
+        return seen
+
+    per_command = outcomes()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcomes() == per_command
+    assert len(per_command) == 40
+    assert {code for _, (_, code), _, _ in per_command} == {0, 2}
 
 
 # ---------------------------------------------------------------------------
