@@ -386,24 +386,28 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The tnm parser.  Every subcommand is registered, so `tnm --help` and
-    every usage error read the same however it was built; arguments are added
-    to `command`'s subparser only, or to all of them when `command` is None.
-    Adding arguments is most of the parser's cost, and a call parses one
-    command."""
+    """The tnm parser: every subcommand with its arguments, or only
+    `command`'s subparser when `command` names one.  A call parses one
+    command, and each subparser costs argparse a parser of its own.  Help and
+    usage errors read the same either way: the usage line of a top-level
+    error ("unrecognized arguments") still lists all five commands."""
     parser = argparse.ArgumentParser(
         prog="tnm",
         description="Classify tensor normal models and verify the classification numerically.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = _COMMANDS if command is None else {command: _COMMANDS[command]}
+    # With one subcommand registered the usage line would list only it, so the
+    # metavar lists all five.  With all five it stays unset: the "invalid
+    # choice" and "arguments are required: command" errors would print it too.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     threads_default = os.cpu_count() or 1
-    for name, (help_text, func, arguments) in _COMMANDS.items():
+    for name, (help_text, func, arguments) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            for flag, kwargs in arguments:
-                if flag == "--threads":
-                    kwargs = {**kwargs, "default": threads_default}
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in arguments:
+            if flag == "--threads":
+                kwargs = {**kwargs, "default": threads_default}
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
@@ -411,6 +415,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # a known command gets its own subparser only; `tnm --help` and a bad or
+    # missing command get them all
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):

@@ -19,7 +19,7 @@ The ops, in order:
   `scan.csv`;
 - `classify` in `json` and in `text` on the same 169 walk data, and
   `threshold` in `json` and in `text` on its 95 shapes;
-- the 40 help and usage-error cases of `USAGE_CASES`, with `COLUMNS=80`
+- the 45 help and usage-error cases of `USAGE_CASES`, with `COLUMNS=80`
   so that argparse wraps its help the same on every terminal.
 
 Run it from the repository root at two commits and compare:
@@ -49,14 +49,25 @@ LARGE = (((64, 64), 3), ((16, 16, 16), 4), ((2, 16, 128), 1))
 EXTRA = ((((64, 64), 2), 1), (((2, 32, 32), 1), 2))  # ((dims, m), trial seed)
 SCANS = (((3, 60, 4), "equivalence"), ((4, 12, 3), "monotone"), ((4, 12, 3), "castling"))
 CSV = "scan.csv"  # stands for the temporary file a scan op writes
+# a complete invocation of each command plus a stray flag, which only the
+# top-level parser reports ("unrecognized arguments"); argparse exits before
+# scan or simulate would write --out
+STRAY_FLAG_CASES = [
+    ["classify", "--dims", "2", "--samples", "1", "--bogus"],
+    ["threshold", "--dims", "2,3", "--bogus"],
+    ["scan", "--max-k", "1", "--max-dim", "2", "--max-m", "1", "--out", "unwritten.csv", "--bogus"],
+    ["simulate", "--dims", "2", "--samples", "1", "--out", "unwritten.json", "--bogus"],
+    ["verify", "--dims", "2", "--samples", "1", "--bogus"],
+]
 # argv lists that print help or end in a usage error: five top-level ones,
-# then seven for each command, whether or not it has the flag
+# then seven for each command, whether or not it has the flag, then the
+# stray-flag cases
 USAGE_CASES = [[], ["-h"], ["--help"], ["bogus"], ["--dims", "2"]] + [
     [command, *flags]
     for command in ("classify", "threshold", "scan", "simulate", "verify")
     for flags in (["--help"], [], ["--samples", "x"], ["--format", "xml"], ["--max-k", "3"],
                   ["--bogus"], ["--threads", "x"])
-]
+] + STRAY_FLAG_CASES
 
 
 def verify_argv(dims, m, seed: int, trials: int) -> list[str]:

@@ -16,7 +16,7 @@ import pytest
 
 import tnm
 from oracles import scan_csv_reference, scan_shapes
-from reference_ops import USAGE_CASES
+from reference_ops import STRAY_FLAG_CASES, USAGE_CASES
 from tnm import SampleSet, cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -447,10 +447,8 @@ def subparser_flags(parser):
 def test_cli_flags_are_pinned():
     assert subparser_flags(cli.build_parser()) == {name: [HELP, *rows] for name, rows in CLI_FLAGS.items()}
     for command, rows in CLI_FLAGS.items():
-        # every command stays registered, and only `command` gets its arguments
-        flags = subparser_flags(cli.build_parser(command))
-        assert list(flags) == list(CLI_FLAGS)
-        assert flags == {name: [HELP, *rows] if name == command else [HELP] for name in CLI_FLAGS}
+        # only `command` is registered, with its arguments
+        assert subparser_flags(cli.build_parser(command)) == {command: [HELP, *rows]}
 
 
 def test_usage_output_does_not_depend_on_parser_build(monkeypatch):
@@ -472,8 +470,38 @@ def test_usage_output_does_not_depend_on_parser_build(monkeypatch):
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert outcomes() == per_command
-    assert len(per_command) == 40
+    assert len(per_command) == 45
     assert {code for _, (_, code), _, _ in per_command} == {0, 2}
+
+
+@pytest.mark.parametrize("argv", STRAY_FLAG_CASES, ids=lambda argv: argv[0])
+def test_stray_flag_usage_lists_every_command(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "usage: tnm [-h] {classify,threshold,scan,simulate,verify} ...\n"
+                                       "tnm: error: unrecognized arguments: --bogus\n")
+
+
+def test_parsers_built_per_call(monkeypatch, capsys):
+    """A named command builds the top-level parser and its own subparser, and
+    `tnm --help` builds all five subparsers: a count, not a timing."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["threshold", "--dims", "2,3"]) == 0
+    assert built == ["tnm", "tnm threshold"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["tnm", "tnm classify", "tnm threshold", "tnm scan", "tnm simulate", "tnm verify"]
 
 
 # ---------------------------------------------------------------------------
