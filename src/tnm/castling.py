@@ -65,7 +65,9 @@ def _castle(dims: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def _walk(dims: tuple[int, ...], m: int) -> tuple[list[tuple[int, ...]], int]:
     """The normalized dimension tuples visited by reduce_to_minimal from the
-    normalized `dims` at sample count m, and the endpoint's partner N."""
+    normalized `dims` at sample count m, and the endpoint's partner N.
+    `cli._scan_task` tests the loop's condition before calling it, so that
+    a row without a move skips the call."""
     steps = [dims]
     while True:
         n = _partner(dims, m)

@@ -234,32 +234,41 @@ def _castling_ok(dims: tuple[int, ...], m: int, r: int, dl: int, gm: int, c1: St
 def _scan_task(task) -> tuple[str, int]:
     """The CSV text of one task's rows, and how many failed.
 
-    prod(d_i), R, Delta and g_max at m0 come once per shape from
-    `_last_entry_invariants`, which computes the prefix's share of them once
-    per task.  One more sample adds prod(d_i) to R = m * prod(d_i) - Z and
-    to Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1), and g_max does not depend
-    on m.  Each row is one f-string in the csv module's default dialect, the
-    bytes csv.writer would write, and the task's rows are joined once.
+    Per task, prod(prefix) is the partner N / m of every shape: the last
+    entry is the largest.  Per shape, `_last_entry_invariants` gives
+    prod(d_i), R, Delta and g_max at m0 (it computes the prefix's share of
+    them once per task), and the row's leading `dims,` and its `,g_max,`
+    field are formatted once.  Per row, one more sample adds prod(d_i) to
+    R = m * prod(d_i) - Z and to Delta = m * prod(d_i) - 1 - sum(d_i^2 - 1),
+    and g_max does not depend on m; `_walk` runs only on rows with a
+    castling move, and a row without one is its own endpoint.  Each row is
+    one f-string in the csv module's default dialect, the bytes csv.writer
+    would write, and the task's rows are joined once.
     """
     prefix, lo, hi, m0, m1, check = task
     head, rows = "".join(f"{d}x" for d in prefix), []
+    q = math.prod(prefix)
     failures = 0
     for dims, p, r, dl, gm in _last_entry_invariants(prefix, lo, hi, m0):
-        name = f"{head}{dims[-1]}"
+        d_k = dims[-1]
+        # No field needs csv quoting: dims is digits joined by "x", m, R,
+        # Delta and g_max are ints, the classes are three fixed words and
+        # agree is True or False, so none holds a comma, quote or line break.
+        name, gm_field = f"{head}{d_k},", f",{gm},"
         for m in range(m0, m1):
             c1 = _closed_form(m, r, gm, dl)
-            steps, n = _walk(dims, m)
-            c2 = _classify_endpoint(steps[-1], m, n)
+            end, n = dims, m * q
+            if d_k < n < 2 * d_k:  # _walk's loop test: a move shrinks (dims; m)
+                steps, n = _walk(dims, m)
+                end = steps[-1]
+            c2 = _classify_endpoint(end, m, n)
             if check == "equivalence":
                 ok = c1 is c2
             elif check == "monotone":
                 ok = _CLASS_ORDER.index(_closed_form(m + 1, r + p, gm, dl + p)) >= _CLASS_ORDER.index(c1)
             else:  # castling
                 ok = _castling_ok(dims, m, r, dl, gm, c1)
-            # No field needs csv quoting: dims is digits joined by "x", m, R,
-            # Delta and g_max are ints, the classes are three fixed words and
-            # agree is True or False, so none holds a comma, quote or line break.
-            rows.append(f"{name},{m},{r},{dl},{gm},{c1._value_},{c2._value_},{ok}\r\n")
+            rows.append(f"{name}{m},{r},{dl}{gm_field}{c1._value_},{c2._value_},{ok}\r\n")
             failures += not ok
             r, dl = r + p, dl + p
     return "".join(rows), failures

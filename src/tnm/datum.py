@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -122,6 +122,7 @@ def _gcd_step(counts: dict[int, int], v: int) -> dict[int, int]:
     multiplicity (-1)^(|S|+1) summed over the subsets S; adding v contributes
     the subset {v} with sign +1, and every earlier subset S joined with v,
     with gcd(gcd(S), v) and the opposite sign.  `counts` is not changed.
+    `_last_entry_invariants` sums the same identity without building the map.
     """
     new = counts.copy()
     new[v] = new.get(v, 0) + 1
@@ -180,18 +181,32 @@ def _g_max(dims: Sequence[int]) -> int:
 def _last_entry_invariants(prefix: tuple[int, ...], lo: int, hi: int, m: int):
     """(dims, prod(d_i), R, Delta, g_max) at m of each dims = prefix + (v,), lo <= v <= hi.
 
-    The prefix's subset-gcd map, product, sum of (d_i^2 - 1) and g_max are
-    computed once, and each v extends them: one `_gcd_step` gives
-    Z(d_1^2, ..., d_k^2), and the pairs new to g_max are those with v.
+    The prefix's subset-gcd map (built by `_gcd_step`), Z_0 = sum of c * g^2
+    over it, product, sum of (d_i^2 - 1) and g_max are computed once.  Each v
+    then costs one gcd per distinct prefix gcd: by `_gcd_step`'s identity,
+    extending the map by v adds {v: +1} and {gcd(g, v): -c} for each (g, c),
+    so Z(d_1^2, ..., d_k^2) = Z_0 + v^2 - sum of c * gcd(g, v)^2, and the
+    pairs new to g_max are those with v.
     """
     counts: dict[int, int] = {}
     for d in prefix:
         counts = _gcd_step(counts, d)
+    items = tuple(counts.items())
+    z0 = sum(c * g * g for g, c in items)
     p0, excess0, gm0 = math.prod(prefix), sum(d * d - 1 for d in prefix), _g_max(prefix)
     for v in range(lo, hi + 1):
+        # plain loops: the prefix has few entries and few subset gcds, so a
+        # generator or map per shape would cost more than the gcds themselves
+        z = z0 + v * v
+        for g, c in items:
+            h = math.gcd(g, v)
+            z -= c * h * h
+        gm = gm0
+        for d in prefix:
+            h = math.gcd(d, v)
+            if h > gm:
+                gm = h
         p = p0 * v
-        z = sum(c * g * g for g, c in _gcd_step(counts, v).items())
-        gm = max(gm0, *map(math.gcd, prefix, repeat(v))) if prefix else gm0
         yield prefix + (v,), p, m * p - z, m * p - 1 - excess0 - (v * v - 1), gm
 
 

@@ -18,6 +18,7 @@ import tnm
 from oracles import scan_csv_reference, scan_shapes
 from reference_ops import STRAY_FLAG_CASES, USAGE_CASES
 from tnm import SampleSet, cli
+from tnm.castling import _walk
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
 
@@ -251,6 +252,30 @@ def test_scan_csv_matches_reference(tmp_path, check, grid, size, monkeypatch, ca
             assert cli.main(["scan", *flags, "--out", str(out), "--threads", threads]) == 0
             assert capsys.readouterr().out == summary
             assert out.read_bytes() == expected
+
+
+def test_scan_walks_only_rows_with_a_castling_move(monkeypatch):
+    """`_scan_task` calls `_walk` on exactly the rows whose walk takes a
+    step, and classifies every other row as its own endpoint.  The grids of
+    `test_scan_csv_matches_reference` hold 57 rows with walks of 2-6 steps,
+    so both sides of the guard are covered there."""
+    walked = []
+
+    def recording_walk(dims, m):
+        walked.append((dims, m))
+        return _walk(dims, m)
+
+    monkeypatch.setattr(cli, "_walk", recording_walk)
+    rows = []
+    for grid in ((3, 7, 3), (4, 6, 3)):
+        for task in cli._scan_tasks(*grid, "equivalence"):
+            prefix, lo, hi, m0, m1, _ = task
+            rows += [(prefix + (v,), m) for v in range(lo, hi + 1) for m in range(m0, m1)]
+            cli._scan_task(task)
+    assert len(rows) == 252 + 378
+    steps = [len(_walk(dims, m)[0]) for dims, m in walked]
+    assert walked == [row for row in rows if len(_walk(*row)[0]) > 1]
+    assert len(walked) == 57 and set(steps) == {2, 3, 4, 5, 6}
 
 
 @pytest.mark.parametrize("check", ["equivalence", "monotone", "castling"])

@@ -26,6 +26,7 @@ from tnm import (
     thresholds,
 )
 from tnm.castling import _walk
+from tnm.datum import _last_entry_invariants
 
 # small entries make shared gcds likely, big ones exercise exact arithmetic
 dimension = st.one_of(st.integers(1, 12), st.integers(2, 10**40))
@@ -125,3 +126,23 @@ def test_tuple_walk_is_the_castle_step_chain(d):
     assert n == end.m * math.prod(end.dims[:-1])
     assert reduce_to_minimal(d).steps == tuple(chain)
     assert classify_recursive(d) is chain_class(d) is classify_closed_form(d)
+
+
+@SETTINGS
+@given(
+    st.lists(st.one_of(st.integers(1, 12), st.integers(2, 10**12)), max_size=MAX_FACTORS - 1),
+    st.integers(1, 12),
+    st.integers(0, 12),
+    sample_count,
+)
+def test_last_entry_invariants_match_datum(prefix, first, run, m):
+    """Each shape of a scan task, prefix + (v,) for a run of v from the
+    prefix's last entry (from `first` for the empty prefix), has the
+    product, R, Delta and g_max of its Datum."""
+    prefix = tuple(sorted(prefix))
+    lo = prefix[-1] if prefix else first
+    rows = list(_last_entry_invariants(prefix, lo, lo + run, m))
+    assert [dims for dims, *_ in rows] == [prefix + (v,) for v in range(lo, lo + run + 1)]
+    for dims, p, r, dl, gm in rows:
+        d = Datum(dims, m)
+        assert (p, r, dl, gm) == (math.prod(dims), big_r(d), delta(d), g_max(d))

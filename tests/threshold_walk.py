@@ -4,10 +4,13 @@ A shape is a sorted tuple of k entries (k from 2 to `max_k`), each in
 2..`max_entry`, with prod(d_i) <= `max_prod`.  Its data are the m >= 1 in
 {mlt_b - 1, mlt_b, mlt_u - 1, mlt_u} with m * prod(d_i) <= `max_mn`.
 `verify_datum` fits each datum, and its hard clauses must agree with the
-exact profile.  `thresholds` reports mlt_e = mlt_b by the paper's corollary
-(almost sure boundedness already gives almost sure existence), so the walk
-checks that corollary through the fits: at mlt_b - 1 no maximizer may be
-found, and at mlt_b one must be.
+exact profile.  Where the profile predicts a maximizer that is not unique,
+at least one trial must also witness it (two restarts ending apart), so
+mlt_u is checked from both sides: from mlt_u on the restarts must agree,
+below it they must not always agree.  `thresholds` reports mlt_e = mlt_b
+by the paper's corollary (almost sure boundedness already gives almost
+sure existence), so the walk checks that corollary through the fits: at
+mlt_b - 1 no maximizer may be found, and at mlt_b one must be.
 
 The tier-1 suite walks a small grid (`tests/test_acceptance.py`, criterion
 10).  The defaults here are the wide walk, too slow for tier-1; run it
@@ -55,10 +58,12 @@ def walk(max_k: int, max_entry: int, max_prod: int, max_mn: int, trials: int):
         for m in threshold_samples(rep, math.prod(dims), max_mn):
             n_data += 1
             ver = verify_datum(Datum(dims, m), trials=trials, restarts=4, seed=0, threads=1)
-            if not ver.hard_clauses_agree:
+            # the witness fraction is None unless non-uniqueness is predicted
+            if not ver.hard_clauses_agree or ver.nonuniqueness_witness_fraction == 0:
                 failures.append(
                     f"{dims} m={m}: bounded_agrees={ver.bounded_agrees} "
-                    f"exists_agrees={ver.exists_agrees} unique_agrees={ver.unique_agrees}"
+                    f"exists_agrees={ver.exists_agrees} unique_agrees={ver.unique_agrees} "
+                    f"nonuniqueness_witness_fraction={ver.nonuniqueness_witness_fraction}"
                 )
     return n_shapes, n_data, failures
 
