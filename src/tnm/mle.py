@@ -286,12 +286,15 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # the flip-flop kernel (private)
 #
-# Every factor is a stack of shape (R, d, d): R factor sets (restarts)
-# updated together against one data tensor.  Each operation acts on every
-# slice of a stack on its own, so a restart's arithmetic does not depend on
-# which other restarts share its stack; the public functions are the R = 1
-# case.  No kernel function changes how many restarts a stack holds: they
-# report per-restart masks, and only _solve retires restarts.
+# Every factor is held as a root T, Psi = T^T T, in a stack of shape
+# (R, d, d): R factor sets (restarts) updated together against one data
+# tensor.  Psi itself is formed only where the kernel hands a factor to a
+# public type, and roots are taken only where it receives one (_roots).
+# Each operation acts on every slice of a stack on its own, so a restart's
+# arithmetic does not depend on which other restarts share its stack; the
+# public functions are the R = 1 case.  No kernel function changes how many
+# restarts a stack holds: they report per-restart masks, and only _solve
+# retires restarts.
 
 
 class _Unfoldings:
@@ -350,7 +353,7 @@ def _mode_product(a: np.ndarray, x: np.ndarray, pre: int, d: int, post: int,
 
 
 def _applied(data: _Unfoldings, mats, j: int) -> np.ndarray:
-    """(prod_{i != j} Psi_i) applied to the samples in block j's layout, (R or 1, M, d_j),
+    """(prod_{i != j} T_i) applied to the samples in block j's layout, (R or 1, M, d_j),
     written into data's scratch buffers, alternately."""
     rows = data.rows[j]
     w = rows[None]
@@ -360,42 +363,39 @@ def _applied(data: _Unfoldings, mats, j: int) -> np.ndarray:
 
 
 def _statistic(data: _Unfoldings, mats, j: int) -> np.ndarray:
-    """Symmetrized S_j = sum_s M_s^(j) (prod_{i != j} Psi_i) M_s^(j)^T, (R, d_j, d_j)."""
-    s = data.rows[j].T @ _applied(data, mats, j)
+    """S_j = sum_s M_s^(j) (prod_{i != j} Psi_i) M_s^(j)^T, (R, d_j, d_j): the
+    Gram W^T W of the samples W with every other root applied."""
+    w = _applied(data, mats, j)
+    s = w.transpose(0, 2, 1) @ w
     if len(s) != len(mats[j]):  # a single block: S does not depend on the factors
         s = np.repeat(s, len(mats[j]), axis=0)
-    s += s.transpose(0, 2, 1)
-    s *= 0.5
     return s
-
-
-def _logdet_chol(a: np.ndarray) -> np.ndarray:
-    return 2.0 * np.log(np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)).sum(axis=1)
 
 
 def _loglik(data: _Unfoldings, mats) -> np.ndarray:
     """Log-likelihood of every restart, evaluated explicitly; the quadratic
-    term is tr(Psi_j S_j), taken at the smallest block j."""
+    term is tr(T_j S_j T_j^T), taken at the smallest block j, and
+    log det Psi_i = 2 log |det T_i|."""
     j = data.dims.index(min(data.dims))
-    quad = (data.rows[j].T @ _applied(data, mats, j)) * mats[j]
-    logdet = sum((data.n // a.shape[-1]) * _logdet_chol(a) for a in mats)
-    return 0.5 * data.m * logdet - 0.5 * quad.reshape(len(quad), -1).sum(axis=1)
+    quad = np.einsum("rij,rij->r", mats[j] @ _statistic(data, mats, j), mats[j])
+    logdet = sum((data.n // a.shape[-1]) * np.linalg.slogdet(a)[1] for a in mats)
+    return data.m * logdet - 0.5 * quad
 
 
 def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
-    """Set block j of every restart to its maximizer c_j S_j^{-1}, with
-    c_j = m*n/d_j, in place.
+    """Set block j of every restart to a root of its maximizer c_j S_j^{-1},
+    with c_j = m*n/d_j, in place.
 
     Returns (lost, cond, ridged, logdet, norm), one entry per restart:
     whether its statistic had no usable scale (non-finite or vanishing), the
     new factor's condition number or a bound on it (see _cholesky_route),
     whether the step ridged, log det of the new factor, and with `moment`
-    the _block_norm at the factor the update replaces (None without).  A
-    lost restart has all its factors set to I, the replaced one too, so the
-    sweep stays finite; the caller retires it.  A numerically singular
-    statistic certifies an unbounded ascent direction, and its restart takes
-    a ridge-regularized surrogate step whose huge condition number trips the
-    divergence detector.
+    the moment-map norm ||T_j S_j T_j^T / c_j - I||_F at the root T_j the
+    update replaces (None without).  A lost restart has all its roots set
+    to I, the replaced one too, so the sweep stays finite; the caller
+    retires it.  A numerically singular statistic certifies an unbounded
+    ascent direction, and its restart takes a ridge-regularized surrogate
+    step whose huge condition number trips the divergence detector.
 
     Blocks with d_j >= _CHOLESKY_MIN_DIM factor S_j = L L^T.  Every other
     restart takes the eigendecomposition (_eigh_route): one whose S_j has no
@@ -409,20 +409,19 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     if not math.isfinite(s.sum()):
         s[~np.isfinite(s).all(axis=(1, 2))] = 0.0  # lost, like a vanishing one
     scale = data.m * data.n // data.dims[j]
-    new, lost, cond, ridged, logdet, f, w = _maximizer(s, scale)
+    norm = _moment_norm(mats[j] @ s @ mats[j].transpose(0, 2, 1), scale) if moment else None
+    new, lost, cond, ridged, logdet = _maximizer(s, scale)
     if np.count_nonzero(lost):
         for a in mats:
             a[lost] = np.eye(a.shape[-1])
-    norm = _block_norm(mats[j], f, w, scale) if moment else None
     mats[j] = new
     return lost, cond, ridged, logdet, norm
 
 
 def _maximizer(s: np.ndarray, scale: int):
-    """(new, lost, cond, ridged, logdet, f, w) for the stack of statistics s
-    (consumed), routed as _update_block describes.  The new factor is
-    c (f diag(w) f^T)^{-1}, or c (f f^T)^{-1} where w is None: the statistic
-    as the route factored it, ridged or lost rows replaced."""
+    """(new, lost, cond, ridged, logdet) for the stack of statistics s
+    (consumed), routed as _update_block describes; new holds the roots of
+    the new factors."""
     if s.shape[-1] < _CHOLESKY_MIN_DIM or scale < s.shape[-1]:  # small or of low rank
         return _eigh_route(s, scale)
     rows, out = _cholesky_route(s, scale)
@@ -430,9 +429,7 @@ def _maximizer(s: np.ndarray, scale: int):
         return _eigh_route(s, scale)
     if len(rows) < len(s):
         rest = np.setdiff1d(np.arange(len(s)), rows)
-        ones = np.ones((len(rows), s.shape[-1]))  # L = L diag(1)
-        out = [_scatter(rows, ones if a is None else a, rest, b)
-               for a, b in zip(out, _eigh_route(s[rest], scale))]
+        out = [_scatter(rows, a, rest, b) for a, b in zip(out, _eigh_route(s[rest], scale))]
     return out
 
 
@@ -447,8 +444,9 @@ def _eigh_route(s: np.ndarray, scale: int):
     """The block update of _update_block for every row of the stack s, from
     one batched eigh, S = V diag(w) V^T; s is consumed.
 
-    Returns (new, lost, cond, ridged, logdet, V, w).  A lost row's new
-    factor is I, with V = I and w = c; a ridged row's w is the ridged one.
+    Returns (new, lost, cond, ridged, logdet), new holding the roots
+    diag(sqrt(c / w)) V^T.  A lost row's new root is I (V = I, w = c); a
+    ridged row's w is the ridged one.
     """
     w, v = np.linalg.eigh(s)
     lost = w[:, -1] <= 0.0
@@ -460,9 +458,8 @@ def _eigh_route(s: np.ndarray, scale: int):
     if np.count_nonzero(ridged):
         w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     logdet = d * math.log(scale) - np.log(w).sum(axis=1)
-    u = v * np.sqrt(scale / w)[:, None, :]
-    new = np.matmul(u, u.transpose(0, 2, 1), out=s)  # S's buffer takes the new factor
-    return new, lost, w[:, -1] / w[:, 0], ridged, logdet, v, w
+    new = np.multiply(v.transpose(0, 2, 1), np.sqrt(scale / w)[:, :, None], out=s)  # S's buffer
+    return new, lost, w[:, -1] / w[:, 0], ridged, logdet
 
 
 def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,32 +482,33 @@ def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cholesky_route(s: np.ndarray, scale: int):
     """The block update of _update_block through S = L L^T, for the rows of
     the stack s it can take: (rows, out), the positions taken and for them
-    (new, lost, cond, ridged, logdet, L, None) as _maximizer returns them
-    (None if no row has a Cholesky factor).
+    (new, lost, cond, ridged, logdet) as _maximizer returns them (None if
+    no row has a Cholesky factor).
 
-    The new factor is c L^{-T} L^{-1}, with L^{-1} from _tri_inv.  In place
-    of the condition number the route reports the bound ||S||_F ||S^{-1}||_F,
-    which is at least the condition number of S and of the new factor.  A
-    row is taken only if it has a Cholesky factor and a bound below 0.5 /
-    DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds CONDITION_LIMIT.
+    The new root is sqrt(c) L^{-1}, with L^{-1} from _tri_inv.  In place of
+    the condition number the route reports the bound ||S||_F ||L^{-1}||_F^2
+    = ||S||_F tr(S^{-1}), which is at least ||S||_F ||S^{-1}||_F and so the
+    condition number of S and of the new factor, and at most sqrt(d) times
+    that.  A row is taken only if it has a Cholesky factor and a bound below
+    0.5 / DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds
+    CONDITION_LIMIT.
     """
     rows, low = _cholesky_rows(s)
     if not len(rows):
         return rows, None
     if len(rows) < len(s):
         s = s[rows]
-    inv = _tri_inv(low)
-    new = inv.transpose(0, 2, 1) @ inv  # S^{-1}
-    cond = np.sqrt(np.einsum("rij,rij->r", s, s) * np.einsum("rij,rij->r", new, new))
-    new *= scale
+    new = _tri_inv(low)
+    cond = np.sqrt(np.einsum("rij,rij->r", s, s)) * np.einsum("rij,rij->r", new, new)
+    new *= math.sqrt(scale)
     diag = np.diagonal(low, axis1=1, axis2=2)
     logdet = s.shape[-1] * math.log(scale) - 2.0 * np.log(diag).sum(axis=1)
     lost, ridged = np.zeros((2, len(rows)), dtype=bool)
-    out = [new, lost, cond, ridged, logdet, low]
+    out = [new, lost, cond, ridged, logdet]
     keep = cond < 0.5 / DEGENERATE_EIG_RTOL
     if not keep.all():
         rows, out = rows[keep], [x[keep] for x in out]
-    return rows, [*out, None]
+    return rows, out
 
 
 def _tri_inv(low: np.ndarray) -> np.ndarray:
@@ -561,16 +559,6 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
     return lost, cond, ridged, logdets, norm
 
 
-def _block_norm(psi: np.ndarray, f: np.ndarray, w, scale: int) -> np.ndarray:
-    """The moment-map norm ||R^T psi R / c - I||_F per restart at the factors
-    psi, from the root R = f, or f diag(w^(1/2)) if w is given, of their
-    statistic S (see _maximizer).  R^T psi R has the spectrum of B^T S B for
-    any root psi = B B^T, so this is the norm of the moment map."""
-    if w is not None:
-        f = f * np.sqrt(w)[:, None, :]
-    return _moment_norm(f.transpose(0, 2, 1) @ psi @ f, scale)
-
-
 def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
     """||x / scale - I||_F per restart for a stack x of whitened statistics,
     which is overwritten by x - scale I."""
@@ -579,11 +567,13 @@ def _moment_norm(x: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _gauge_fix(mats) -> list[np.ndarray]:
-    """Gauge-fixed copies of the stacks: det(Psi_i) = 1 for i >= 2."""
+    """Gauge-fixed copies of the stacks of factors Psi_i (not roots):
+    det(Psi_i) = 1 for i >= 2."""
     out = [np.array(a) for a in mats]
     carry = 1.0
     for a in out[1:]:
-        c = np.exp(_logdet_chol(a) / a.shape[-1])
+        logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)).sum(axis=1)
+        c = np.exp(logdet / a.shape[-1])
         a /= c[:, None, None]
         carry = carry * c
     out[0] *= np.reshape(carry, (-1, 1, 1))
@@ -593,23 +583,23 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Newton steps, for refinement and the fit's slow tail (private)
 #
-# For any root Psi_i = B_i B_i^T the whitened samples
-# Z = (B_1^T (x) ... (x) B_k^T) Y have block Grams S~_i = B_i^T S_i B_i.
-# On the log-factors H_i of Psi_i = B_i exp(H_i) B_i^T the negative
+# For the roots T_i of the stack, Psi_i = T_i^T T_i, the whitened samples
+# Z = (T_1 (x) ... (x) T_k) Y have block Grams S~_i = T_i S_i T_i^T.
+# On the log-factors H_i of Psi_i = T_i^T exp(H_i) T_i the negative
 # log-likelihood has, at H = 0, gradient g_i = (S~_i - c_i I) / 2 with
 # c_i = m*n/d_i, and Hessian
 #   (A V)_i = (V_i S~_i + S~_i V_i) / 4 + (1/2) sum_{j != i} sym(Gram_i(Z, V_j x_j Z)).
 # The moment map S~_i / c_i - I is gauge-invariant; it vanishes exactly at a
-# maximizer.  A sweep reads its norm off the factorization of S_i that a
-# block update forms anyway (_block_norm); a Newton step takes the Cholesky
-# root of the factors it is handed.  The gauge directions (c_i I with
-# sum c_i = 0) lie in the kernel of A, and so, at a maximizer that is not
-# unique, do the directions along the maximizer set.
+# maximizer.  A sweep forms S~_i from S_i and the root its block update
+# replaces (_update_block); a Newton step from the Grams of Z.  Any root
+# serves, so both use the roots as the stack holds them.  The gauge
+# directions (c_i I with sum c_i = 0) lie in the kernel of A, and so, at a
+# maximizer that is not unique, do the directions along the maximizer set.
 
 
 def _whiten(data: _Unfoldings, roots) -> np.ndarray:
-    """Z = (B_1^T (x) ... (x) B_k^T) Y in the sample layout, (R, m*n/d_k, d_k)."""
-    return _applied(data, [b.transpose(0, 2, 1) for b in roots], len(data.dims) - 1) @ roots[-1]
+    """Z = (T_1 (x) ... (x) T_k) Y in the sample layout, (R, m*n/d_k, d_k)."""
+    return _applied(data, roots, len(data.dims) - 1) @ roots[-1].transpose(0, 2, 1)
 
 
 def _per_block(data: _Unfoldings, z: np.ndarray) -> list[np.ndarray]:
@@ -620,13 +610,7 @@ def _per_block(data: _Unfoldings, z: np.ndarray) -> list[np.ndarray]:
 
 
 def _grams(zs) -> list[np.ndarray]:
-    out = []
-    for z in zs:
-        s = z.transpose(0, 2, 1) @ z
-        s += s.transpose(0, 2, 1)
-        s *= 0.5
-        out.append(s)
-    return out
+    return [z.transpose(0, 2, 1) @ z for z in zs]
 
 
 def _dot(a, b, tmp) -> np.ndarray:
@@ -697,23 +681,22 @@ def _newton(data: _Unfoldings, mats: list):
 
     Returns (norm, stepped): the moment-map norm max_i ||S~_i / c_i - I||_F
     at the current point, and which restarts took a step.  Restarts whose
-    norm is already below _MOMENT_TOL take none.  With B_i the Cholesky
-    root of Psi_i, the step is Psi_i <- B_i exp(t V_i) B_i^T with V from
-    _newton_direction, t at most 1 and at most 1 / ||V||_F (a trust radius
-    in log space), halved until the log-likelihood rises.  In the
-    eigenbasis V_i = U_i diag(lambda_i) U_i^T the gain is exact and cheap to
-    evaluate for every t:
+    norm is already below _MOMENT_TOL take none.  The step is
+    Psi_i <- T_i^T exp(t V_i) T_i with V from _newton_direction, t at most 1
+    and at most 1 / ||V||_F (a trust radius in log space), halved until the
+    log-likelihood rises.  In the eigenbasis V_i = U_i diag(lambda_i) U_i^T
+    the gain is exact and cheap to evaluate for every t:
       l(t) - l(0) = (t/2) sum_i c_i tr V_i - (1/2) sum_e P_e expm1(t Lambda_e),
-    with P the squared samples (B_i U_i)^T Y summed over samples and Lambda
+    with P the squared samples (U_i^T T_i) Y summed over samples and Lambda
     the outer sum of the lambda_i.  A restart that finds no rise in
-    _MAX_HALVINGS halvings takes no step.  The stepped restarts' factors are
-    written into `mats`; the others are left as they are, and all are when a
-    root or a direction cannot be formed (LinAlgError).
+    _MAX_HALVINGS halvings takes no step.  The stepped restarts' new roots
+    exp(t Lambda_i / 2) U_i^T T_i are written into `mats`; the others are
+    left as they are, and all are when a direction cannot be formed
+    (LinAlgError).
     """
     r, dims = len(mats[0]), data.dims
     scales = [data.m * data.n // d for d in dims]
-    roots = [np.linalg.cholesky(a) for a in mats]
-    zs = _per_block(data, _whiten(data, roots))
+    zs = _per_block(data, _whiten(data, mats))
     grams = _grams(zs)
     res = [s.copy() for s in grams]
     norm = np.zeros(r)
@@ -723,6 +706,7 @@ def _newton(data: _Unfoldings, mats: list):
     go = np.flatnonzero(norm >= _MOMENT_TOL)
     if not len(go):
         return norm, stepped
+    roots = mats
     if len(go) < r:
         zs, grams, res, roots = ([a[go] for a in x] for x in (zs, grams, res, roots))
     for g in res:
@@ -730,7 +714,7 @@ def _newton(data: _Unfoldings, mats: list):
     vs = _newton_direction(data, zs, grams, res)
     del zs, grams, res  # the line search whitens the samples once more
     lam, vecs = zip(*(np.linalg.eigh(v) for v in vs))
-    rot = [b @ u for b, u in zip(roots, vecs)]
+    rot = [u.transpose(0, 2, 1) @ b for b, u in zip(roots, vecs)]
     z = _whiten(data, rot).reshape(len(go), data.m, data.n)
     power = np.einsum("rsn,rsn->rn", z, z)
     grid = np.zeros((len(go), 1))
@@ -746,8 +730,7 @@ def _newton(data: _Unfoldings, mats: list):
             break
         t[~ok] *= 0.5
     for a, u, w in zip(mats, rot, lam):
-        b = u[ok] * np.exp(0.5 * t[ok, None] * w[ok])[:, None, :]
-        a[go[ok]] = b @ b.transpose(0, 2, 1)
+        a[go[ok]] = u[ok] * np.exp(0.5 * t[ok, None] * w[ok])[:, :, None]
     stepped[go[ok]] = True
     return norm, stepped
 
@@ -765,10 +748,12 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     A restart's state is plain Python: its phase (fit, refine or done), its
     Newton flag, a count (a fit's Newton steps, a refinement's iterations),
     its log-likelihood history and, once it refines, its last moment-map
-    norm.  The stack holds the factors of the restarts not yet done, one row
+    norm.  The stack holds the roots of the restarts not yet done, one row
     each (`rows` names the restart in each row); each iteration hands _newton
     and _sweep the rows that take a step or a sweep, then applies each
-    restart's rules to what the calls return for it.
+    restart's rules to what the calls return for it.  The factors
+    Psi_i = T_i^T T_i are formed only when a restart's fit or refinement
+    ends.
 
     A fitting restart sweeps until its contraction stalls (from sweep 3 on,
     a sweep gains more than _STALL_RATIO of the gain before it); from then
@@ -781,12 +766,13 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     history.  When its fit stops, the FitReport is recorded.  The
     likelihood-change rule can halt while slowly contracting directions
     still carry a few 1e-6 of error, so a converged restart stays in the
-    stack and refines: each iteration is a sweep, which reads the norm off
-    its block updates (_update_block), while sweeps at least halve the norm,
-    and after the first that does not (_NEWTON_SWITCH) a Newton step, or a
-    sweep where that finds no rise.  A refining restart whose statistic
-    loses its scale ends where its fit ended; one still above the stop after
-    _REFINE_MAX_ITER iterations keeps its last iterate, with one warning.
+    stack and refines: each iteration is a sweep, whose block updates
+    return the norm at the roots they replace (_update_block), while sweeps
+    at least halve the norm, and after the first that does not
+    (_NEWTON_SWITCH) a Newton step, or a sweep where that finds no rise.  A
+    refining restart whose statistic loses its scale ends where its fit
+    ended; one still above the stop after _REFINE_MAX_ITER iterations keeps
+    its last iterate, with one warning.
 
     Both phases share each _sweep and _newton call; a restart that is done
     leaves the stack, which shrinks, at the start of the next iteration.  A
@@ -794,10 +780,10 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     taking neither, until every restart is due one or a fitting restart
     takes one too; waiting changes no restart's arithmetic.  A step that
     cannot be formed (LinAlgError) is not taken, and restarts that shared
-    the failed call try one by one.  The entries of `mats` are consumed.
-    Returns (reports, refined, iterations), one entry per restart: its
-    FitReport, its gauge-fixed refined factors (None unless it refined) and
-    its refinement iterations.
+    the failed call try one by one.  The entries of `mats`, stacks of roots,
+    are consumed.  Returns (reports, refined, iterations), one entry per
+    restart: its FitReport, its gauge-fixed refined factors Psi_i (None
+    unless it refined) and its refinement iterations.
     """
     FIT, REFINE, DONE = range(3)
     r = len(mats[0])
@@ -810,13 +796,13 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
     def end_fit(p, status):
         i = rows[p]
         kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
-        factors = KroneckerPrecision(tuple(a[p].copy() for a in mats)) if kept else None
+        factors = KroneckerPrecision(tuple(a[p].T @ a[p] for a in mats)) if kept else None
         reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), counts[i])
         phase[i] = REFINE if status is FitStatus.CONVERGED and refine else DONE
         newton[i], counts[i] = False, 0
 
     def end_refine(p, factors=None):
-        phase[rows[p]], refined[rows[p]] = DONE, factors or [a[p] for a in mats]
+        phase[rows[p]], refined[rows[p]] = DONE, factors or [a[p].T @ a[p] for a in mats]
 
     while True:
         if it >= max_iter:
@@ -979,9 +965,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
+def _roots(mats) -> list[np.ndarray]:
+    """The kernel's form of the factor stacks mats: their roots T = L^T,
+    from the Cholesky factorizations Psi = L L^T."""
+    return [np.linalg.cholesky(a, upper=True) for a in mats]
+
+
 def _stack(factors: KroneckerPrecision) -> list[np.ndarray]:
-    """The factors as stacks of one restart, (1, d_i, d_i)."""
-    return [np.array(f, order="C")[None] for f in factors.factors]
+    """The roots of the factors as stacks of one restart, (1, d_i, d_i)."""
+    return _roots([f[None] for f in factors.factors])
 
 
 def log_likelihood(samples: SampleSet, factors: KroneckerPrecision) -> float:
@@ -995,7 +987,7 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
 
     M_s^(i) is the mode-i unfolding of sample s: rows indexed by a_i,
     columns by the remaining indices in their original row-major order.
-    The result is symmetrized.  i is 1-based.
+    The result is computed as a Gram, so it is symmetric.  i is 1-based.
     """
     _check_compatible(samples, factors)
     if not 1 <= i <= samples.k:
@@ -1018,7 +1010,7 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     lost, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
     if lost[0] or ridged[0]:
         raise DegenerateStatistic(f"block {i} statistic is numerically singular")
-    return KroneckerPrecision(tuple(a[0] for a in mats))
+    return KroneckerPrecision(tuple(a[0].T @ a[0] for a in mats))
 
 
 def fit_mle(
@@ -1056,7 +1048,7 @@ def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
     into Psi_1.  The Kronecker product, and hence the likelihood, is
     unchanged; the result is a canonical representative of the scaling
     orbit.  Idempotent; a single factor is returned as is."""
-    return KroneckerPrecision(tuple(a[0] for a in _gauge_fix(_stack(factors))))
+    return KroneckerPrecision(tuple(a[0] for a in _gauge_fix([f[None] for f in factors.factors])))
 
 
 # ---------------------------------------------------------------------------
@@ -1173,8 +1165,8 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             fits, refined, polish_sweeps = _solve(
-                _Unfoldings(samples.tensors()), _restart_inits(samples.dims, restarts, seed), tol,
-                DEFAULT_MAX_SWEEPS, refine=True)
+                _Unfoldings(samples.tensors()), _roots(_restart_inits(samples.dims, restarts, seed)),
+                tol, DEFAULT_MAX_SWEEPS, refine=True)
             ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
             spread = 0.0
             if len(ls) >= 2:

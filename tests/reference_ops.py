@@ -4,6 +4,10 @@ to the command line can be shown to leave their output byte-identical.
 Each op runs in process through `tnm.cli.main`; one line per op gives its
 argv and the SHA-256 of its exit code (or `SystemExit` code), stdout and
 stderr (warnings included), and for `scan` of the CSV it wrote as well.
+A `verify` line ends in a second SHA-256, of the same three with every
+float in its JSON replaced by null: where a change moves only float
+digits, the first digest differs and the second does not, so statuses,
+counts, verdicts, exit codes and warnings can be compared op by op.
 The ops, in order:
 
 - `verify`: every datum of the benchmark's `verify_panel` and
@@ -36,10 +40,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
 import tempfile
+from typing import Optional
 
 from threshold_walk import shapes, threshold_samples
 from tnm import cli, thresholds
@@ -108,7 +114,9 @@ def ops():
     yield from USAGE_CASES
 
 
-def digest(argv: list[str]) -> str:
+def run(argv: list[str]) -> tuple[str, str, str, Optional[bytes]]:
+    """(exit code, stdout, stderr, the CSV for `scan`, else None) of one op,
+    in process."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, CSV)
@@ -117,11 +125,41 @@ def digest(argv: list[str]) -> str:
                 code = cli.main([path if a == CSV else a for a in argv])
             except SystemExit as exc:  # argparse's help and usage errors
                 code = f"SystemExit({exc.code})"
-        payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
+        csv = None
         if CSV in argv:
             with open(path, "rb") as fh:
-                payload += b"\0" + fh.read()
+                csv = fh.read()
+    return str(code), out.getvalue(), err.getvalue(), csv
+
+
+def sha(code: str, out: str, err: str, csv: Optional[bytes] = None) -> str:
+    payload = f"{code}\0{out}\0{err}".encode()
+    if csv is not None:
+        payload += b"\0" + csv
     return hashlib.sha256(payload).hexdigest()
+
+
+def without_floats(doc):
+    """The JSON value doc with every float replaced by None."""
+    if isinstance(doc, float):
+        return None
+    if isinstance(doc, list):
+        return [without_floats(x) for x in doc]
+    if isinstance(doc, dict):
+        return {k: without_floats(v) for k, v in doc.items()}
+    return doc
+
+
+def digest(argv: list[str]) -> str:
+    code, out, err, csv = run(argv)
+    line = sha(code, out, err, csv)
+    if argv[:1] == ["verify"]:
+        try:
+            out = json.dumps(without_floats(json.loads(out)))
+        except ValueError:  # no JSON document: the op failed before writing one
+            pass
+        line += " " + sha(code, out, err)
+    return line
 
 
 def main() -> int:
