@@ -374,10 +374,10 @@ def _statistic(data: _Unfoldings, mats, j: int) -> np.ndarray:
 
 def _loglik(data: _Unfoldings, mats) -> np.ndarray:
     """Log-likelihood of every restart, evaluated explicitly; the quadratic
-    term is tr(T_j S_j T_j^T), taken at the smallest block j, and
+    term is ||Z||_F^2 for the whitened samples Z (_whiten), and
     log det Psi_i = 2 log |det T_i|."""
-    j = data.dims.index(min(data.dims))
-    quad = np.einsum("rij,rij->r", mats[j] @ _statistic(data, mats, j), mats[j])
+    z = _whiten(data, mats)
+    quad = np.square(z, out=z).sum(axis=(1, 2))  # einsum's sum would depend on R
     logdet = sum((data.n // a.shape[-1]) * np.linalg.slogdet(a)[1] for a in mats)
     return data.m * logdet - 0.5 * quad
 
@@ -968,7 +968,7 @@ def _check_tol(tol: float) -> None:
 def _roots(mats) -> list[np.ndarray]:
     """The kernel's form of the factor stacks mats: their roots T = L^T,
     from the Cholesky factorizations Psi = L L^T."""
-    return [np.linalg.cholesky(a, upper=True) for a in mats]
+    return [np.ascontiguousarray(np.linalg.cholesky(a).swapaxes(-1, -2)) for a in mats]
 
 
 def _stack(factors: KroneckerPrecision) -> list[np.ndarray]:

@@ -1105,6 +1105,24 @@ def test_refinement_reaches_its_stop_on_ill_conditioned_data(caplog, seed):
     assert not [r for r in caplog.records if r.name == "tnm.mle"]
 
 
+def test_solver_takes_roots_with_the_numpy_1_cholesky(monkeypatch):
+    # the declared floor is numpy 1.24, whose cholesky takes the matrix alone
+    # (its `upper` keyword came in numpy 2.0); every public solver path runs
+    # with such a cholesky, and a root T is upper triangular with T^T T = Psi
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky(a))
+    p = random_precision((3, 4), seed=1)
+    for (t,), f in zip(_roots([f[None] for f in p.factors]), p.factors):
+        assert np.array_equal(t, np.triu(t))
+        assert np.linalg.norm(t.T @ t - f) <= 1e-13 * np.linalg.norm(f)
+    s = sample_standard((3, 4), 2, seed=3)
+    log_likelihood(s, p)
+    mode_statistic(s, p, 1)
+    flip_flop_step(s, p, 2)
+    assert fit_mle(s, p).status is FitStatus.CONVERGED
+    assert verify_datum(Datum((3, 4), 2), trials=1, restarts=2, seed=0, threads=1).trials[0].all_converged
+
+
 def test_verify_samples_smoke():
     s = sample_standard((3, 3), 3, seed=2)
     rep = verify_samples(s, restarts=3, seed=0)
