@@ -17,11 +17,9 @@ and the dimension of the invariant-theoretic quotient for generic data.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .castling import CastlingTrace, _partner, _trace, _walk
 from .datum import (
@@ -35,6 +33,9 @@ from .datum import (
     z_quantity,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "StabilityClass",
     "MleProfile",
@@ -47,8 +48,6 @@ __all__ = [
     "git_dimension",
     "explain",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class StabilityClass(Enum):
@@ -278,7 +277,9 @@ def explain(datum: Datum) -> ClassificationReport:
     recursive = _classify_endpoint(steps[-1], datum.m, n)
     agree = closed is recursive
     if not agree:
-        log.warning(
+        import logging  # loaded only for this warning, which no correct input reaches
+
+        logging.getLogger(__name__).warning(
             "classifier disagreement on %s: closed form says %s, recursion says %s",
             datum, closed.value, recursive.value,
         )

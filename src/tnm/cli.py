@@ -11,7 +11,10 @@ verify     fit simulated (or supplied) data and compare with the prediction
 Exit codes: 0 success / checks agree, 1 a check or clause failed, 2 bad
 flags, I/O trouble, a malformed input file or a request too large to
 simulate, 3 numerical failure unrelated to the prediction.  Only simulate
-and verify load the solver (tnm.mle), and numpy with it.
+and verify load the solver (tnm.mle), and numpy and json with it.
+classify loads fractions for the factor indices, classify and threshold
+load json only for --format json, and logging loads only when a warning is
+logged; scan loads none of the three.
 Exact integers are printed as decimal strings in JSON so they survive
 parsers that truncate to 53-bit floats.  All output is deterministic for
 a given flag set; the environment variable TNM_SEED supplies a default
@@ -21,7 +24,6 @@ seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -75,6 +77,15 @@ def _default_seed() -> int:
 
 def _dims_str(dims) -> str:
     return "x".join(str(d) for d in dims)
+
+
+def _print_json(doc) -> None:
+    """Print `doc` as indented JSON with no NaN or infinity (`_json_doc`
+    writes those as null).  Only classify, threshold and verify write JSON,
+    so json loads here and never for scan."""
+    import json
+
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _json_doc(value):
@@ -133,7 +144,7 @@ def cmd_classify(args) -> int:
     datum = Datum(_parse_dims(args.dims), args.samples)
     rep = explain(datum)
     if args.format == "json":
-        print(json.dumps(_report_doc(rep), indent=2))
+        _print_json(_report_doc(rep))
     else:
         gd = "empty" if rep.git_dimension is None else str(rep.git_dimension)
         trace = " -> ".join(str(d) for d in rep.trace.steps)
@@ -167,7 +178,7 @@ def cmd_threshold(args) -> int:
     if args.format == "json":
         doc = {"dims": list(dims)}
         doc.update(_threshold_doc(rep))
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         _print_kv([
             ("dims", _dims_str(dims)),
@@ -325,7 +336,7 @@ def cmd_verify(args) -> int:
             threads=args.threads,
         )
     if args.format == "json":
-        print(json.dumps(_json_doc(rep), indent=2, allow_nan=False))
+        _print_json(_json_doc(rep))
     else:
         n_trials = len(rep.trials)
         n_all_conv = sum(t.all_converged for t in rep.trials)

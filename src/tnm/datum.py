@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:  # annotations only: `_index` loads fractions
+    from fractions import Fraction
 
 __all__ = [
     "MAX_FACTORS",
@@ -56,15 +58,22 @@ class Datum:
 
     dims : tuple of ints, each >= 1, at most MAX_FACTORS of them
     m    : sample count, >= 1
+
+    Each value is taken only when it is integral (int(v) == v); any other
+    raises InvalidDatum rather than being truncated.
     """
 
     dims: tuple[int, ...]
     m: int = 1
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims, m = tuple(map(_as_int, self.dims)), _as_int(self.m)
+        if None in dims:
+            raise InvalidDatum(f"dimensions must be integers, got {self.dims!r}")
+        if m is None:
+            raise InvalidDatum(f"sample count must be an integer, got {self.m!r}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
         if len(dims) == 0:
             raise InvalidDatum("need at least one dimension")
         if len(dims) > MAX_FACTORS:
@@ -85,6 +94,16 @@ class Datum:
 
     def __str__(self) -> str:
         return "({}; {})".format(",".join(str(d) for d in self.dims), self.m)
+
+
+def _as_int(v) -> int | None:
+    """int(v) when v is integral (int(v) == v: an int, a numpy integer, 3.0),
+    else None (2.7, '3', NaN, inf): a count is never silently truncated."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == v else None
 
 
 def normalize(datum: Datum) -> Datum:
@@ -243,4 +262,8 @@ def index_of_factor(datum: Datum, i: int) -> Fraction:
 
 def _index(m: int, p: int, d: int) -> Fraction:
     """The index m * p / (2 * d^2) of a factor of dimension d, p = prod(d_i)."""
-    return Fraction(m * p, 2 * d * d)
+    # Loaded here: threshold, scan, simulate and verify build no index.  Once
+    # loaded, a plain import costs about 0.1 us a call, a `from` import 1.7 us.
+    import fractions
+
+    return fractions.Fraction(m * p, 2 * d * d)

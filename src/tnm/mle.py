@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -39,7 +38,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .classify import MleProfile, mle_profile
-from .datum import Datum
+from .datum import Datum, _as_int
 from .pool import _pool_map
 
 __all__ = [
@@ -92,8 +91,9 @@ _CG_RTOL = 1e-2               # relative residual at which a Newton direction is
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
 _CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block); eigh /
-                              # Cholesky route on 4-restart stacks, us: 36 / 37 at d = 4, 56 / 47
-                              # at 8, 146 / 71 at 16, 2008 / 430 at 64 (2-vCPU Xeon, 1 BLAS thread)
+                              # Cholesky route on 4-restart stacks, us, best of 5: 34 / 38 at d = 4,
+                              # 44 / 40 at 6, 53 / 40 at 8, 177 / 64 at 16, 1637 / 287 at 64 (2-vCPU
+                              # Xeon, 1 BLAS thread; the routes cross near d = 5-6)
 _TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-restart inverse, us,
                               # base 8 / base 16 / inv of the whole: 161 / 181 / 459 at d = 64,
                               # 57 / 56 / 52 at d = 16 (same machine)
@@ -103,8 +103,6 @@ _MAX_STACK_ENTRIES = 1 << 27  # most entries restarts * (m * prod(d_i) + sum d_i
                               # The two scratch buffers of _Unfoldings add up to 2 * restarts * m *
                               # prod(d_i) entries to a trial's peak: a (2,16,128;1) trial peaks at
                               # 1.99 MB under tracemalloc, 1.73 MB without them
-
-log = logging.getLogger(__name__)
 
 
 class NotPositiveDefinite(ValueError):
@@ -132,7 +130,8 @@ class SampleSet:
     """m real sample tensors of shape d_1 x ... x d_k, stored flat.
 
     The flat layout is sample-major, then row-major over the tensor indices
-    (the last index a_k varies fastest).  All entries must be finite.
+    (the last index a_k varies fastest).  All entries must be finite, and
+    each dimension and the sample count integral (int(v) == v).
     """
 
     dims: tuple[int, ...]
@@ -140,13 +139,17 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims, m = tuple(map(_as_int, self.dims)), _as_int(self.m)
+        if None in dims:
+            raise ShapeMismatch(f"dimensions must be integers, got {self.dims!r}")
+        if m is None:
+            raise ShapeMismatch(f"sample count must be an integer, got {self.m!r}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
         if not dims or any(d < 1 for d in dims):
             raise ShapeMismatch(f"dimensions must be >= 1, got {dims}")
-        if self.m < 1:
-            raise ShapeMismatch(f"sample count must be >= 1, got {self.m}")
+        if m < 1:
+            raise ShapeMismatch(f"sample count must be >= 1, got {m}")
         data = np.asarray(self.data, dtype=float).ravel()
         expected = self.m * math.prod(dims)
         if data.size != expected:
@@ -879,7 +882,9 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
                 end_refine(p)
     conv = [i for i, f in enumerate(refined) if f is not None]
     if capped:
-        log.warning(
+        import logging  # loaded only when a warning is logged
+
+        logging.getLogger(__name__).warning(
             "refinement stopped at its %d-iteration cap on %d of %d restarts (dims %s, m = %d) "
             "before the moment-map norm fell below %g; the factor spreads come from "
             "unfinished iterates",

@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the code paths it checks: fractions are
 enumerated one by one, thresholds found by linear search against the
-recursive classifier, the castling walk taken one castle_step at a time,
-each scan row computed from its own datum through the public invariants,
-likelihood quantities recomputed from the dense n x n Kronecker matrix, and
-flip-flop run one restart at a time with the log-likelihood evaluated
-explicitly after every iteration, and its refinement run one restart at a
-time with every mode product a tensordot.  Slow but unarguable.
+recursive classifier, stability read off the rank, mod a prime, of the Lie
+algebra action at random tensors, the castling walk taken one castle_step
+at a time, each scan row computed from its own datum through the public
+invariants, likelihood quantities recomputed from the dense n x n Kronecker
+matrix, and flip-flop run one restart at a time with the log-likelihood
+evaluated explicitly after every iteration, and its refinement run one
+restart at a time with every mode product a tensordot.  Slow but
+unarguable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import combinations, combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -123,6 +126,64 @@ def chain_class(datum) -> StabilityClass:
         m == 2 and len(dims) == 2 and dims[0] == dims[1]
     )
     return StabilityClass.POLYSTABLE_NOT_STABLE if exceptional else StabilityClass.STABLE
+
+
+STABILIZER_PRIME = 2**31 - 1
+
+
+def generic_stabilizer_dimension(dims, m: int, seed: int = 0) -> int:
+    """Dimension of the stabilizer in sl(d_1) + ... + sl(d_k) of m seeded
+    random integer tensors of shape dims: sum(d_i^2 - 1) minus the rank, mod
+    STABILIZER_PRIME, of the Lie algebra action X -> (X acting on each
+    tensor).  A random point is generic with high probability (Schwartz-
+    Zippel), so this is the generic stabilizer dimension.
+
+    The third classifier route, sharing no code with tnm: a datum that is
+    not unstable is stable exactly when this is 0.  A basis element of
+    sl(d_i) is E_ab (a != b) or E_aa - E_(a+1)(a+1); E_ab along mode i maps
+    a tensor T to the tensor holding, at every index J with J_i = a, the
+    entry of T at J with J_i = b, and 0 elsewhere.
+    """
+    p = STABILIZER_PRIME
+    rng = random.Random(seed)
+    cells = list(product(*(range(d) for d in dims)))  # row-major order
+    where = {c: j for j, c in enumerate(cells)}
+    n = len(cells)
+    tensors = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    rows = []
+    for axis, d in enumerate(dims):
+        basis = [{(a, b): 1} for a in range(d) for b in range(d) if a != b]
+        basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(d - 1)]
+        for x in basis:
+            row = [0] * (m * n)
+            for (a, b), e in x.items():
+                for j, c in enumerate(cells):
+                    if c[axis] == a:
+                        src = where[c[:axis] + (b,) + c[axis + 1:]]
+                        for s, t in enumerate(tensors):
+                            row[s * n + j] = (row[s * n + j] + e * t[src]) % p
+            rows.append(row)
+    return len(rows) - _rank_mod(rows, p)
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank of the integer matrix `rows` over the integers mod the prime p,
+    by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def scan_row_reference(dims, m: int, check: str) -> tuple:

@@ -5,6 +5,8 @@ import math
 import random
 from itertools import combinations_with_replacement
 
+import tnm.classify
+import tnm.cli
 import tnm.datum
 
 from tnm import (
@@ -26,7 +28,7 @@ from tnm import (
     z_quantity,
 )
 
-from oracles import grid, min_m_bounded_search, min_m_unique_search
+from oracles import generic_stabilizer_dimension, grid, min_m_bounded_search, min_m_unique_search, scan_shapes
 
 UNSTABLE = StabilityClass.UNSTABLE
 POLY = StabilityClass.POLYSTABLE_NOT_STABLE
@@ -183,6 +185,24 @@ def test_git_castling_invariant():
             assert git_dimension(castle_step(d)) == git_dimension(d), d
 
 
+def test_stable_exactly_when_generic_stabilizer_is_finite():
+    # A third route that shares no code with tnm: the stabilizer in
+    # sl(d_1) + ... + sl(d_k) of random tensors, by exact rank mod a prime.
+    # Generic orbits of data that are not unstable are closed, so the
+    # quotient has dimension dim P(V) - dim G + dim stabilizer = Delta + dim.
+    seen = {STABLE: 0, POLY: 0}
+    for dims in scan_shapes(3, 5):
+        for m in range(1, 5):
+            d = Datum(dims, m)
+            if m * d.product() > 120 or big_r(d) < 0:
+                continue
+            dim = generic_stabilizer_dimension(dims, m)
+            assert (dim == 0) == (classify_closed_form(d) is STABLE), d
+            assert dim == git_dimension(d) - delta(d), d
+            seen[classify_closed_form(d)] += 1
+    assert seen == {STABLE: 76, POLY: 17}
+
+
 # ---------------------------------------------------------------------------
 # the dossier
 
@@ -215,6 +235,22 @@ def test_explain_agrees_everywhere_sampled(caplog):
             assert rep.classifiers_agree
             assert rep.class_closed_form is rep.class_recursive
     assert not caplog.records
+
+
+def test_classifier_disagreement_is_logged_not_raised(monkeypatch, caplog, capsys):
+    # no correct input reaches this path, so a wrong endpoint class forces it
+    monkeypatch.setattr(tnm.classify, "_classify_endpoint", lambda dims, m, n: POLY)
+    d = Datum((3, 3), 3)
+    with caplog.at_level(logging.WARNING, logger="tnm.classify"):
+        rep = explain(d)
+    assert not rep.classifiers_agree
+    assert rep.class_closed_form is STABLE and rep.class_recursive is POLY
+    records = [r for r in caplog.records if r.name == "tnm.classify"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    msg = records[0].getMessage()
+    assert str(d) in msg and "closed form says stable" in msg and "recursion says polystable_not_stable" in msg
+    assert tnm.cli.main(["classify", "--dims", "3,3", "--samples", "3"]) == 0
+    assert '"classifiers_agree": false' in capsys.readouterr().out
 
 
 def _deep(rng, k, m, moves):

@@ -368,6 +368,31 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def test_exact_commands_load_only_what_they_use(tmp_path):
+    # logging, fractions and json load only on the paths that use them; the
+    # snapshot comes first because site's .pth hooks load modules of their own
+    calls = [
+        ["threshold", "--dims", "2,3,5", "--format", "text"],
+        ["scan", "--max-k", "2", "--max-dim", "5", "--max-m", "2",
+         "--out", str(tmp_path / "s.csv"), "--threads", "1"],
+    ]
+    classify = ["classify", "--dims", "3,3", "--samples", "2", "--format", "text"]
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "def new(*names): return [n for n in names if n in sys.modules and n not in before]\n"
+            "import tnm.cli\n"
+            "tnm.cli.build_parser()\n"
+            "loaded = [new('logging', 'fractions', 'json')]\n"
+            f"codes = [tnm.cli.main(argv) for argv in {calls!r}]\n"
+            "loaded.append(new('logging', 'fractions', 'json'))\n"
+            f"codes.append(tnm.cli.main({classify!r}))\n"
+            "loaded.append(new('logging'))\n"
+            "print(codes, loaded)\n")
+    res = python("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [[], [], []]"
+
+
 EXACT_NAMES = [
     "MAX_FACTORS", "Datum", "EmptyInput", "InvalidDatum", "TrivialFactor", "big_r", "delta",
     "g_max", "index_of_factor", "normalize", "z_quantity",

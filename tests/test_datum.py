@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from tnm import (
@@ -41,6 +42,22 @@ def test_datum_validation():
     with pytest.raises(InvalidDatum):
         Datum((2,) * 17, 1)
     assert Datum((2,) * 16, 1).k == 16
+
+
+@pytest.mark.parametrize("dims, m", [
+    ((2.7, 3), 1), ((2, 3), 1.9), (("3", "4"), 2), ((2,), "2"),
+    ((math.nan, 2), 1), ((2,), math.nan), ((math.inf,), 1), ((2,), math.inf),
+])
+def test_datum_rejects_non_integral_input(dims, m):
+    # int() would truncate 2.7 to 2 and read '3' as 3: a different datum
+    with pytest.raises(InvalidDatum, match="integer"):
+        Datum(dims, m)
+
+
+def test_datum_accepts_integral_values():
+    d = Datum((np.int64(3), 3.0), np.int64(2))
+    assert d == Datum((3, 3), 2)
+    assert all(type(v) is int for v in (*d.dims, d.m))
 
 
 def test_normalize_examples():

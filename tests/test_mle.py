@@ -110,6 +110,21 @@ def test_sampleset_validation():
         SampleSet((2,), 1, np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("dims, m", [
+    ((2.5, 2), 1), ((2, 2), 1.5), (("2", "2"), 1), ((2, 2), "1"),
+    ((math.nan, 2), 1), ((2, 2), math.nan), ((math.inf, 2), 1), ((2, 2), math.inf),
+])
+def test_sampleset_rejects_non_integral_shape(dims, m):
+    with pytest.raises(ShapeMismatch, match="integer"):
+        SampleSet(dims, m, np.zeros(4))
+
+
+def test_sampleset_accepts_integral_shape():
+    s = SampleSet((np.int64(2), 2.0), np.int64(1), np.zeros(4))
+    assert s.dims == (2, 2) and s.m == 1
+    assert all(type(v) is int for v in (*s.dims, s.m))
+
+
 def test_sampleset_json_round_trip(tmp_path):
     s = sample_standard((2, 3), 4, seed=11)
     path = tmp_path / "samples.json"
