@@ -18,12 +18,15 @@ logged; scan loads none of the three.
 Exact integers are printed as decimal strings in JSON so they survive
 parsers that truncate to 53-bit floats.  All output is deterministic for
 a given flag set; the environment variable TNM_SEED supplies a default
-seed when --seed is omitted.
+seed when --seed is omitted.  Each command's parser, with --threads'
+default, is built once per process, so a library caller that runs main
+many times pays argparse's set-up once per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -366,7 +369,7 @@ def cmd_verify(args) -> int:
 
 # command: help, handler and the (flag, add_argument keywords) of each
 # argument; --threads takes its default, os.cpu_count() or 1, when the parser
-# is built
+# is built, which is once per process
 _COMMANDS = {
     "classify": ("full dossier for one datum", cmd_classify, (
         ("--dims", {"required": True, "help": "comma-separated dimensions, e.g. 2,3,3"}),
@@ -405,12 +408,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The tnm parser: every subcommand with its arguments, or only
     `command`'s subparser when `command` names one.  A call parses one
     command, and each subparser costs argparse a parser of its own.  Help and
     usage errors read the same either way: the usage line of a top-level
-    error ("unrecognized arguments") still lists all five commands."""
+    error ("unrecognized arguments") still lists all five commands.
+
+    Each parser is built once per process and then reused: parsing leaves a
+    parser unchanged (argparse makes a fresh namespace per parse and reads
+    COLUMNS whenever it formats help or usage).  Every caller gets the same
+    parser object, so a caller that changes it changes what main parses;
+    `build_parser.cache_clear()` drops the built parsers."""
     parser = argparse.ArgumentParser(
         prog="tnm",
         description="Classify tensor normal models and verify the classification numerically.",
@@ -436,7 +446,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # a known command gets its own subparser only; `tnm --help` and a bad or
-    # missing command get them all
+    # missing command get them all; each is built on its first use
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):

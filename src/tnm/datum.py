@@ -234,9 +234,13 @@ def z_quantity(values: Iterable[int]) -> int:
 
     Computed by inclusion-exclusion over subset gcds:
     Z = sum over nonempty subsets S of (-1)^(|S|+1) * gcd(S).
-    Satisfies R(d; m) = m * prod(d_i) - Z(d_1^2, ..., d_k^2).
+    Satisfies R(d; m) = m * prod(d_i) - Z(d_1^2, ..., d_k^2).  Each value
+    is taken only when it is integral, as in Datum.
     """
-    vals = tuple(int(v) for v in values)
+    values = tuple(values)
+    vals = tuple(map(_as_int, values))
+    if None in vals:
+        raise InvalidDatum(f"values must be integers, got {values!r}")
     if not vals:
         raise EmptyInput("z_quantity needs at least one value")
     if len(vals) > MAX_FACTORS:

@@ -125,6 +125,30 @@ class DeskScaleExceeded(ValueError):
 # data containers
 
 
+def _shape(dims: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
+    """dims and m as ints, each taken only when integral (int(v) == v) and
+    >= 1; anything else raises ShapeMismatch rather than being truncated."""
+    dims_int, m_int = tuple(map(_as_int, dims)), _as_int(m)
+    if None in dims_int:
+        raise ShapeMismatch(f"dimensions must be integers, got {dims!r}")
+    if m_int is None:
+        raise ShapeMismatch(f"sample count must be an integer, got {m!r}")
+    if not dims_int or any(d < 1 for d in dims_int):
+        raise ShapeMismatch(f"dimensions must be >= 1, got {dims_int}")
+    if m_int < 1:
+        raise ShapeMismatch(f"sample count must be >= 1, got {m_int}")
+    return dims_int, m_int
+
+
+def _count(name: str, v: int) -> int:
+    """v as an int, taken only when integral (2.0 is 2); anything else
+    (2.5, '2') raises ValueError rather than failing later inside range."""
+    n = _as_int(v)
+    if n is None:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """m real sample tensors of shape d_1 x ... x d_k, stored flat.
@@ -139,17 +163,9 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        dims, m = tuple(map(_as_int, self.dims)), _as_int(self.m)
-        if None in dims:
-            raise ShapeMismatch(f"dimensions must be integers, got {self.dims!r}")
-        if m is None:
-            raise ShapeMismatch(f"sample count must be an integer, got {self.m!r}")
+        dims, m = _shape(self.dims, self.m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "m", m)
-        if not dims or any(d < 1 for d in dims):
-            raise ShapeMismatch(f"dimensions must be >= 1, got {dims}")
-        if m < 1:
-            raise ShapeMismatch(f"sample count must be >= 1, got {m}")
         data = np.asarray(self.data, dtype=float).ravel()
         expected = self.m * math.prod(dims)
         if data.size != expected:
@@ -926,10 +942,11 @@ def _check_restarts(dims: Sequence[int], m: int, restarts: int, tol: float) -> N
 def sample_standard(dims: Sequence[int], m: int, seed=0) -> SampleSet:
     """m tensors with i.i.d. standard normal entries from a seeded generator.
 
-    Identical (dims, m, seed) always produce identical output.  More than
-    2^24 entries in all raise DeskScaleExceeded.
+    Identical (dims, m, seed) always produce identical output.  A shape
+    SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
+    in all DeskScaleExceeded, both before anything is drawn.
     """
-    dims = tuple(int(d) for d in dims)
+    dims, m = _shape(dims, m)
     _check_draw(dims, m)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(m * math.prod(dims))
@@ -940,10 +957,11 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
     """m samples whose covariance is the inverse of the Kronecker concentration.
 
     Draws standard normal tensors and applies L_i^{-T} along each mode,
-    where Psi_i = L_i L_i^T is the Cholesky factorization.  More than 2^24
-    entries in all raise DeskScaleExceeded.
+    where Psi_i = L_i L_i^T is the Cholesky factorization.  A sample count
+    SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
+    in all DeskScaleExceeded, both before anything is drawn.
     """
-    dims = factors.dims
+    dims, m = _shape(factors.dims, m)
     _check_draw(dims, m)
     z = np.random.default_rng(seed).standard_normal((1, m, *dims))
     pre, n = m, math.prod(dims)
@@ -1240,13 +1258,14 @@ def verify_datum(
     Each trial draws a fresh data set, fits it as fit_mle does from
     `restarts` random positive definite initializations (Psi_i = A_i^T A_i
     + 0.01 I with A_i standard normal, all seeded deterministically from
-    `seed`) and refines the converged fits.  Requires trials >= 1,
-    restarts >= 2, a finite tol > 0, prod(d_i) <= 4096, m * prod(d_i) <=
-    2^24 and restarts * (m * prod(d_i) + sum d_i^2) <= 2^27; larger models
-    raise DeskScaleExceeded before anything is drawn.  Trials run in at
+    `seed`) and refines the converged fits.  Requires integral trials >= 1
+    and restarts >= 2 (2.0 is 2), a finite tol > 0, prod(d_i) <= 4096,
+    m * prod(d_i) <= 2^24 and restarts * (m * prod(d_i) + sum d_i^2) <=
+    2^27; larger models raise DeskScaleExceeded before anything is drawn.  Trials run in at
     most `threads` worker processes, capped by CPUs and trials; results do
     not depend on it.
     """
+    trials, restarts = _count("trials", trials), _count("restarts", restarts)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if datum.product() > DESK_SCALE_LIMIT:
@@ -1266,6 +1285,7 @@ def verify_samples(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Like verify_datum, but for one externally supplied data set."""
+    restarts = _count("restarts", restarts)
     _check_restarts(samples.dims, samples.m, restarts, tol)
     datum = Datum(samples.dims, samples.m)
     trial = _run_trial(samples, restarts, (seed, 202, 0), tol)

@@ -501,20 +501,22 @@ def test_cli_flags_are_pinned():
         assert subparser_flags(cli.build_parser(command)) == {command: [HELP, *rows]}
 
 
+def outcome(argv):
+    """In-process `cli.main(argv)`: how it ended, its stdout and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ("return", cli.main(list(argv)))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_usage_output_does_not_depend_on_parser_build(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
 
     def outcomes():
-        seen = []
-        for argv in USAGE_CASES:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = ("return", cli.main(list(argv)))
-                except SystemExit as exc:
-                    code = ("exit", exc.code)
-            seen.append((argv, code, out.getvalue(), err.getvalue()))
-        return seen
+        return [(argv, *outcome(argv)) for argv in USAGE_CASES]
 
     per_command = outcomes()
     full = cli.build_parser
@@ -535,8 +537,10 @@ def test_stray_flag_usage_lists_every_command(argv, monkeypatch, capsys):
 
 
 def test_parsers_built_per_call(monkeypatch, capsys):
-    """A named command builds the top-level parser and its own subparser, and
-    `tnm --help` builds all five subparsers: a count, not a timing."""
+    """A named command's first call builds the top-level parser and its own
+    subparser, `tnm --help`'s first call builds all five subparsers, and a
+    second call builds none: a count, not a timing."""
+    cli.build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -548,10 +552,46 @@ def test_parsers_built_per_call(monkeypatch, capsys):
     assert cli.main(["threshold", "--dims", "2,3"]) == 0
     assert built == ["tnm", "tnm threshold"]
     built.clear()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
-    assert built == ["tnm", "tnm classify", "tnm threshold", "tnm scan", "tnm simulate", "tnm verify"]
+    assert cli.main(["threshold", "--dims", "2,3"]) == 0
+    assert built == []
+    for expected in (["tnm", "tnm classify", "tnm threshold", "tnm scan", "tnm simulate", "tnm verify"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert built == expected
+        built.clear()
+
+
+# one call per path through main: a result on stdout, JSON from the solver,
+# a usage error from a subparser, a stray flag and help from the top level
+CACHE_CASES = [
+    ["classify", "--dims", "3,7,11,40", "--samples", "2"],
+    ["threshold", "--dims", "2,3,5", "--format", "text"],
+    ["verify", "--dims", "3,3", "--samples", "3", "--trials", "1", "--threads", "1", "--format", "json"],
+    ["verify", "--dims", "3,3", "--trials", "x"],
+    ["threshold", "--dims", "2,3", "--bogus"],
+    ["--help"],
+]
+
+
+def test_reused_parsers_print_what_fresh_ones_print(monkeypatch):
+    # each call in one process, through parsers built once, against the
+    # same call through parsers built for it alone; the width changes
+    # between the rounds, so a parser that kept one would print it
+    fresh = {}
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in CACHE_CASES:
+            cli.build_parser.cache_clear()
+            fresh[columns, tuple(argv)] = outcome(argv)
+    assert fresh["80", ("--help",)] != fresh["120", ("--help",)]
+    cli.build_parser.cache_clear()
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in CACHE_CASES:
+            assert outcome(argv) == fresh[columns, tuple(argv)], (columns, argv)
+    assert [fresh["80", tuple(argv)][0] for argv in CACHE_CASES] == [
+        ("return", 0), ("return", 0), ("return", 0), ("exit", 2), ("exit", 2), ("exit", 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ def test_datum_rejects_non_integral_input(dims, m):
         Datum(dims, m)
 
 
+@pytest.mark.parametrize("values", [[4.7, 9], ["4", 9], [4, math.nan], [math.inf, 9]])
+def test_z_quantity_rejects_non_integral_input(values):
+    # int() would read [4.7, 9] and ['4', 9] as [4, 9], whose Z is 12
+    with pytest.raises(InvalidDatum, match="integer"):
+        z_quantity(values)
+
+
+def test_z_quantity_accepts_integral_values():
+    assert z_quantity([4.0, 9]) == z_quantity([np.int64(4), 9]) == z_quantity([4, 9]) == 12
+
+
 def test_datum_accepts_integral_values():
     d = Datum((np.int64(3), 3.0), np.int64(2))
     assert d == Datum((3, 3), 2)

@@ -125,6 +125,45 @@ def test_sampleset_accepts_integral_shape():
     assert all(type(v) is int for v in (*s.dims, s.m))
 
 
+@pytest.mark.parametrize("dims, m", [
+    ((2.5, 2), 1), ((2, 2), 1.5), (("2", "2"), 1), ((2, 2), "1"),
+    ((math.nan, 2), 1), ((2, 2), math.nan), ((math.inf, 2), 1), ((2, 2), math.inf),
+])
+def test_sampling_rejects_non_integral_shape(dims, m, monkeypatch):
+    # refused as SampleSet refuses it, before a generator is made: int()
+    # would draw a (2, 2) set for (2.5, 2), and numpy fails on m = 1.5
+    def no_draw(*args, **kwargs):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(tnm.mle.np.random, "default_rng", no_draw)
+    with pytest.raises(ShapeMismatch, match="integer"):
+        sample_standard(dims, m)
+    if all(isinstance(d, int) for d in dims):
+        with pytest.raises(ShapeMismatch, match="integer"):
+            sample_from_model(KroneckerPrecision.identity(dims), m)
+
+
+def test_sampling_accepts_integral_shape():
+    a = sample_standard((np.int64(2), 3.0), 2.0, seed=5)
+    b = sample_standard((2, 3), 2, seed=5)
+    assert a.dims == (2, 3) and a.m == 2 and np.array_equal(a.data, b.data)
+    c = sample_from_model(KroneckerPrecision.identity((2, 3)), np.int64(2), seed=5)
+    assert c.m == 2 and np.array_equal(c.data, b.data)
+
+
+def test_verify_counts_must_be_integral():
+    # trials and restarts count like shapes: 2.0 is 2, and 2.5 is refused
+    # before anything is drawn, not left to fail inside range
+    datum, samples = Datum((2, 2), 1), sample_standard((2, 2), 2, seed=3)
+    assert verify_datum(datum, trials=2.0, restarts=2.0) == verify_datum(datum, trials=2, restarts=2)
+    assert verify_samples(samples, restarts=2.0) == verify_samples(samples, restarts=2)
+    for kwargs in ({"trials": 2.5}, {"restarts": 2.5}, {"trials": "2"}, {"restarts": math.nan}):
+        with pytest.raises(ValueError, match="integer"):
+            verify_datum(datum, **kwargs)
+    with pytest.raises(ValueError, match="integer"):
+        verify_samples(samples, restarts=2.5)
+
+
 def test_sampleset_json_round_trip(tmp_path):
     s = sample_standard((2, 3), 4, seed=11)
     path = tmp_path / "samples.json"
