@@ -18,9 +18,9 @@ logged; scan loads none of the three.
 Exact integers are printed as decimal strings in JSON so they survive
 parsers that truncate to 53-bit floats.  All output is deterministic for
 a given flag set; the environment variable TNM_SEED supplies a default
-seed when --seed is omitted.  Each command's parser, with --threads'
-default, is built once per process, so a library caller that runs main
-many times pays argparse's set-up once per command.
+seed when --seed is omitted.  One parser, with every command, is built
+once per process and reused, so a library caller that runs main many
+times pays argparse's set-up once.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ def cmd_classify(args) -> int:
 
 def cmd_threshold(args) -> int:
     dims = _parse_dims(args.dims)
-    Datum(dims, 1)  # validate
-    rep = thresholds(dims)
+    rep = thresholds(dims)  # validates dims as Datum(dims, 1)
     if args.format == "json":
         doc = {"dims": list(dims)}
         doc.update(_threshold_doc(rep))
@@ -367,9 +366,9 @@ def cmd_verify(args) -> int:
 # parser
 
 
-# command: help, handler and the (flag, add_argument keywords) of each
-# argument; --threads takes its default, os.cpu_count() or 1, when the parser
-# is built, which is once per process
+_THREADS = os.cpu_count() or 1  # --threads' default, read at import
+
+# command: help, handler and the (flag, add_argument keywords) of each argument
 _COMMANDS = {
     "classify": ("full dossier for one datum", cmd_classify, (
         ("--dims", {"required": True, "help": "comma-separated dimensions, e.g. 2,3,3"}),
@@ -386,7 +385,7 @@ _COMMANDS = {
         ("--max-m", {"type": int, "required": True}),
         ("--check", {"choices": SCAN_CHECKS, "default": "equivalence"}),
         ("--out", {"required": True, "help": "CSV file to write"}),
-        ("--threads", {"type": int}),
+        ("--threads", {"type": int, "default": _THREADS}),
     )),
     "simulate": ("write a deterministic sample set", cmd_simulate, (
         ("--dims", {"required": True}),
@@ -402,53 +401,36 @@ _COMMANDS = {
         ("--seed", {"type": int, "default": None}),
         ("--tol", {"type": float, "default": None}),
         ("--data", {"help": "JSON sample set; skips simulation"}),
-        ("--threads", {"type": int}),
+        ("--threads", {"type": int, "default": _THREADS}),
         ("--format", {"choices": ("json", "text"), "default": "text"}),
     )),
 }
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The tnm parser: every subcommand with its arguments, or only
-    `command`'s subparser when `command` names one.  A call parses one
-    command, and each subparser costs argparse a parser of its own.  Help and
-    usage errors read the same either way: the usage line of a top-level
-    error ("unrecognized arguments") still lists all five commands.
+def build_parser() -> argparse.ArgumentParser:
+    """The tnm parser: every subcommand with its arguments.
 
-    Each parser is built once per process and then reused: parsing leaves a
-    parser unchanged (argparse makes a fresh namespace per parse and reads
-    COLUMNS whenever it formats help or usage).  Every caller gets the same
-    parser object, so a caller that changes it changes what main parses;
-    `build_parser.cache_clear()` drops the built parsers."""
+    It is built once per process and then reused: parsing leaves a parser
+    unchanged (argparse makes a fresh namespace per parse and reads COLUMNS
+    whenever it formats help or usage).  Every caller gets the same parser
+    object, so a caller that changes it changes what main parses;
+    `build_parser.cache_clear()` drops it."""
     parser = argparse.ArgumentParser(
         prog="tnm",
         description="Classify tensor normal models and verify the classification numerically.",
     )
-    commands = _COMMANDS if command is None else {command: _COMMANDS[command]}
-    # With one subcommand registered the usage line would list only it, so the
-    # metavar lists all five.  With all five it stays unset: the "invalid
-    # choice" and "arguments are required: command" errors would print it too.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    threads_default = os.cpu_count() or 1
-    for name, (help_text, func, arguments) in commands.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
-            if flag == "--threads":
-                kwargs = {**kwargs, "default": threads_default}
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a known command gets its own subparser only; `tnm --help` and a bad or
-    # missing command get them all; each is built on its first use
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # None: sys.argv[1:]
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE

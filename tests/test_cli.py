@@ -496,9 +496,6 @@ def subparser_flags(parser):
 
 def test_cli_flags_are_pinned():
     assert subparser_flags(cli.build_parser()) == {name: [HELP, *rows] for name, rows in CLI_FLAGS.items()}
-    for command, rows in CLI_FLAGS.items():
-        # only `command` is registered, with its arguments
-        assert subparser_flags(cli.build_parser(command)) == {command: [HELP, *rows]}
 
 
 def outcome(argv):
@@ -512,20 +509,6 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_usage_output_does_not_depend_on_parser_build(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-
-    def outcomes():
-        return [(argv, *outcome(argv)) for argv in USAGE_CASES]
-
-    per_command = outcomes()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert outcomes() == per_command
-    assert len(per_command) == 45
-    assert {code for _, (_, code), _, _ in per_command} == {0, 2}
-
-
 @pytest.mark.parametrize("argv", STRAY_FLAG_CASES, ids=lambda argv: argv[0])
 def test_stray_flag_usage_lists_every_command(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
@@ -537,10 +520,9 @@ def test_stray_flag_usage_lists_every_command(argv, monkeypatch, capsys):
 
 
 def test_parsers_built_per_call(monkeypatch, capsys):
-    """A named command's first call builds the top-level parser and its own
-    subparser, `tnm --help`'s first call builds all five subparsers, and a
-    second call builds none: a count, not a timing."""
-    cli.build_parser.cache_clear()
+    """The first call of a process builds the tnm parser and its five
+    subparsers, whatever it runs, and every later call, --help included,
+    builds none: a count, not a timing."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -549,17 +531,17 @@ def test_parsers_built_per_call(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert cli.main(["threshold", "--dims", "2,3"]) == 0
-    assert built == ["tnm", "tnm threshold"]
-    built.clear()
-    assert cli.main(["threshold", "--dims", "2,3"]) == 0
+    everything = ["tnm", "tnm classify", "tnm threshold", "tnm scan", "tnm simulate", "tnm verify"]
+    for first in (["threshold", "--dims", "2,3"], ["--help"], ["bogus"]):
+        cli.build_parser.cache_clear()
+        for argv, expected in ((first, everything), (["threshold", "--dims", "2,3"], []), (["--help"], [])):
+            with contextlib.suppress(SystemExit):
+                cli.main(argv)
+            assert built == expected, (first, argv)
+            built.clear()
+    cli.build_parser()
     assert built == []
-    for expected in (["tnm", "tnm classify", "tnm threshold", "tnm scan", "tnm simulate", "tnm verify"], []):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--help"])
-        assert exc.value.code == 0
-        assert built == expected
-        built.clear()
+    assert cli.build_parser.cache_info().currsize == 1
 
 
 # one call per path through main: a result on stdout, JSON from the solver,
@@ -575,23 +557,25 @@ CACHE_CASES = [
 
 
 def test_reused_parsers_print_what_fresh_ones_print(monkeypatch):
-    # each call in one process, through parsers built once, against the
-    # same call through parsers built for it alone; the width changes
+    # each call in one process, through a parser built once, against the
+    # same call through a parser built for it alone; the width changes
     # between the rounds, so a parser that kept one would print it
     fresh = {}
     for columns in ("80", "120"):
         monkeypatch.setenv("COLUMNS", columns)
-        for argv in CACHE_CASES:
+        for argv in CACHE_CASES + USAGE_CASES:
             cli.build_parser.cache_clear()
             fresh[columns, tuple(argv)] = outcome(argv)
     assert fresh["80", ("--help",)] != fresh["120", ("--help",)]
     cli.build_parser.cache_clear()
     for columns in ("80", "120"):
         monkeypatch.setenv("COLUMNS", columns)
-        for argv in CACHE_CASES:
+        for argv in CACHE_CASES + USAGE_CASES:
             assert outcome(argv) == fresh[columns, tuple(argv)], (columns, argv)
     assert [fresh["80", tuple(argv)][0] for argv in CACHE_CASES] == [
         ("return", 0), ("return", 0), ("return", 0), ("exit", 2), ("exit", 2), ("exit", 0)]
+    assert len(USAGE_CASES) == 45
+    assert {fresh["80", tuple(argv)][0][1] for argv in USAGE_CASES} == {0, 2}
 
 
 # ---------------------------------------------------------------------------

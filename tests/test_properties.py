@@ -1,6 +1,11 @@
-"""Property tests over random big-integer dimensions, k <= 16."""
+"""Property tests over random big-integer dimensions, k <= 16, and over
+malformed command lines."""
 
+import contextlib
+import io
+import json
 import math
+import re
 
 import pytest
 
@@ -25,6 +30,7 @@ from tnm import (
     normalize,
     thresholds,
 )
+from tnm import cli
 from tnm.castling import _walk
 from tnm.datum import _last_entry_invariants
 
@@ -146,3 +152,106 @@ def test_last_entry_invariants_match_datum(prefix, first, run, m):
     for dims, p, r, dl, gm in rows:
         d = Datum(dims, m)
         assert (p, r, dl, gm) == (math.prod(dims), big_r(d), delta(d), g_max(d))
+
+
+# ---------------------------------------------------------------------------
+# the malformed-input contract of the command line
+
+# values per flag that argparse accepts, a good one first, then more good
+# and bad ones; "{dir}" stands for a directory of the test files below.  No
+# value lets an example start a process or fit more than a few restarts of
+# prod(dims) <= 64: --threads and --trials never exceed 1, --restarts 2, and
+# dims or samples that would be large fail a limit first.  GARBAGE is what
+# argparse itself rejects where a flag takes a number or a choice.
+DIMS = ("2,3", "2", "3,3", "2,2,2", "-2,3", "+2,3", "2,-3", "0,3", "", " ", ",", "2,,3", "2, 3",
+        " 2,3 ", "\uff12,\uff13", ",".join(["2"] * 17), "1" + "0" * 39, "2," + "9" * 40, "2x3", "2.5")
+COUNT = ("3", "1", "2", "0", "-1", "9" * 40, "\uff11")
+BOUND = ("3", "1", "2", "17", "0", "-1", "9" * 40)
+FLAG_VALUES = {
+    "--dims": DIMS,
+    "--samples": COUNT,
+    "--format": ("json", "text"),
+    "--max-k": BOUND,
+    "--max-dim": BOUND,
+    "--max-m": BOUND,
+    "--check": cli.SCAN_CHECKS,
+    "--out": ("{dir}/out", "{dir}/missing/out", "{dir}", "", "{dir}/empty.json/out"),
+    "--threads": ("1", "0", "-1"),
+    "--seed": ("0", "3", "-1", "9" * 40),
+    "--trials": ("1", "0", "-1"),
+    "--restarts": ("1", "2", "0", "-1"),
+    "--tol": ("1e-6", "nan", "inf", "-inf", "0", "-1"),
+    "--data": ("{dir}/good.json", "{dir}/empty.json", "{dir}/binary.json", "{dir}/wrong_shape.json",
+               "{dir}/list.json", "{dir}/missing.json", "{dir}"),
+}
+GARBAGE = ("", "x", "1.5", "bogus")
+TYPED = {flag for _, _, arguments in cli._COMMANDS.values() for flag, kwargs in arguments
+         if "type" in kwargs or "choices" in kwargs}
+STRAY = ("--bogus", "-x", "extra", "--", "--dims", "-h")
+# what scan and verify would otherwise default to: a pool of os.cpu_count()
+# workers and 20 trials
+FORCED = {"scan": ["--threads", "1"], "verify": ["--threads", "1", "--trials", "1"]}
+USAGE_ERROR = re.compile(r"tnm( \w+)?: error: .*")
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "empty.json").write_text("")
+    (d / "binary.json").write_bytes(bytes(range(256)))
+    (d / "list.json").write_text("[]")
+    (d / "wrong_shape.json").write_text(json.dumps({"dims": [2, 3], "m": 2, "data": [1.0, 2.0, 3.0]}))
+    (d / "good.json").write_text(json.dumps({"dims": [2, 3], "m": 2, "data": [float(i % 5) - 2 for i in range(12)]}))
+    return str(d)
+
+
+def flag_value(draw, flag):
+    """Half the time the flag's first value, a good one, so that most
+    examples get past the parser; now and then garbage, where argparse
+    checks the value (so no --out names a file outside the test's directory)."""
+    roll = draw(st.integers(0, 63))
+    if roll == 0 and flag in TYPED:
+        return draw(st.sampled_from(GARBAGE))
+    return FLAG_VALUES[flag][0] if roll < 32 else draw(st.sampled_from(FLAG_VALUES[flag]))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command, or a bad one, then most of its flags with values, and now
+    and then a stray word or another command's flag."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    own = [flag for flag, _ in cli._COMMANDS[command][2]] if command in cli._COMMANDS else []
+    argv = [command, *FORCED.get(command, [])]
+    for flag in own:
+        if draw(st.integers(0, 9)):  # mostly present, so most examples reach the command
+            argv += [flag, flag_value(draw, flag)]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 0, 0, 1, 2)))):
+        token = draw(st.sampled_from(STRAY + tuple(FLAG_VALUES)))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = [token, flag_value(draw, token)] if token in FLAG_VALUES else [token]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+def test_malformed_input_ends_in_a_verdict_or_one_error_line(input_dir, argv):
+    """No argument list raises out of main, every exit code is one of the
+    four, and exit 2 explains itself on stderr in one line, or in argparse's
+    usage block that ends in one error line."""
+    argv = [a.replace("{dir}", input_dir) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: help, or a usage error
+            code = exc.code
+            assert code in (0, 2)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert err.getvalue().endswith("\n"), lines
+        if lines[0].startswith("usage: "):
+            assert USAGE_ERROR.fullmatch(lines[-1]), lines
+            assert not any(USAGE_ERROR.match(line) for line in lines[:-1]), lines
+        else:
+            assert len(lines) == 1, lines
