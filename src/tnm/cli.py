@@ -15,12 +15,17 @@ and verify load the solver (tnm.mle), and numpy and json with it.
 classify loads fractions for the factor indices, classify and threshold
 load json only for --format json, and logging loads only when a warning is
 logged; scan loads none of the three.
-Exact integers are printed as decimal strings in JSON so they survive
-parsers that truncate to 53-bit floats.  All output is deterministic for
-a given flag set; the environment variable TNM_SEED supplies a default
-seed when --seed is omitted.  One parser, with every command, is built
-once per process and reused, so a library caller that runs main many
-times pays argparse's set-up once.
+JSON is written in one walk that converts and formats together (tuples as
+lists, dataclasses as objects, floats that are not finite as null) and
+prints the bytes json.dumps(indent=2) would print for the converted
+document; json loads only for its string escaper.  Exact integers are
+printed as decimal strings in JSON so they survive parsers that truncate
+to 53-bit floats.  All output is deterministic for a given flag set; the
+environment variable TNM_SEED supplies a default seed when --seed is
+omitted.  One parser, with every command, is built once per process and
+reused, so a library caller that runs main many times pays argparse's
+set-up once.  A command's flag takes a value that starts with '-' (such
+as --dims -2,3 or --tol -inf) as its value, not as another flag.
 """
 
 from __future__ import annotations
@@ -83,27 +88,60 @@ def _dims_str(dims) -> str:
 
 
 def _print_json(doc) -> None:
-    """Print `doc` as indented JSON with no NaN or infinity (`_json_doc`
-    writes those as null).  Only classify, threshold and verify write JSON,
-    so json loads here and never for scan."""
-    import json
+    """Print `doc` as indented JSON, with a float that is not finite as null
+    (no NaN or Infinity), a tuple as a list and a dataclass as an object of
+    its fields in order.  `_json_text` converts and formats in one walk and
+    writes the bytes json.dumps(indent=2) would write for the converted
+    document; only classify, threshold and verify write JSON, so json loads
+    here, for its string escaper, and never for scan."""
+    from json.encoder import encode_basestring_ascii
 
-    print(json.dumps(doc, indent=2, allow_nan=False))
+    print(_json_text(doc, encode_basestring_ascii, "\n"))
 
 
-def _json_doc(value):
-    """`value` as JSON data: a tuple as a list, a float that is not finite as
-    None (null), a dataclass as a dict of its fields in order.  Fields come
-    from __dataclass_fields__, which dataclasses.fields filters of ClassVar
-    pseudo-fields (no dataclass written here has one), in a third of the time that fields()
-    and is_dataclass take."""
-    if isinstance(value, tuple):
-        return [_json_doc(v) for v in value]
+def _json_text(value, escape, newline: str) -> str:
+    """`value` as JSON text, nested values indented by two spaces more than
+    `newline`'s.  Exact types take the fast paths; a subclass is tested as
+    json tests it, bool before int.  A container's items are joined once.
+    Dict keys are strings.  Dataclass fields come from __dataclass_fields__,
+    which dataclasses.fields filters of ClassVar pseudo-fields (no dataclass
+    written here has one), in a third of the time that fields() and
+    is_dataclass take.  Any other value raises TypeError, as in json."""
+    t = type(value)
+    if t is str:
+        return escape(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is float:
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if hasattr(value, "__dataclass_fields__"):
-        return {name: _json_doc(getattr(value, name)) for name in value.__dataclass_fields__}
-    return value
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = newline + "  "
+    if isinstance(value, (tuple, list)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, escape, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        pairs = value.items()
+    elif hasattr(value, "__dataclass_fields__"):
+        pairs = [(name, getattr(value, name)) for name in value.__dataclass_fields__]
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not pairs:
+        return "{}"
+    items = [f"{escape(k)}: {_json_text(v, escape, inner)}" for k, v in pairs]
+    return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +159,17 @@ def _threshold_doc(rep) -> dict:
 
 def _report_doc(rep) -> dict:
     return {
-        "datum": _json_doc(rep.datum),
-        "normalized": _json_doc(rep.normalized),
+        "datum": rep.datum,
+        "normalized": rep.normalized,
         "R": str(rep.big_r),
         "Delta": str(rep.delta),
         "g_max": str(rep.g_max),
         "Z": str(rep.z),
         "indices": [str(x) for x in rep.indices],
-        "castling_trace": _json_doc(rep.trace.steps),
+        "castling_trace": rep.trace.steps,
         "class": rep.stability.value,
         "classifiers_agree": rep.classifiers_agree,
-        "mle_profile": _json_doc(rep.profile),
+        "mle_profile": rep.profile,
         "thresholds": _threshold_doc(rep.thresholds),
         "git_dimension": None if rep.git_dimension is None else str(rep.git_dimension),
     }
@@ -178,9 +216,7 @@ def cmd_threshold(args) -> int:
     dims = _parse_dims(args.dims)
     rep = thresholds(dims)  # validates dims as Datum(dims, 1)
     if args.format == "json":
-        doc = {"dims": list(dims)}
-        doc.update(_threshold_doc(rep))
-        _print_json(doc)
+        _print_json({"dims": dims, **_threshold_doc(rep)})
     else:
         _print_kv([
             ("dims", _dims_str(dims)),
@@ -338,7 +374,7 @@ def cmd_verify(args) -> int:
             threads=args.threads,
         )
     if args.format == "json":
-        _print_json(_json_doc(rep))
+        _print_json(rep)
     else:
         n_trials = len(rep.trials)
         n_all_conv = sum(t.all_converged for t in rep.trials)
@@ -429,8 +465,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dash_values_joined(argv: list[str]) -> list[str]:
+    """A command's argv with each `flag value` pair whose value starts with
+    one '-' written `flag=value`.  argparse takes such a value for a flag
+    unless it is a plain negative number, and reports the flag before it as
+    missing its argument: `--dims -2,3` and `--tol -inf` now get the dims
+    or tol message that `--dims=-2,3` gets.  A value that is one of the
+    command's option strings stays a flag, and so does everything after
+    `--`."""
+    flags = {flag for flag, _ in _COMMANDS[argv[0]][2]}
+    options = flags | {"-h", "--help"}
+    joined, i = [argv[0]], 1
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":
+            joined += argv[i:]
+            break
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in flags and value[:1] == "-" and value[1:2] != "-" and value not in options:
+            joined.append(f"{arg}={value}")
+            i += 2
+        else:
+            joined.append(arg)
+            i += 1
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)  # None: sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        argv = _dash_values_joined(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE

@@ -6,9 +6,10 @@ recursive classifier, stability read off the rank, mod a prime, of the Lie
 algebra action at random tensors, the castling walk taken one castle_step
 at a time, each scan row computed from its own datum through the public
 invariants, likelihood quantities recomputed from the dense n x n Kronecker
-matrix, and flip-flop run one restart at a time with the log-likelihood
-evaluated explicitly after every iteration, and its refinement run one
-restart at a time with every mode product a tensordot.  Slow but
+matrix, flip-flop run one restart at a time with the log-likelihood
+evaluated explicitly after every iteration, its refinement run one
+restart at a time with every mode product a tensordot, and JSON text
+written by json.dumps from a converted copy of the document.  Slow but
 unarguable.
 """
 
@@ -204,6 +205,24 @@ def scan_row_reference(dims, m: int, check: str) -> tuple:
             ok = (big_r(e), delta(e), g_max(e), classify_closed_form(e), git_dimension(e)) == (
                 r, dl, gm, c1, git_dimension(d))
     return ("x".join(map(str, dims)), m, r, dl, gm, c1.value, chain_class(d).value, ok)
+
+
+def json_doc(value):
+    """`value` as JSON data, the conversion the command line made before it
+    wrote JSON in one walk: a tuple as a list, a float that is not finite as
+    None (null), a dataclass as a dict of its fields in order.  Lists and
+    dicts are converted item by item, because a document now reaches the
+    writer with dataclasses at any depth.  `cli._print_json(value)` prints
+    json.dumps(json_doc(value), indent=2, allow_nan=False)."""
+    if isinstance(value, (tuple, list)):
+        return [json_doc(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_doc(v) for k, v in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: json_doc(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
 
 
 def scan_shapes(max_k: int, max_dim: int) -> list[tuple[int, ...]]:

@@ -221,6 +221,6 @@ def test_criterion_9_solver_numerics():
 
 def test_criterion_10_thresholds_checked_numerically():
     with criterion(10, "fits agree with the profile next to every threshold, so mlt_b = mlt_e"):
-        n_shapes, n_data, failures = walk(max_k=3, max_entry=8, max_prod=200, max_mn=4096, trials=1)
+        n_shapes, n_data, failures, _ = walk(max_k=3, max_entry=8, max_prod=200, max_mn=4096, trials=1)
         assert (n_shapes, n_data) == (95, 169)
         assert failures == []

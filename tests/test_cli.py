@@ -3,6 +3,8 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
+import enum
 import io
 import json
 import os
@@ -15,9 +17,9 @@ import numpy as np
 import pytest
 
 import tnm
-from oracles import scan_csv_reference, scan_shapes
-from reference_ops import STRAY_FLAG_CASES, USAGE_CASES
-from tnm import SampleSet, cli
+from oracles import json_doc, scan_csv_reference, scan_shapes
+from reference_ops import STRAY_FLAG_CASES, USAGE_CASES, walk_data
+from tnm import Datum, SampleSet, cli, explain, mle, thresholds
 from tnm.castling import _walk
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -103,6 +105,104 @@ def test_threshold_json():
     res = run("threshold", "--dims", "2,2,8")
     doc = json.loads(res.stdout)
     assert (doc["mlt_b"], doc["mlt_u"], doc["cor_bounds"]) == ("2", "3", ["2", "3"])
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+
+def printed_json(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(value)
+    return out.getvalue()
+
+
+def dumped_json(value):
+    """What `cli._print_json` printed when it converted `value` and then
+    called json.dumps."""
+    return json.dumps(json_doc(value), indent=2, allow_nan=False) + "\n"
+
+
+def test_walk_data_json_is_what_json_dumps_prints():
+    n = 0
+    for dims, m in walk_data():
+        report = cli._report_doc(explain(Datum(dims, m)))
+        threshold = {"dims": dims, **cli._threshold_doc(thresholds(dims))}
+        for doc in (report, threshold):
+            assert printed_json(doc) == dumped_json(doc), (dims, m)
+        n += 1
+    assert n == 169
+
+
+def test_verify_json_is_what_json_dumps_prints():
+    huge = SampleSet((3, 3), 3, 1e200 * np.random.default_rng(0).standard_normal(27))
+    reports = {
+        "converged": mle.verify_datum(Datum((3, 3), 3), trials=1, restarts=2, seed=0, threads=1),
+        "diverged": mle.verify_datum(Datum((2, 3), 1), trials=1, restarts=2, seed=0, threads=1),
+        "degenerate_statistic": mle.verify_samples(huge, restarts=4, seed=0),
+    }
+    for status, rep in reports.items():
+        (trial,) = rep.trials
+        assert set(trial.statuses) == {status}
+        assert printed_json(rep) == dumped_json(rep), status
+    assert '"logliks": [\n        null,' in printed_json(reports["degenerate_statistic"])
+
+
+@dataclasses.dataclass(frozen=True)
+class Tagged:
+    tag: str
+    values: tuple
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Word(str, enum.Enum):
+    CAFE = "caf\u00e9"
+
+
+SYNTHETIC_JSON = [
+    (), [], {}, [(), [], {}], {"a": (), "b": [], "c": {}}, [[[]]],
+    Tagged("t", (1, -2.5, None, ())), Tagged("", ()), [Tagged("x", ([],))],
+    "na\u00efve \u4e2d \U0001f600", "\x00\x1f\t\n\r\x7f", '"quoted"', "back\\slash/", "",
+    {"k\u00e9y \"\\": {"x": [1, {"y": (2,)}]}},
+    float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1, 1e16,
+    [float("nan"), float("-inf"), -0.0, 5e-324, 1e16],
+    np.float64(0.1), np.float64("nan"), [np.float64(-1e-300)],
+    True, False, None, [True, False, None, 0, 1],
+    -7, 10**399, -(10**399), [0, -1, 10**399],
+    Level.HIGH, Word.CAFE, {"level": Level.HIGH, "word": Word.CAFE},
+]
+
+
+def test_synthetic_json_is_what_json_dumps_prints():
+    for value in SYNTHETIC_JSON:
+        assert printed_json(value) == dumped_json(value), repr(value)[:60]
+
+
+def test_json_of_a_set_raises_type_error(capsys):
+    for value in ({1, 2}, [frozenset()], {"a": {3}}, Tagged("s", ({4},))):
+        with pytest.raises(TypeError):
+            json.dumps(json_doc(value), indent=2, allow_nan=False)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._print_json(value)
+    assert capsys.readouterr().out == ""
+
+
+def test_json_commands_do_not_call_json_dumps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps printed command output")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    for argv in (["classify", "--dims", "2,3,4", "--samples", "2"], ["threshold", "--dims", "2,2,8"],
+                 ["verify", "--dims", "3,3", "--samples", "3", "--trials", "1", "--restarts", "2",
+                  "--threads", "1", "--format", "json"]):
+        code, out, err = outcome(argv)
+        assert (code, err) == (("return", 0), ""), argv
+        assert out.startswith("{\n  ") and out.endswith("\n}\n"), argv
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +642,45 @@ def test_parsers_built_per_call(monkeypatch, capsys):
     cli.build_parser()
     assert built == []
     assert cli.build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["threshold", "--dims", "-2,3"], "--dims", "tnm threshold: dimensions must be >= 1, got (-2, 3)\n"),
+    (["classify", "--samples", "1", "--dims", "-2,3", "--format", "text"], "--dims",
+     "tnm classify: dimensions must be >= 1, got (-2, 3)\n"),
+    (["verify", "--dims", "3,3", "--samples", "3", "--tol", "-inf"], "--tol",
+     "tnm verify: tol must be finite and positive, got -inf\n"),
+    (["verify", "--dims", "3,3", "--samples", "3", "--tol", "-1e-3"], "--tol",
+     "tnm verify: tol must be finite and positive, got -0.001\n"),
+])
+def test_value_starting_with_a_dash_reaches_its_flag(argv, flag, message):
+    # argparse takes -2,3 or -inf for a flag, and main used to end in the
+    # flag before it missing its argument; --flag=value got the flag's message
+    assert outcome(argv) == (("return", 2), "", message)
+    i = argv.index(flag)
+    assert outcome([*argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:]]) == (("return", 2), "", message)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["threshold", "--dims", "--format", "text"], "--dims"),
+    (["threshold", "--dims", "-h"], "--dims"),
+    (["verify", "--dims", "3,3", "--samples", "3", "--tol"], "--tol"),
+])
+def test_flag_without_a_value_still_misses_its_argument(argv, flag):
+    code, out, err = outcome(argv)
+    assert (code, out) == (("exit", 2), "")
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
+def test_usage_cases_print_what_they_printed_before_the_rewrite(monkeypatch):
+    # main rewrites a command's `flag -value` pairs only: none of the 45
+    # help and usage-error cases has one, and after `--` there is no flag
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = USAGE_CASES + [["threshold", "--dims", "2,3", "--", "--format", "-x"]]
+    rewritten = {tuple(argv): outcome(argv) for argv in cases}
+    monkeypatch.setattr(cli, "_dash_values_joined", lambda argv: argv)
+    for argv in cases:
+        assert outcome(argv) == rewritten[tuple(argv)], argv
 
 
 # one call per path through main: a result on stdout, JSON from the solver,

@@ -1,8 +1,10 @@
 """Sampling, likelihood evaluation, the flip-flop solver, and verification."""
 
+import dataclasses
 import logging
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +75,7 @@ from oracles import (
     refine_sequential,
     whitened_grams,
 )
+from threshold_walk import verdict_digest, walk
 
 
 def random_precision(dims, seed):
@@ -1232,3 +1235,24 @@ def test_verify_samples_restart_guard():
     s = sample_standard((2,), 2, seed=0)
     with pytest.raises(ValueError):
         verify_samples(s, restarts=1)
+
+
+def test_threshold_walk_digests_repeat_and_hold_no_floats():
+    # `threshold_walk.py --digests` makes "same verdicts as the parent" a diff
+    first, second = (walk(max_k=2, max_entry=4, max_prod=16, max_mn=4096, trials=1)[1:] for _ in range(2))
+    assert first == second
+    n_data, failures, digests = first
+    assert (n_data, failures, len(digests)) == (16, [], 16)
+    assert all(re.fullmatch(r"\(\d+(, \d+)+\) m=\d+ [0-9a-f]{64}", line) for line in digests)
+    rep = verify_datum(Datum((3, 3), 2), trials=2, restarts=2, seed=0, threads=1)
+    floats_moved = dataclasses.replace(
+        rep,
+        trials=tuple(dataclasses.replace(t, logliks=tuple(x + 1 for x in t.logliks), loglik_spread=0.5,
+                                         factor_spread_rel=0.5, factor_spread_abs=0.5)
+                     for t in rep.trials),
+        nonuniqueness_witness_fraction=0.25,
+    )
+    assert verdict_digest(floats_moved) == verdict_digest(rep)
+    counted = dataclasses.replace(rep.trials[0], iterations=tuple(i + 1 for i in rep.trials[0].iterations))
+    assert verdict_digest(dataclasses.replace(rep, trials=(counted, *rep.trials[1:]))) != verdict_digest(rep)
+    assert verdict_digest(dataclasses.replace(rep, exists_agrees=not rep.exists_agrees)) != verdict_digest(rep)

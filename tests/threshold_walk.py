@@ -17,14 +17,19 @@ The tier-1 suite walks a small grid (`tests/test_acceptance.py`, criterion
 from the repository root before a change to the solver lands:
 
     PYTHONPATH=src python tests/threshold_walk.py [--max-k 4] [--max-entry 32] \\
-        [--max-prod 4096] [--max-mn 4096] [--trials 2]
+        [--max-prod 4096] [--max-mn 4096] [--trials 2] [--digests]
 
 It prints one line per failure and a summary, and exits 1 on any failure.
+With --digests it first prints one line per datum, its dims, m and a
+SHA-256 of what its fits say without a float (`verdict_digest`), and the
+failures and the summary go to stderr, so that two commits' walks with the
+same flags compare with `diff`.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 import time
@@ -48,16 +53,27 @@ def threshold_samples(rep, prod: int, max_mn: int) -> list[int]:
     return sorted(m for m in near if m >= 1 and m * prod <= max_mn)
 
 
+def verdict_digest(ver) -> str:
+    """SHA-256 of a verification report without its floats: each trial's
+    statuses, iterations, polish sweeps and fit Newton steps, then the
+    bounded, exists and unique verdicts."""
+    trials = [(t.statuses, t.iterations, t.polish_sweeps, t.fit_newton_steps) for t in ver.trials]
+    payload = repr((trials, ver.bounded_agrees, ver.exists_agrees, ver.unique_agrees))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def walk(max_k: int, max_entry: int, max_prod: int, max_mn: int, trials: int):
-    """Walk the grid; return (shapes, data, failures), failures a list of lines."""
+    """Walk the grid; return (shapes, data, failures, digests), failures a
+    list of lines and digests one line per datum."""
     n_shapes = n_data = 0
-    failures = []
+    failures, digests = [], []
     for dims in shapes(max_k, max_entry, max_prod):
         n_shapes += 1
         rep = thresholds(dims)
         for m in threshold_samples(rep, math.prod(dims), max_mn):
             n_data += 1
             ver = verify_datum(Datum(dims, m), trials=trials, restarts=4, seed=0, threads=1)
+            digests.append(f"{dims} m={m} {verdict_digest(ver)}")
             # the witness fraction is None unless non-uniqueness is predicted
             if not ver.hard_clauses_agree or ver.nonuniqueness_witness_fraction == 0:
                 failures.append(
@@ -65,7 +81,7 @@ def walk(max_k: int, max_entry: int, max_prod: int, max_mn: int, trials: int):
                     f"exists_agrees={ver.exists_agrees} unique_agrees={ver.unique_agrees} "
                     f"nonuniqueness_witness_fraction={ver.nonuniqueness_witness_fraction}"
                 )
-    return n_shapes, n_data, failures
+    return n_shapes, n_data, failures, digests
 
 
 def main(argv=None) -> int:
@@ -75,13 +91,19 @@ def main(argv=None) -> int:
     parser.add_argument("--max-prod", type=int, default=4096)
     parser.add_argument("--max-mn", type=int, default=4096)
     parser.add_argument("--trials", type=int, default=2)
+    parser.add_argument("--digests", action="store_true",
+                        help="print a float-free digest per datum; failures and summary go to stderr")
     args = parser.parse_args(argv)
     start = time.monotonic()
-    n_shapes, n_data, failures = walk(args.max_k, args.max_entry, args.max_prod, args.max_mn, args.trials)
+    n_shapes, n_data, failures, digests = walk(args.max_k, args.max_entry, args.max_prod, args.max_mn,
+                                               args.trials)
+    report = sys.stderr if args.digests else sys.stdout
+    if args.digests:
+        print("\n".join(digests))
     for line in failures:
-        print(line)
+        print(line, file=report)
     print(f"walked {n_shapes} shapes, {n_data} data, {len(failures)} failures "
-          f"in {time.monotonic() - start:.1f} s")
+          f"in {time.monotonic() - start:.1f} s", file=report)
     return 1 if failures else 0
 
 
