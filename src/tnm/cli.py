@@ -101,19 +101,13 @@ def _print_json(doc) -> None:
 
 def _json_text(value, escape, newline: str) -> str:
     """`value` as JSON text, nested values indented by two spaces more than
-    `newline`'s.  Exact types take the fast paths; a subclass is tested as
-    json tests it, bool before int.  A container's items are joined once.
-    Dict keys are strings.  Dataclass fields come from __dataclass_fields__,
-    which dataclasses.fields filters of ClassVar pseudo-fields (no dataclass
-    written here has one), in a third of the time that fields() and
-    is_dataclass take.  Any other value raises TypeError, as in json."""
-    t = type(value)
-    if t is str:
-        return escape(value)
-    if t is int:
-        return int.__repr__(value)
-    if t is float:
-        return float.__repr__(value) if math.isfinite(value) else "null"
+    `newline`'s.  Scalars are tested as json tests them, bool before int,
+    and a subclass of str, int or float is written as its base type.  A
+    container's items are joined once.  Dict keys are strings.  Dataclass
+    fields come from __dataclass_fields__, which dataclasses.fields filters
+    of ClassVar pseudo-fields (no dataclass written here has one), in a
+    third of the time that fields() and is_dataclass take.  Any other value
+    raises TypeError, as in json."""
     if value is None:
         return "null"
     if value is True:
@@ -137,7 +131,7 @@ def _json_text(value, escape, newline: str) -> str:
     elif hasattr(value, "__dataclass_fields__"):
         pairs = [(name, getattr(value, name)) for name in value.__dataclass_fields__]
     else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not pairs:
         return "{}"
     items = [f"{escape(k)}: {_json_text(v, escape, inner)}" for k, v in pairs]
@@ -470,11 +464,12 @@ def _dash_values_joined(argv: list[str]) -> list[str]:
     one '-' written `flag=value`.  argparse takes such a value for a flag
     unless it is a plain negative number, and reports the flag before it as
     missing its argument: `--dims -2,3` and `--tol -inf` now get the dims
-    or tol message that `--dims=-2,3` gets.  A value that is one of the
-    command's option strings stays a flag, and so does everything after
-    `--`."""
-    flags = {flag for flag, _ in _COMMANDS[argv[0]][2]}
-    options = flags | {"-h", "--help"}
+    or tol message that `--dims=-2,3` gets.  A flag may be abbreviated, as
+    argparse allows, to a prefix of exactly one of the command's option
+    strings (`--dim` for `--dims`; `--help` counts, so `--h` stays help).
+    A value that starts with '--' is never joined, so flags and --help stay
+    flags; nor is -h, nor anything after `--`."""
+    flags = [flag for flag, _ in _COMMANDS[argv[0]][2]]
     joined, i = [argv[0]], 1
     while i < len(argv):
         arg = argv[i]
@@ -482,11 +477,14 @@ def _dash_values_joined(argv: list[str]) -> list[str]:
             joined += argv[i:]
             break
         value = argv[i + 1] if i + 1 < len(argv) else ""
-        if arg in flags and value[:1] == "-" and value[1:2] != "-" and value not in options:
+        if arg[:2] == "--" and arg not in flags:
+            named = [f for f in (*flags, "--help") if f.startswith(arg)]
+            arg = named[0] if len(named) == 1 else arg
+        if arg in flags and value[:1] == "-" and value[1:2] != "-" and value != "-h":
             joined.append(f"{arg}={value}")
             i += 2
         else:
-            joined.append(arg)
+            joined.append(argv[i])
             i += 1
     return joined
 

@@ -646,6 +646,7 @@ def test_parsers_built_per_call(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, flag, message", [
     (["threshold", "--dims", "-2,3"], "--dims", "tnm threshold: dimensions must be >= 1, got (-2, 3)\n"),
+    (["threshold", "--dim", "-2,3"], "--dim", "tnm threshold: dimensions must be >= 1, got (-2, 3)\n"),
     (["classify", "--samples", "1", "--dims", "-2,3", "--format", "text"], "--dims",
      "tnm classify: dimensions must be >= 1, got (-2, 3)\n"),
     (["verify", "--dims", "3,3", "--samples", "3", "--tol", "-inf"], "--tol",
@@ -674,9 +675,15 @@ def test_flag_without_a_value_still_misses_its_argument(argv, flag):
 
 def test_usage_cases_print_what_they_printed_before_the_rewrite(monkeypatch):
     # main rewrites a command's `flag -value` pairs only: none of the 45
-    # help and usage-error cases has one, and after `--` there is no flag
+    # help and usage-error cases has one, and after `--` there is no flag;
+    # an ambiguous prefix, or one of --help, is left to argparse
     monkeypatch.setenv("COLUMNS", "80")
-    cases = USAGE_CASES + [["threshold", "--dims", "2,3", "--", "--format", "-x"]]
+    cases = USAGE_CASES + [
+        ["threshold", "--dims", "2,3", "--", "--format", "-x"],
+        ["verify", "--dims", "3,3", "--samples", "3", "--t", "-1"],
+        ["scan", "--max-", "-1"],
+        ["threshold", "--h", "-2"],
+    ]
     rewritten = {tuple(argv): outcome(argv) for argv in cases}
     monkeypatch.setattr(cli, "_dash_values_joined", lambda argv: argv)
     for argv in cases:

@@ -75,7 +75,8 @@ from oracles import (
     refine_sequential,
     whitened_grams,
 )
-from threshold_walk import verdict_digest, walk
+import threshold_walk
+from threshold_walk import verdict_digest
 
 
 def random_precision(dims, seed):
@@ -1237,13 +1238,18 @@ def test_verify_samples_restart_guard():
         verify_samples(s, restarts=1)
 
 
-def test_threshold_walk_digests_repeat_and_hold_no_floats():
-    # `threshold_walk.py --digests` makes "same verdicts as the parent" a diff
-    first, second = (walk(max_k=2, max_entry=4, max_prod=16, max_mn=4096, trials=1)[1:] for _ in range(2))
-    assert first == second
-    n_data, failures, digests = first
-    assert (n_data, failures, len(digests)) == (16, [], 16)
+def test_threshold_walk_digests_repeat_and_hold_no_floats(capsys):
+    # threshold_walk.py prints only the digests on stdout, so "same verdicts
+    # as the parent" is a diff of two runs' stdout
+    runs = []
+    for _ in range(2):
+        assert threshold_walk.main(["--max-k", "2", "--max-entry", "4", "--max-prod", "16", "--trials", "1"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    digests = runs[0].out.splitlines()
+    assert len(digests) == 16
     assert all(re.fullmatch(r"\(\d+(, \d+)+\) m=\d+ [0-9a-f]{64}", line) for line in digests)
+    assert re.fullmatch(r"walked 6 shapes, 16 data, 0 failures in \d+\.\d s\n", runs[0].err)
     rep = verify_datum(Datum((3, 3), 2), trials=2, restarts=2, seed=0, threads=1)
     floats_moved = dataclasses.replace(
         rep,

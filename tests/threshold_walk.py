@@ -17,13 +17,12 @@ The tier-1 suite walks a small grid (`tests/test_acceptance.py`, criterion
 from the repository root before a change to the solver lands:
 
     PYTHONPATH=src python tests/threshold_walk.py [--max-k 4] [--max-entry 32] \\
-        [--max-prod 4096] [--max-mn 4096] [--trials 2] [--digests]
+        [--max-prod 4096] [--max-mn 4096] [--trials 2]
 
-It prints one line per failure and a summary, and exits 1 on any failure.
-With --digests it first prints one line per datum, its dims, m and a
-SHA-256 of what its fits say without a float (`verdict_digest`), and the
-failures and the summary go to stderr, so that two commits' walks with the
-same flags compare with `diff`.
+It prints one line per datum to stdout: its dims, m and a SHA-256 of what
+its fits say without a float (`verdict_digest`), so that two commits'
+walks with the same flags compare with `diff`.  One line per failure and a
+summary go to stderr, and it exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -91,19 +90,16 @@ def main(argv=None) -> int:
     parser.add_argument("--max-prod", type=int, default=4096)
     parser.add_argument("--max-mn", type=int, default=4096)
     parser.add_argument("--trials", type=int, default=2)
-    parser.add_argument("--digests", action="store_true",
-                        help="print a float-free digest per datum; failures and summary go to stderr")
     args = parser.parse_args(argv)
     start = time.monotonic()
     n_shapes, n_data, failures, digests = walk(args.max_k, args.max_entry, args.max_prod, args.max_mn,
                                                args.trials)
-    report = sys.stderr if args.digests else sys.stdout
-    if args.digests:
-        print("\n".join(digests))
+    for line in digests:
+        print(line)
     for line in failures:
-        print(line, file=report)
+        print(line, file=sys.stderr)
     print(f"walked {n_shapes} shapes, {n_data} data, {len(failures)} failures "
-          f"in {time.monotonic() - start:.1f} s", file=report)
+          f"in {time.monotonic() - start:.1f} s", file=sys.stderr)
     return 1 if failures else 0
 
 
