@@ -8,7 +8,9 @@ classification.  Repeating the move while it strictly shrinks the datum
 (N/2 < d_k < N) reaches a minimal representative, which is unique.  N and
 the shrink rule live here only: one walk, on normalized dimension tuples and
 the sample count, serves `reduce_to_minimal`, the recursive classifier and
-`scan`; only the public functions wrap what it visits in `Datum`.
+`scan`; only the public functions wrap what it visits in `Datum`, through
+`datum._derived`: a datum castled from a valid one is valid, so it is not
+checked again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .datum import Datum, _normal_dims, normalize
+from .datum import Datum, _derived, _normal_dims, normalize
 
 __all__ = [
     "NotCastlable",
@@ -48,7 +50,7 @@ def castle_step(datum: Datum) -> Datum:
     if dims is None:
         n = _partner(cur.dims, cur.m)
         raise NotCastlable(f"no castling move for {cur}: N = {n} <= d_k = {cur.dims[-1]}")
-    return Datum(dims, cur.m)
+    return _derived(dims, cur.m)
 
 
 def _castle_step(dims: tuple[int, ...], m: int) -> tuple[int, ...] | None:
@@ -96,7 +98,7 @@ class CastlingTrace:
 
 def _trace(steps: list[tuple[int, ...]], m: int) -> CastlingTrace:
     """The walk's steps at sample count m, as the reported trace."""
-    return CastlingTrace(tuple(Datum(dims, m) for dims in steps))
+    return CastlingTrace(tuple(_derived(dims, m) for dims in steps))
 
 
 def reduce_to_minimal(datum: Datum) -> CastlingTrace:

@@ -22,16 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .castling import CastlingTrace, _partner, _trace, _walk
-from .datum import (
-    Datum,
-    _delta,
-    _index,
-    big_r,
-    delta,
-    g_max,
-    normalize,
-    z_quantity,
-)
+from .datum import Datum, _big_r, _delta, _g_max, _index, big_r, delta, g_max, normalize
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -203,11 +194,13 @@ def thresholds(dims: Sequence[int]) -> ThresholdReport:
     R >= 0, which is ceil(Z(d_1^2, ..., d_k^2) / prod(d_i)) clamped to at
     least 1.  Uniqueness is found by incrementing m from there until the
     closed form reports stable; once stable at some m, every larger m is
-    stable as well.  Z is computed once for all m.
+    stable as well.  Z is computed once for all m.  The dimensions are
+    checked once, as Datum(dims, 1).
     """
     norm = normalize(Datum(tuple(dims), 1))
-    z = z_quantity([d * d for d in norm.dims])
-    return _thresholds(norm, norm.product(), z, g_max(norm), delta(norm))
+    p = norm.product()
+    z = p - _big_r(1, p, norm.dims)  # R = m * prod(d_i) - Z(d_1^2, ..., d_k^2) at m = 1
+    return _thresholds(norm, p, z, _g_max(norm.dims), _delta(1, p, norm.dims))
 
 
 def _quotient_dimension(m: int, r: int, g: int, dl: int) -> Optional[int]:
@@ -268,11 +261,12 @@ def explain(datum: Datum) -> ClassificationReport:
     """
     norm = normalize(datum)
     steps, n = _walk(norm.dims, datum.m)
-    # the one subset-gcd sum: R = m * prod(d_i) - Z(d_1^2, ..., d_k^2)
+    # the one subset-gcd sum: R = m * prod(d_i) - Z(d_1^2, ..., d_k^2), from
+    # the unchecked cores, as the normalized dims come from a valid Datum
     p = norm.product()
-    z = z_quantity([d * d for d in norm.dims])
-    r = datum.m * p - z
-    dl, g = _delta(datum.m, p, norm.dims), g_max(norm)
+    r = _big_r(datum.m, p, norm.dims)
+    z = datum.m * p - r
+    dl, g = _delta(datum.m, p, norm.dims), _g_max(norm.dims)
     closed = _closed_form(datum.m, r, g, dl)
     recursive = _classify_endpoint(steps[-1], datum.m, n)
     agree = closed is recursive

@@ -24,8 +24,12 @@ to 53-bit floats.  All output is deterministic for a given flag set; the
 environment variable TNM_SEED supplies a default seed when --seed is
 omitted.  One parser, with every command, is built once per process and
 reused, so a library caller that runs main many times pays argparse's
-set-up once.  A command's flag takes a value that starts with '-' (such
-as --dims -2,3 or --tol -inf) as its value, not as another flag.
+set-up once.  An argv that starts with a command is parsed by that
+command's own parser alone; only when it leaves arguments unrecognized
+does the top-level parser parse the argv again, to report them with its
+usage line.  Any other argv (none, -h, an unknown command) goes to the
+top-level parser.  A command's flag takes a value that starts with '-'
+(such as --dims -2,3 or --tol -inf) as its value, not as another flag.
 """
 
 from __future__ import annotations
@@ -445,17 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
     unchanged (argparse makes a fresh namespace per parse and reads COLUMNS
     whenever it formats help or usage).  Every caller gets the same parser
     object, so a caller that changes it changes what main parses;
-    `build_parser.cache_clear()` drops it."""
+    `build_parser.cache_clear()` drops it.  Its `commands` maps each
+    command's name to the command's own parser, which sets `command` and
+    `func` in its namespace as the top-level parser does."""
     parser = argparse.ArgumentParser(
         prog="tnm",
         description="Classify tensor normal models and verify the classification numerically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (help_text, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)
     return parser
 
 
@@ -491,9 +498,16 @@ def _dash_values_joined(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     if argv and argv[0] in _COMMANDS:
         argv = _dash_values_joined(argv)
-    args = build_parser().parse_args(argv)
+        # the namespace the top-level parser would return: after a pass of
+        # its own over the argv, it hands argv[1:] to this parser unchanged
+        args, unrecognized = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if unrecognized:  # reported, as only the top-level parser does, with its usage line
+            args = parser.parse_args(argv)
+    else:
+        args = parser.parse_args(argv)
     if args.command == "verify" and args.data is None and (args.dims is None or args.samples is None):
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE

@@ -644,6 +644,34 @@ def test_parsers_built_per_call(monkeypatch, capsys):
     assert cli.build_parser.cache_info().currsize == 1
 
 
+def test_command_argv_parsed_by_its_own_parser(monkeypatch, capsys):
+    """A well-formed command argv, --help included, is parsed by that
+    command's parser alone; a stray flag sends the argv through the
+    top-level parser as well, which reports it; an argv without a command
+    goes to the top-level parser: a count, not a timing."""
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, args=None, namespace=None):
+        parsed.append(self.prog)
+        return parse(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    for argv, expected in (
+        (["threshold", "--dims", "2,3"], ["tnm threshold"]),
+        (["classify", "--samples", "2", "--dims", "-2,3", "--format", "text"], ["tnm classify"]),
+        (["verify", "--help"], ["tnm verify"]),
+        (["threshold", "--dims", "2,3", "--bogus"], ["tnm threshold", "tnm", "tnm threshold"]),
+        (["-h"], ["tnm"]),
+        (["bogus"], ["tnm"]),
+        ([], ["tnm"]),
+    ):
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert parsed == expected, argv
+        parsed.clear()
+
+
 @pytest.mark.parametrize("argv, flag, message", [
     (["threshold", "--dims", "-2,3"], "--dims", "tnm threshold: dimensions must be >= 1, got (-2, 3)\n"),
     (["threshold", "--dim", "-2,3"], "--dim", "tnm threshold: dimensions must be >= 1, got (-2, 3)\n"),

@@ -135,6 +135,29 @@ def test_tuple_walk_is_the_castle_step_chain(d):
 
 
 @SETTINGS
+@given(st.one_of(
+    inverse_castled(),
+    st.builds(Datum, dims_list.map(tuple), sample_count),
+    # integral floats, which Datum takes as the ints they equal
+    st.builds(Datum, st.lists(st.integers(1, 12).map(float), min_size=1, max_size=MAX_FACTORS).map(tuple),
+              sample_count.map(float)),
+))
+def test_derived_data_equal_checked_data(d):
+    """Each Datum the library derives from a valid one without checking it
+    again is a Datum equal to, and hashing like, the one built with every
+    check, and holds plain ints as that one does."""
+    rep = explain(d)
+    derived = [normalize(d), *reduce_to_minimal(d).steps, rep.normalized, *rep.trace.steps]
+    with contextlib.suppress(NotCastlable):
+        derived.append(castle_step(d))
+    for e in derived:
+        checked = Datum(e.dims, e.m)
+        assert type(e) is Datum
+        assert e == checked and hash(e) == hash(checked), e
+        assert type(e.dims) is tuple and all(type(x) is int for x in e.dims) and type(e.m) is int, e
+
+
+@SETTINGS
 @given(
     st.lists(st.one_of(st.integers(1, 12), st.integers(2, 10**12)), max_size=MAX_FACTORS - 1),
     st.integers(1, 12),
