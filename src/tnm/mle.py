@@ -312,8 +312,8 @@ class FitReport:
 # Each operation acts on every slice of a stack on its own, so a restart's
 # arithmetic does not depend on which other restarts share its stack; the
 # public functions are the R = 1 case.  No kernel function changes how many
-# restarts a stack holds: they report per-restart masks, and only _solve
-# retires restarts.
+# restarts a stack holds: they report per-restart masks, and only the solver
+# loops (_fit, _refine) retire restarts.
 
 
 class _Unfoldings:
@@ -755,148 +755,147 @@ def _newton(data: _Unfoldings, mats: list):
 
 
 # ---------------------------------------------------------------------------
-# the solver loop (private): every restart of a stack, from its fit to its refinement
+# the solver loops (private): _fit every restart of a stack, then _refine the converged fits.
+# Each keeps its per-restart state in plain Python, holds the roots of the restarts still
+# running, and retires a restart at the end of the iteration in which it finishes.
 
 
-def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None,
-           refine: bool = False):
-    """Fit every restart of the stack until its own verdict (see fit_mle)
-    and, with `refine`, refine each converged fit until its moment-map norm
-    is below _MOMENT_TOL.
+def _newton_rows(data: _Unfoldings, mats: list, rows: list) -> list:
+    """A Newton step (_newton) for the rows `rows` of the stack, written into
+    `mats`; returns each row's (norm, stepped), in order.  A step that cannot
+    be formed (LinAlgError) is not taken, and the rows of a shared call that
+    fails try one by one; a row that no call steps reads (inf, False)."""
+    taken, groups = {}, [rows]
+    for g in groups:
+        sub = [a[g] for a in mats]
+        try:
+            norm, stepped = _newton(data, sub)
+        except np.linalg.LinAlgError:  # not taken
+            groups.extend([p] for p in g if len(g) > 1)
+            continue
+        for a, b in zip(mats, sub):
+            a[g] = b
+        taken.update(zip(g, zip(norm.tolist(), stepped.tolist())))
+    return [taken.get(p, (math.inf, False)) for p in rows]
 
-    A restart's state is plain Python: its phase (fit, refine or done), its
-    Newton flag, a count (a fit's Newton steps, a refinement's iterations),
-    its log-likelihood history and, once it refines, its last moment-map
-    norm.  The stack holds the roots of the restarts not yet done, one row
-    each (`rows` names the restart in each row); each iteration hands _newton
-    and _sweep the rows that take a step or a sweep, then applies each
-    restart's rules to what the calls return for it.  The factors
-    Psi_i = T_i^T T_i are formed only when a restart's fit or refinement
-    ends.
 
-    A fitting restart sweeps until its contraction stalls (from sweep 3 on,
-    a sweep gains more than _STALL_RATIO of the gain before it); from then
-    on each of its iterations is a safeguarded Newton step (_newton)
-    followed by a sweep.  Its log-likelihood after a sweep is read off the
-    log determinants the block updates return: with block k at its
-    maximizer the quadratic term is exactly m*n, so l = (m/2) sum_i (n/d_i)
-    log det Psi_i - m*n/2; it is evaluated explicitly at the start and after
-    a sweep that ridged.  The stop, divergence and stall tests read its
-    history.  When its fit stops, the FitReport is recorded.  The
-    likelihood-change rule can halt while slowly contracting directions
-    still carry a few 1e-6 of error, so a converged restart stays in the
-    stack and refines: each iteration is a sweep, whose block updates
-    return the norm at the roots they replace (_update_block), while sweeps
-    at least halve the norm, and after the first that does not
-    (_NEWTON_SWITCH) a Newton step, or a sweep where that finds no rise.  A
-    refining restart whose statistic loses its scale ends where its fit
-    ended; one still above the stop after _REFINE_MAX_ITER iterations keeps
-    its last iterate, with one warning.
+def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
+    """Fit every restart of the stack of roots `mats` (consumed) until its
+    own verdict (see fit_mle).  Returns (reports, ends), one entry per
+    restart: its FitReport, and for a converged one the roots it ended at
+    (None otherwise).
 
-    Both phases share each _sweep and _newton call; a restart that is done
-    leaves the stack, which shrinks, at the start of the next iteration.  A
-    Newton step costs several sweeps, so a refining restart due one waits,
-    taking neither, until every restart is due one or a fitting restart
-    takes one too; waiting changes no restart's arithmetic.  A step that
-    cannot be formed (LinAlgError) is not taken, and restarts that shared
-    the failed call try one by one.  The entries of `mats`, stacks of roots,
-    are consumed.  Returns (reports, refined, iterations), one entry per
-    restart: its FitReport, its gauge-fixed refined factors Psi_i (None
-    unless it refined) and its refinement iterations.
+    Every iteration sweeps every row.  A restart takes sweeps only until its
+    contraction stalls (from sweep 3 on, a sweep gains more than
+    _STALL_RATIO of the gain before it); from then on each of its
+    iterations is a safeguarded Newton step followed by a sweep.  Its
+    log-likelihood after a sweep is read off the log determinants the block
+    updates return: with block k at its maximizer the quadratic term is
+    exactly m*n, so l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2; it is
+    evaluated explicitly at the start and after a sweep that ridged.  The
+    stop, divergence and stall tests read its history.  Psi_i = T_i^T T_i
+    is formed only when a restart's fit ends.
     """
-    FIT, REFINE, DONE = range(3)
     r = len(mats[0])
     histories = [[x] for x in _loglik(data, mats).tolist()]
-    phase, newton, counts, norms = [FIT] * r, [False] * r, [0] * r, [math.inf] * r
-    reports, refined = [None] * r, [None] * r
-    rows = list(range(r))  # the restart in each row of the stack
-    it = capped = 0
+    reports, ends, newton, steps = [None] * r, [None] * r, [False] * r, [0] * r
+    rows, it = list(range(r)), 0  # the restart in each row of the stack, the iteration
 
-    def end_fit(p, status):
+    def end(p, status):
         i = rows[p]
         kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
         factors = KroneckerPrecision(tuple(a[p].T @ a[p] for a in mats)) if kept else None
-        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), counts[i])
-        phase[i] = REFINE if status is FitStatus.CONVERGED and refine else DONE
-        newton[i], counts[i] = False, 0
+        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), steps[i])
+        ends[i] = [a[p] for a in mats] if status is FitStatus.CONVERGED else None
 
-    def end_refine(p, factors=None):
-        phase[rows[p]], refined[rows[p]] = DONE, factors or [a[p].T @ a[p] for a in mats]
-
-    while True:
+    while rows:
         if it >= max_iter:
-            for p, i in enumerate(rows):
-                if phase[i] == FIT:
-                    end_fit(p, FitStatus.MAX_ITERATIONS)
-        keep = [p for p, i in enumerate(rows) if phase[i] != DONE]
-        if len(keep) < len(rows):
-            rows, mats[:] = [rows[p] for p in keep], [a[keep] for a in mats]
-        if not rows:
+            for p in range(len(rows)):
+                end(p, FitStatus.MAX_ITERATIONS)
             break
         it += 1
-        sweep = [phase[i] == FIT or not newton[i] for i in rows]  # a refining row due a step waits
         due = [p for p, i in enumerate(rows) if newton[i]]
-        if len(due) == len(rows) or any(phase[rows[p]] == FIT for p in due):
-            taken, groups = {}, [due]
-            for g in groups:  # a shared call that fails adds its rows one by one
-                sub = [a[g] for a in mats]
-                try:
-                    norm, stepped = _newton(data, sub)
-                except np.linalg.LinAlgError:  # not taken
-                    groups.extend([p] for p in g if len(g) > 1)
-                    continue
-                for a, b in zip(mats, sub):
-                    a[g] = b
-                taken.update(zip(g, zip(norm.tolist(), stepped.tolist())))
-            for p in due:
-                i = rows[p]
-                norm, stepped = taken.get(p, (math.inf, False))
-                counts[i] += stepped
-                if phase[i] == REFINE:
-                    sweep[p] = not (stepped or norm < _MOMENT_TOL)
-                    if norm < _MOMENT_TOL:
-                        end_refine(p)
-        swept = [p for p, s in enumerate(sweep) if s]
+        for p, (_, stepped) in zip(due, _newton_rows(data, mats, due) if due else []):
+            steps[rows[p]] += stepped
+        lost, cond, ridged, logdets, _ = _sweep(data, mats)
+        logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
+        loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
+        fix = np.flatnonzero(ridged)
+        if len(fix):
+            loglik[fix] = _loglik(data, [a[fix] for a in mats])
+        for p, (x, ls, c) in enumerate(zip(loglik.tolist(), lost.tolist(), cond.tolist())):
+            if ls:
+                end(p, FitStatus.DEGENERATE_STATISTIC)
+                continue
+            h = histories[rows[p]]
+            h.append(x)
+            bound = 1e3 * (1.0 + abs(h[0])) if divergence_bound is None else divergence_bound
+            if not math.isfinite(x) or x - h[0] > bound or c > CONDITION_LIMIT:
+                end(p, FitStatus.DIVERGED)
+            elif abs(x - h[-2]) < tol * (1.0 + abs(h[-2])):
+                end(p, FitStatus.CONVERGED)
+            elif len(h) > 3 and x - h[-2] > _STALL_RATIO * (h[-2] - h[-3]):
+                newton[rows[p]] = True
+        keep = [p for p, i in enumerate(rows) if reports[i] is None]
+        if len(keep) < len(rows):
+            rows, mats = [rows[p] for p in keep], [a[keep] for a in mats]
+    return reports, ends
+
+
+def _refine(data: _Unfoldings, fits: list, ends: list):
+    """Refine every converged fit from the roots it ended at (`ends`, see
+    _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (refined,
+    iterations), one entry per restart: its gauge-fixed refined factors
+    Psi_i (None unless it converged) and its refinement iterations.
+
+    The likelihood-change rule can halt while slowly contracting directions
+    still carry a few 1e-6 of error.  Each iteration of a restart is a
+    sweep, whose block updates return the norm at the roots they replace
+    (_update_block), while sweeps at least halve the norm, and after the
+    first that does not (_NEWTON_SWITCH) a Newton step, or a sweep where
+    that finds no rise.  A Newton step costs several sweeps, so a restart
+    due one waits, taking neither, until every restart is due one; waiting
+    changes no restart's arithmetic.  A restart whose statistic loses its
+    scale ends where its fit ended; one still above the stop after
+    _REFINE_MAX_ITER iterations keeps its last iterate, with one warning.
+    """
+    refined, counts = [None] * len(ends), [0] * len(ends)
+    conv = rows = [i for i, e in enumerate(ends) if e is not None]  # the restart in each row
+    newton, norms, capped = [False] * len(ends), [math.inf] * len(ends), 0
+    mats = [np.stack(a) for a in zip(*(ends[i] for i in rows))]
+
+    def end(p, factors=None):
+        refined[rows[p]] = factors or [a[p].T @ a[p] for a in mats]
+
+    while rows:
+        swept = [p for p, i in enumerate(rows) if not newton[i]]  # a row due a step waits
+        if not swept:
+            for p, (norm, stepped) in enumerate(_newton_rows(data, mats, list(range(len(rows))))):
+                counts[rows[p]] += stepped
+                if norm < _MOMENT_TOL:
+                    end(p)
+                elif not stepped:
+                    swept.append(p)
         if swept:
             sub = mats if len(swept) == len(rows) else [a[swept] for a in mats]
-            moment = any(phase[rows[p]] == REFINE for p in swept)
-            lost, cond, ridged, logdets, norm = _sweep(data, sub, moment)
+            lost, _, _, _, norm = _sweep(data, sub, moment=True)
             if sub is not mats:
                 for a, b in zip(mats, sub):
                     a[swept] = b
-            lost, cond, ridged = lost.tolist(), cond.tolist(), ridged.tolist()
-            norm = norm.tolist() if moment else None
-            logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
-            loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
-            fix = [q for q, p in enumerate(swept) if ridged[q] and phase[rows[p]] == FIT]
-            if fix:
-                loglik[fix] = _loglik(data, [a[fix] for a in sub])
-            for q, (p, x) in enumerate(zip(swept, loglik.tolist())):
+            for p, ls, x in zip(swept, lost.tolist(), norm.tolist()):
                 i = rows[p]
-                if phase[i] == REFINE:
-                    counts[i] += 1
-                    if lost[q] or norm[q] < _MOMENT_TOL:  # a lost one ends where its fit ended
-                        end_refine(p, list(reports[i].factors.factors) if lost[q] else None)
-                    newton[i] = newton[i] or norm[q] > _NEWTON_SWITCH * norms[i]
-                    norms[i] = norm[q]
-                    continue
-                if lost[q]:
-                    end_fit(p, FitStatus.DEGENERATE_STATISTIC)
-                    continue
-                h = histories[i]
-                h.append(x)
-                bound = 1e3 * (1.0 + abs(h[0])) if divergence_bound is None else divergence_bound
-                if not math.isfinite(x) or x - h[0] > bound or cond[q] > CONDITION_LIMIT:
-                    end_fit(p, FitStatus.DIVERGED)
-                elif abs(x - h[-2]) < tol * (1.0 + abs(h[-2])):
-                    end_fit(p, FitStatus.CONVERGED)
-                elif len(h) > 3 and x - h[-2] > _STALL_RATIO * (h[-2] - h[-3]):
-                    newton[i] = True
+                counts[i] += 1
+                if ls or x < _MOMENT_TOL:  # a lost one ends where its fit ended
+                    end(p, list(fits[i].factors.factors) if ls else None)
+                newton[i] = newton[i] or x > _NEWTON_SWITCH * norms[i]
+                norms[i] = x
         for p, i in enumerate(rows):
-            if phase[i] == REFINE and counts[i] >= _REFINE_MAX_ITER:
+            if refined[i] is None and counts[i] >= _REFINE_MAX_ITER:
                 capped += 1
-                end_refine(p)
-    conv = [i for i, f in enumerate(refined) if f is not None]
+                end(p)
+        keep = [p for p, i in enumerate(rows) if refined[i] is None]
+        if len(keep) < len(rows):
+            rows, mats = [rows[p] for p in keep], [a[keep] for a in mats]
     if capped:
         import logging  # loaded only when a warning is logged
 
@@ -910,7 +909,7 @@ def _solve(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_
         fixed = _gauge_fix([np.stack(fs) for fs in zip(*(refined[i] for i in conv))])
         for n, i in enumerate(conv):
             refined[i] = [a[n] for a in fixed]
-    return reports, refined, counts
+    return refined, counts
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1062,7 @@ def fit_mle(
     _check_tol(tol)
     if divergence_bound is not None and not divergence_bound > 0.0:
         raise ValueError(f"divergence_bound must be positive, got {divergence_bound}")
-    return _solve(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
+    return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
 
 
 def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
@@ -1089,9 +1088,9 @@ class TrialResult:
     factor_spread_abs the largest per-factor Frobenius gap between two
     gauge-fixed restarts (relative resp. absolute).  Before comparison
     each converged fit is refined until its moment-map norm is below
-    1e-10, by flip-flop sweeps and then safeguarded Newton steps, in the
-    stack its partners may still be fitting in (see _solve); that sharpens
-    the maximizer location without touching the reported fit.
+    1e-10, by flip-flop sweeps and then safeguarded Newton steps, once
+    every restart's fit has ended (see _refine); that sharpens the
+    maximizer location without touching the reported fit.
     All spreads are 0 when fewer than two restarts converged.  iterations
     holds every restart's fit iterations: sweeps, each preceded by a Newton
     step once its flip-flop contraction stalled (see fit_mle), and
@@ -1187,9 +1186,10 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            fits, refined, polish_sweeps = _solve(
-                _Unfoldings(samples.tensors()), _roots(_restart_inits(samples.dims, restarts, seed)),
-                tol, DEFAULT_MAX_SWEEPS, refine=True)
+            data = _Unfoldings(samples.tensors())
+            fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
+                              DEFAULT_MAX_SWEEPS)
+            refined, polish_sweeps = _refine(data, fits, ends)
             ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
             spread = 0.0
             if len(ls) >= 2:

@@ -404,7 +404,7 @@ def polish_sequential(samples, factors, ptol=1e-10, max_sweeps=2000):
 
 
 # ---------------------------------------------------------------------------
-# refinement, one restart at a time (the refine phase of mle._solve, written out)
+# refinement, one restart at a time (mle._refine, written out)
 
 
 def _unfold(tens, axis):

@@ -19,7 +19,7 @@ import pytest
 import tnm
 from oracles import json_doc, scan_csv_reference, scan_shapes
 from reference_ops import STRAY_FLAG_CASES, USAGE_CASES, walk_data
-from tnm import Datum, SampleSet, cli, explain, mle, thresholds
+from tnm import Datum, SampleSet, big_r, cli, explain, mle, thresholds
 from tnm.castling import _walk
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tnm.__file__)))
@@ -85,6 +85,30 @@ def test_classify_text_format():
     assert has_line(res.stdout, "class", "unstable")
     assert has_line(res.stdout, "git dimension", "empty")
     assert has_line(res.stdout, "always unbounded", "True")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_classify_prints_exact_values_of_any_length(capsys):
+    # five entries of 1,000 nines are a valid datum whose R is longer than
+    # CPython's 4,300-digit int-string limit: both formats print it and exit
+    # 0, and the caller's limit holds again after main returns.  The input
+    # is still parsed under that limit: an entry of 4,301 digits is not
+    dims = ",".join(["9" * 1000] * 5)
+    limit = sys.get_int_max_str_digits()
+    codes = [cli.main(["classify", "--dims", dims, "--samples", "1", "--format", fmt])
+             for fmt in ("json", "text")]
+    json_out, text_out = capsys.readouterr().out.split("\n}\n")
+    assert codes == [0, 0] and sys.get_int_max_str_digits() == limit
+    r_line = next(line for line in text_out.splitlines() if line.startswith("R "))
+    want = big_r(Datum((10**1000 - 1,) * 5, 1))
+    try:
+        sys.set_int_max_str_digits(0)
+        assert int(strict_json(json_out + "}")["R"]) == int(r_line.split()[1]) == want
+        assert len(str(want)) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cli.main(["classify", "--dims", "9" * 4301 + ",2", "--samples", "1"]) == 2
+    assert "cannot parse dimensions" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

@@ -19,6 +19,16 @@ versions.  The digests live in `golden_exact.json`.  A change that means to
 alter this output records them again, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_exact.json
+
+The solver's behaviour is pinned the same way, without its float digits:
+`golden_solver.json` holds, for the 72 `verify` ops of the benchmark's
+`verify_panel` and `verify_large` panels (`reference_ops.PANEL + LARGE` at
+trial seeds 0..7), the first 16 hex digits of `reference_ops.py`'s
+float-free digest.  It covers statuses, fit iterations, refinement and
+Newton counts, verdicts, exit codes and warnings.  A change that means to
+alter them records the digests again:
+
+    PYTHONPATH=src python tests/test_golden.py solver > tests/golden_solver.json
 """
 
 from __future__ import annotations
@@ -32,10 +42,13 @@ import os
 import random
 import sys
 
-from reference_ops import shapes, walk_data
+import reference_ops
+from reference_ops import LARGE, PANEL, shapes, walk_data
 from tnm import cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_exact.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_exact.json")
+GOLDEN_SOLVER = os.path.join(HERE, "golden_solver.json")
 FORMATS = ("json", "text")
 
 
@@ -119,6 +132,26 @@ def test_exact_layer_bytes_match_the_recorded_digests():
         assert not changed, f"{group}: {len(changed)} ops changed, first: {changed[0][:200]}"
 
 
+def solver_ops() -> list[list[str]]:
+    """The verify ops of the benchmark's two solver panels, in order."""
+    return [reference_ops.verify_argv(dims, m, seed, 1)
+            for dims, m in PANEL + LARGE for seed in range(8)]
+
+
+def solver_digests() -> list[str]:
+    return [reference_ops.digest(argv).split()[1][:16] for argv in solver_ops()]
+
+
+def test_solver_behaviour_matches_the_recorded_digests():
+    with open(GOLDEN_SOLVER) as fh:
+        golden = json.load(fh)
+    argvs = solver_ops()
+    assert len(argvs) == len(golden) == 72
+    changed = [" ".join(argv) for argv, got, want in zip(argvs, solver_digests(), golden)
+               if got != want]
+    assert not changed, f"{len(changed)} verify ops changed, first: {changed[0]}"
+
+
 if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=0)
+    json.dump(solver_digests() if sys.argv[1:] == ["solver"] else digests(), sys.stdout, indent=0)
     print()

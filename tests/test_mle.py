@@ -47,6 +47,7 @@ from tnm.mle import (
     _check_restarts,
     _cholesky_route,
     _eigh_route,
+    _fit,
     _gauge_fix,
     _grams,
     _hessian_product,
@@ -54,9 +55,9 @@ from tnm.mle import (
     _maximizer,
     _newton,
     _per_block,
+    _refine,
     _restart_inits,
     _roots,
-    _solve,
     _statistic,
     _sweep,
     _tri_inv,
@@ -528,11 +529,12 @@ def test_loglik_from_eigenvalues_matches_explicit():
 
 
 def solve_trial(samples, mats, tol=DEFAULT_TOL):
-    """_solve on the roots of the restart stack of factors `mats`, as verify
-    runs a trial: (FitReports, refined factors or None, refinement
-    iterations), one entry per restart."""
+    """_fit and then _refine on the roots of the restart stack of factors
+    `mats`, as verify runs a trial: (FitReports, refined factors or None,
+    refinement iterations), one entry per restart."""
     data = _Unfoldings(samples.tensors())
-    return _solve(data, _roots(mats), tol, DEFAULT_MAX_SWEEPS, refine=True)
+    fits, ends = _fit(data, _roots(mats), tol, DEFAULT_MAX_SWEEPS)
+    return (fits, *_refine(data, fits, ends))
 
 
 def _same_fit(a, b) -> bool:
@@ -551,9 +553,10 @@ def _same_fit(a, b) -> bool:
     ((2, 2, 3, 3), 1),
 ])
 def test_stacked_restarts_equal_solo_fits(dims, m):
-    # a restart's result does not depend on which restarts share its stack,
-    # nor on the phases they are in: where any restart converges, the fits
-    # end at different iterations, so rows refine while partners still fit.
+    # a restart's result does not depend on which restarts share its stack:
+    # where any restart converges, the fits end at different iterations, so
+    # the fit stack shrinks under the restarts still fitting, and the
+    # refinement stack holds fits that ended at different iterations.
     # Each restart's FitReport, refined factors and refinement count are
     # bitwise those of the same restart run alone, and its fit is fit_mle's
     samples = sample_standard(dims, m, seed=[0, 101, 0])
@@ -860,15 +863,9 @@ def test_trial_reports_sweep_counts():
     assert div.iterations == (1, 1) and div.polish_sweeps == (0, 0)
 
 
-@pytest.mark.parametrize("dims,m,seed,want", [
-    ((3, 3), 3, 0, ((3, 10), (48, 5))),
-    ((2, 5, 5), 1, 4, ((8, 24), (34, 4))),
-])
-def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
-    # restarts start refining at different iterations; a refining restart
-    # due a Newton step waits for the others, so their steps share _newton
-    # calls (without the wait, (3,3;3) seed 0 makes 7 calls), and one trial
-    # makes these (calls, rows) of _newton and (calls, moment calls) of _sweep
+def _kernel_calls(monkeypatch, dims, m, seed):
+    """The rows of each _newton call and the `moment` flag of each _sweep
+    call of one verify trial, and its TrialResult."""
     newton, sweep = tnm.mle._newton, tnm.mle._sweep
     newtons, sweeps = [], []
 
@@ -880,10 +877,40 @@ def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
         sweeps.append(moment)
         return sweep(data, mats, moment)
 
-    monkeypatch.setattr(tnm.mle, "_newton", counted_newton)
-    monkeypatch.setattr(tnm.mle, "_sweep", counted_sweep)
-    verify_datum(Datum(dims, m), trials=1, restarts=4, seed=seed, threads=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(tnm.mle, "_newton", counted_newton)
+        patch.setattr(tnm.mle, "_sweep", counted_sweep)
+        trial, = verify_datum(Datum(dims, m), trials=1, restarts=4, seed=seed, threads=1).trials
+    return newtons, sweeps, trial
+
+
+@pytest.mark.parametrize("dims,m,seed,want", [
+    ((3, 3), 3, 0, ((3, 10), (48, 2))),
+    ((2, 5, 5), 1, 4, ((8, 24), (34, 2))),
+])
+def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
+    # restarts end their fits at different iterations; a refining restart
+    # due a Newton step waits for the others, so their steps share _newton
+    # calls (without the wait, (3,3;3) seed 0 makes 7 calls), and one trial
+    # makes these (calls, rows) of _newton and (calls, moment calls) of
+    # _sweep.  Fitting rows no longer pay for moment norms: the moment calls
+    # are the refinement's alone
+    newtons, sweeps, _ = _kernel_calls(monkeypatch, dims, m, seed)
     assert ((len(newtons), sum(newtons)), (len(sweeps), sum(sweeps))) == want
+
+
+@pytest.mark.parametrize("dims,m,seed", [
+    ((3, 3), 3, 0), ((2, 5, 5), 1, 4), ((3, 3), 2, 2), ((4, 4, 4), 1, 1), ((8, 8, 8), 1, 0),
+])
+def test_fitting_rows_sweep_without_moment_norms(monkeypatch, dims, m, seed):
+    # a trial fits every restart before it refines any, so no sweep that
+    # holds a fitting row computes moment norms: the flags of its _sweep
+    # calls read all False, one call per iteration of its longest fit, then
+    # all True (the refinement, which has a converged fit to refine on every
+    # one of these trials)
+    _, sweeps, trial = _kernel_calls(monkeypatch, dims, m, seed)
+    fit = max(trial.iterations)
+    assert 0 < fit < len(sweeps) and sweeps == [False] * fit + [True] * (len(sweeps) - fit)
 
 
 def test_newton_step_safeguards(monkeypatch):
