@@ -36,6 +36,7 @@ if "numpy" not in sys.modules:
         os.environ.setdefault(_var, "1")
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .classify import MleProfile, mle_profile
 from .datum import Datum, _as_int
@@ -91,12 +92,13 @@ _CG_RTOL = 1e-2               # relative residual at which a Newton direction is
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
 _CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block); eigh /
-                              # Cholesky route on 4-restart stacks, us, best of 5: 34 / 38 at d = 4,
-                              # 44 / 40 at 6, 53 / 40 at 8, 177 / 64 at 16, 1637 / 287 at 64 (2-vCPU
-                              # Xeon, 1 BLAS thread; the routes cross near d = 5-6)
-_TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-restart inverse, us,
-                              # base 8 / base 16 / inv of the whole: 161 / 181 / 459 at d = 64,
-                              # 57 / 56 / 52 at d = 16 (same machine)
+                              # Cholesky route on 4-restart stacks, us, best of 5: 25 / 25 at d = 4,
+                              # 28 / 28 at 5, 34 / 29 at 6, 48 / 32 at 8, 132 / 57 at 16, 1545 / 273
+                              # at 64 (2-vCPU Xeon, 1 BLAS thread, LAPACK through _eigh and
+                              # _cholesky; the routes cross near d = 4-5)
+_TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv (_inv); 4-restart inverse,
+                              # us, base 8 / base 16 / _inv of the whole: 147 / 182 / 393 at d = 64,
+                              # 28 / 27 / 26 at d = 16 (same machine)
 _MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
 _MAX_STACK_ENTRIES = 1 << 27  # most entries restarts * (m * prod(d_i) + sum d_i^2) a trial's stacks
                               # may hold: 4 * (2^24 + 4096^2), so 4 restarts fit every draw allowed.
@@ -252,7 +254,8 @@ class KroneckerPrecision:
             if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(scale, 1.0):
                 raise ValueError(f"factor {idx + 1} is not symmetric")
             try:
-                np.linalg.cholesky(0.5 * (a + a.T))
+                with np.errstate(all="ignore"):  # a failed factorization raises, quietly
+                    _cholesky(0.5 * (a + a.T))
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(f"factor {idx + 1} is not positive definite")
             mats.append(a)
@@ -314,6 +317,47 @@ class FitReport:
 # public functions are the R = 1 case.  No kernel function changes how many
 # restarts a stack holds: they report per-restart masks, and only the solver
 # loops (_fit, _refine) retire restarts.
+#
+# LAPACK is called through _eigh, _cholesky and _inv.  numpy.linalg's eigh,
+# cholesky and inv each make one call of a gufunc of numpy.linalg._umath_linalg
+# (eigh_lo, cholesky_lo, inv), inside checks, casts and an np.errstate that
+# turns LAPACK's failure flag into LinAlgError; on the kernel's small stacks
+# that wrapper took as long as LAPACK itself.  The helpers make the same call
+# on the kernel's float64 stacks, so their results are numpy's bit for bit,
+# and raise LinAlgError where numpy does, read off the NaN the gufunc writes
+# into every entry of an item LAPACK could not factor.  Such an item also
+# sets numpy's invalid flag, so numpy's floating-point errors are ignored
+# (np.errstate) once around each solver loop (_fit, _refine) and in each
+# public function that calls the kernel outside them, not around every call.
+# The gufunc names are those of numpy 1.24, the declared floor.
+
+
+def _raise_failed(x: np.ndarray, message: str) -> None:
+    """LinAlgError(message) if an item of the gufunc result x failed: its
+    entries are all NaN, and [0, 0] is NaN in no other item of a finite input."""
+    if np.count_nonzero(np.isnan(x[..., 0, 0])):
+        raise np.linalg.LinAlgError(message)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a): (w, v), the eigenvalues in ascending order."""
+    w, v = _umath_linalg.eigh_lo(a)
+    _raise_failed(v, "Eigenvalues did not converge")
+    return w, v
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a): the lower-triangular L with a = L L^T."""
+    low = _umath_linalg.cholesky_lo(a)
+    _raise_failed(low, "Matrix is not positive definite")
+    return low
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a)."""
+    out = _umath_linalg.inv(a)
+    _raise_failed(out, "Singular matrix")
+    return out
 
 
 class _Unfoldings:
@@ -467,15 +511,19 @@ def _eigh_route(s: np.ndarray, scale: int):
     diag(sqrt(c / w)) V^T.  A lost row's new root is I (V = I, w = c); a
     ridged row's w is the ridged one.
     """
-    w, v = np.linalg.eigh(s)
-    lost = w[:, -1] <= 0.0
+    w, v = _eigh(s)
     d = s.shape[-1]
-    if np.count_nonzero(lost):
-        w[lost], v[lost] = scale, np.eye(d)
-    top = w[:, -1:]
-    ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
-    if np.count_nonzero(ridged):
-        w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
+    # w ascends, so a row whose w_1 exceeds DEGENERATE_EIG_RTOL w_d is neither lost nor ridged
+    if np.count_nonzero(w[:, 0] > DEGENERATE_EIG_RTOL * w[:, -1]) == len(w):
+        lost, ridged = np.zeros((2, len(w)), dtype=bool)
+    else:
+        lost = w[:, -1] <= 0.0
+        if np.count_nonzero(lost):
+            w[lost], v[lost] = scale, np.eye(d)
+        top = w[:, -1:]
+        ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
+        if np.count_nonzero(ridged):
+            w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     logdet = d * math.log(scale) - np.log(w).sum(axis=1)
     new = np.multiply(v.transpose(0, 2, 1), np.sqrt(scale / w)[:, :, None], out=s)  # S's buffer
     return new, lost, w[:, -1] / w[:, 0], ridged, logdet
@@ -486,12 +534,12 @@ def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor, and those factors.  A failing stack is retried row by row, so a
     row's factor does not depend on its stack partners."""
     try:
-        return np.arange(len(s)), np.linalg.cholesky(s)
+        return np.arange(len(s)), _cholesky(s)
     except np.linalg.LinAlgError:
         rows, low = [], []
         for i, a in enumerate(s):
             try:
-                low.append(np.linalg.cholesky(a))
+                low.append(_cholesky(a))
             except np.linalg.LinAlgError:
                 continue
             rows.append(i)
@@ -541,7 +589,7 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
     0.  Each row's arithmetic is its own."""
     r, d = len(low), low.shape[-1]
     if d <= _TRI_INV_BASE:
-        return np.linalg.inv(low)
+        return _inv(low)
     h = d // 2
     if d % 2:
         a, c = _tri_inv(low[:, :h, :h]), _tri_inv(low[:, h:, h:])
@@ -564,10 +612,10 @@ def _sweep(data: _Unfoldings, mats: list, moment: bool = False):
     `moment` the largest block moment-map norm met on the way (None
     without).
     """
-    r = len(mats[0])
-    lost, ridged, cond, logdets = np.zeros(r, dtype=bool), np.zeros(r, dtype=bool), np.zeros(r), []
-    norm = np.zeros(r) if moment else None
-    for j in range(len(mats)):
+    # the later blocks update block 1's arrays in place
+    lost, cond, ridged, ld, norm = _update_block(data, mats, 0, moment)
+    logdets = [ld]
+    for j in range(1, len(mats)):
         ls, c, rg, ld, nj = _update_block(data, mats, j, moment)
         lost |= ls
         ridged |= rg
@@ -591,7 +639,7 @@ def _gauge_fix(mats) -> list[np.ndarray]:
     out = [np.array(a) for a in mats]
     carry = 1.0
     for a in out[1:]:
-        logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)).sum(axis=1)
+        logdet = 2.0 * np.log(np.diagonal(_cholesky(a), axis1=1, axis2=2)).sum(axis=1)
         c = np.exp(logdet / a.shape[-1])
         a /= c[:, None, None]
         carry = carry * c
@@ -732,7 +780,7 @@ def _newton(data: _Unfoldings, mats: list):
         g *= -0.5  # -grad
     vs = _newton_direction(data, zs, grams, res)
     del zs, grams, res  # the line search whitens the samples once more
-    lam, vecs = zip(*(np.linalg.eigh(v) for v in vs))
+    lam, vecs = zip(*(_eigh(v) for v in vs))
     rot = [u.transpose(0, 2, 1) @ b for b, u in zip(roots, vecs)]
     z = _whiten(data, rot).reshape(len(go), data.m, data.n)
     power = np.einsum("rsn,rsn->rn", z, z)
@@ -779,6 +827,7 @@ def _newton_rows(data: _Unfoldings, mats: list, rows: list) -> list:
     return [taken.get(p, (math.inf, False)) for p in rows]
 
 
+@np.errstate(all="ignore")  # see the kernel's header: LAPACK is quieted once per loop
 def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
     """Fit every restart of the stack of roots `mats` (consumed) until its
     own verdict (see fit_mle).  Returns (reports, ends), one entry per
@@ -820,8 +869,8 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
         lost, cond, ridged, logdets, _ = _sweep(data, mats)
         logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
         loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
-        fix = np.flatnonzero(ridged)
-        if len(fix):
+        if np.count_nonzero(ridged):
+            fix = np.flatnonzero(ridged)
             loglik[fix] = _loglik(data, [a[fix] for a in mats])
         for p, (x, ls, c) in enumerate(zip(loglik.tolist(), lost.tolist(), cond.tolist())):
             if ls:
@@ -842,6 +891,7 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     return reports, ends
 
 
+@np.errstate(all="ignore")
 def _refine(data: _Unfoldings, fits: list, ends: list):
     """Refine every converged fit from the roots it ended at (`ends`, see
     _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (refined,
@@ -990,9 +1040,10 @@ def _check_tol(tol: float) -> None:
 def _roots(mats) -> list[np.ndarray]:
     """The kernel's form of the factor stacks mats: their roots T = L^T,
     from the Cholesky factorizations Psi = L L^T."""
-    return [np.ascontiguousarray(np.linalg.cholesky(a).swapaxes(-1, -2)) for a in mats]
+    return [np.ascontiguousarray(_cholesky(a).swapaxes(-1, -2)) for a in mats]
 
 
+@np.errstate(all="ignore")
 def _stack(factors: KroneckerPrecision) -> list[np.ndarray]:
     """The roots of the factors as stacks of one restart, (1, d_i, d_i)."""
     return _roots([f[None] for f in factors.factors])
@@ -1017,6 +1068,7 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
     return _statistic(_Unfoldings(samples.tensors()), _stack(factors), i - 1)[0]
 
 
+@np.errstate(all="ignore")
 def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> KroneckerPrecision:
     """Replace factor i by its exact block maximizer (m*n/d_i) * S_i^{-1}.
 
@@ -1065,6 +1117,7 @@ def fit_mle(
     return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
 
 
+@np.errstate(all="ignore")
 def gauge_fix(factors: KroneckerPrecision) -> KroneckerPrecision:
     """Rescale so det(Psi_i) = 1 for every i >= 2, absorbing the scalars
     into Psi_1.  The Kronecker product, and hence the likelihood, is
@@ -1165,12 +1218,18 @@ def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]
     return [np.stack(s) for s in zip(*starts)]
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """np.linalg.norm(x), as numpy computes it: sqrt(x . x) of x raveled."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[float, float]:
     """Largest per-factor Frobenius gap between two factor tuples: (relative, absolute)."""
     rel = abs_ = 0.0
     for fa, fb in zip(a, b):
-        diff = float(np.linalg.norm(fa - fb))
-        denom = max(float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1e-300)
+        diff = _frobenius(fa - fb)
+        denom = max(_frobenius(fa), _frobenius(fb), 1e-300)
         rel = max(rel, diff / denom)
         abs_ = max(abs_, diff)
     return rel, abs_

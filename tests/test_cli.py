@@ -111,6 +111,25 @@ def test_classify_prints_exact_values_of_any_length(capsys):
     assert "cannot parse dimensions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, ascii_argv", [
+    (["classify", "--dims", "２,３", "--samples", "１"], ["classify", "--dims", "2,3", "--samples", "1"]),
+    (["classify", "--dims", " 2, +3", "--samples", "1", "--format", "text"],
+     ["classify", "--dims", "2,3", "--samples", "1", "--format", "text"]),
+    (["threshold", "--dims", "２,３"], ["threshold", "--dims", "2,3"]),
+    (["verify", "--dims", "２,３", "--samples", "１", "--trials", "１", "--format", "json"],
+     ["verify", "--dims", "2,3", "--samples", "1", "--trials", "1", "--format", "json"]),
+])
+def test_integer_flags_take_what_int_takes(capsys, argv, ascii_argv):
+    # --dims entries and integer flags are read by Python's int(), which
+    # takes surrounding spaces, a leading + and non-ASCII decimal digits
+    # (full-width ２): such an argv prints the bytes of its ASCII form
+    runs = []
+    for a in (argv, ascii_argv):
+        code = cli.main(a)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_usage_errors_exit_2():
     assert run("classify", "--dims", "2,3").returncode == 2  # --samples missing
     assert run("classify", "--dims", "2,x", "--samples", "1").returncode == 2

@@ -6,10 +6,12 @@ import math
 import os
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+import tnm.cli
 import tnm.mle
 from tnm import (
     Datum,
@@ -45,12 +47,16 @@ from tnm.mle import (
     _assemble_report,
     _check_draw,
     _check_restarts,
+    _cholesky,
     _cholesky_route,
+    _cholesky_rows,
+    _eigh,
     _eigh_route,
     _fit,
     _gauge_fix,
     _grams,
     _hessian_product,
+    _inv,
     _loglik,
     _maximizer,
     _newton,
@@ -648,6 +654,89 @@ def test_tri_inv_matches_lapack_inverse(d, cond):
         assert np.array_equal(_tri_inv(low[r : r + 1])[0], x[r])
 
 
+@pytest.mark.parametrize("r", [1, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64])
+def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
+    # _eigh, _cholesky and _inv make the gufunc call numpy.linalg's eigh,
+    # cholesky and inv make, so on a stack of positive definite matrices,
+    # their Cholesky factors and a strided view of those, every result is
+    # bitwise numpy's
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((r, d, 2 * d))
+    s = a @ a.transpose(0, 2, 1)
+    for x, y in zip(_eigh(s), np.linalg.eigh(s)):
+        assert np.array_equal(x, y)
+    low = _cholesky(s)
+    assert np.array_equal(low, np.linalg.cholesky(s))
+    for x in (s, low, low[:, ::-1, ::-1]):
+        assert np.array_equal(_inv(x), np.linalg.inv(x))
+
+
+def test_lapack_helpers_raise_where_numpy_does():
+    # a stack with one indefinite row has no Cholesky factorization, for
+    # _cholesky as for numpy; _cholesky_rows retries row by row and returns
+    # the other rows' factors.  A NaN stack has no eigendecomposition, and a
+    # zero matrix no inverse
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 4, 8))
+    s = a @ a.transpose(0, 2, 1)
+    s[1, 0, 0] = -1.0
+    nan = np.full((4, 3, 3), np.nan)
+    with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
+        for helper, numpy_call, x in [(_cholesky, np.linalg.cholesky, s), (_eigh, np.linalg.eigh, nan),
+                                      (_inv, np.linalg.inv, np.zeros((2, 3, 3)))]:
+            with pytest.raises(np.linalg.LinAlgError):
+                numpy_call(x)
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(x)
+        rows, low = _cholesky_rows(s)
+    assert rows.tolist() == [0, 2]
+    assert np.array_equal(low, np.linalg.cholesky(s[[0, 2]]))
+
+
+def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
+    # numpy.linalg._umath_linalg is private: the helpers rely on eigh_lo,
+    # cholesky_lo and inv being there, as in numpy 1.24 (the declared floor)
+    # and since, and on each marking an item LAPACK cannot factor by NaN in
+    # every entry and numpy's invalid flag, while the item beside it comes
+    # out as it does alone
+    lapack = tnm.mle._umath_linalg
+    good = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    nan = np.eye(3)
+    nan[2, 0] = nan[0, 2] = np.nan
+    for name, bad in [("eigh_lo", nan), ("cholesky_lo", -good), ("inv", np.zeros((3, 3)))]:
+        gufunc = getattr(lapack, name)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                gufunc(np.stack([good, bad]))
+        with np.errstate(invalid="ignore"):
+            got = gufunc(np.stack([good, bad]))
+        alone = gufunc(good[None])
+        if name != "eigh_lo":  # one result array
+            got, alone = [got], [alone]
+        for x, y in zip(got, alone):
+            assert np.isnan(x[1]).all() and np.array_equal(x[:1], y)
+
+
+def test_verify_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
+    # the solver reaches LAPACK only through _eigh, _cholesky and _inv and
+    # takes its Frobenius norms itself: a verify run on each datum of the
+    # benchmark's verify_panel calls none of numpy.linalg's eigh, cholesky,
+    # inv and norm
+    calls = []
+    for name in ("eigh", "cholesky", "inv", "norm"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for dims, m in [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1)]:
+        argv = ["verify", "--dims", ",".join(map(str, dims)), "--samples", str(m), "--trials", "1",
+                "--restarts", "4", "--threads", "1", "--format", "json", "--seed", "0"]
+        assert tnm.cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_block_update_decisions_come_from_eigenvalues():
     # one d = 8 stack: a well-conditioned statistic, one with condition
     # number 1e13, an indefinite one and a vanishing one.  Only the first
@@ -660,10 +749,13 @@ def test_block_update_decisions_come_from_eigenvalues():
     a = rng.standard_normal((d, 2 * d))
     s = np.stack([a @ a.T, (q * np.logspace(0, -13, d)) @ q.T,
                   (q * np.r_[np.ones(d - 1), -1.0]) @ q.T, np.zeros((d, d))])
-    rows, chol = _cholesky_route(s.copy(), scale)
+    with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
+        rows, chol = _cholesky_route(s.copy(), scale)
+        got = _maximizer(s.copy(), scale)
+        want = _eigh_route(s.copy(), scale)
+        one = _maximizer(s[:1].copy(), scale)
+        none = _maximizer(s[2:].copy(), scale)
     assert rows.tolist() == [0]
-    got = _maximizer(s.copy(), scale)
-    want = _eigh_route(s.copy(), scale)
     for x, y in zip(got, chol):
         assert np.array_equal(x[:1], y)
     assert got[1].tolist() == want[1].tolist() == [False, False, False, True]  # lost
@@ -672,10 +764,10 @@ def test_block_update_decisions_come_from_eigenvalues():
     assert (got[2] > CONDITION_LIMIT).tolist() == (want[2] > CONDITION_LIMIT).tolist() == diverged
     for x, y in zip(got, want):
         assert np.array_equal(x[1:], y[1:])
-    for x, y in zip(got, _maximizer(s[:1].copy(), scale)):
+    for x, y in zip(got, one):
         assert np.array_equal(x[:1], y)
     # a stack in which no row has a Cholesky factor is all eigh's
-    for x, y in zip(_maximizer(s[2:].copy(), scale), want):
+    for x, y in zip(none, want):
         assert np.array_equal(x, y[2:])
 
 
@@ -695,14 +787,16 @@ def test_low_rank_statistic_skips_cholesky(monkeypatch):
     data = _Unfoldings(samples.tensors())
     mats = _restart_inits(dims, 4, (0, 202, 0))
     monkeypatch.setattr(tnm.mle, "_cholesky_rows", spy)
-    _sweep(data, mats)
-    assert seen == [16]
-    monkeypatch.undo()
-    s, scale = _statistic(data, mats, 2), samples.n // 128
-    rows, _ = _cholesky_route(s.copy(), scale)
-    assert not len(rows)
-    want = _eigh_route(s.copy(), scale)
-    for x, y in zip(_maximizer(s.copy(), scale), want):
+    with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
+        _sweep(data, mats)
+        assert seen == [16]
+        monkeypatch.undo()
+        s, scale = _statistic(data, mats, 2), samples.n // 128
+        rows, _ = _cholesky_route(s.copy(), scale)
+        assert not len(rows)
+        want = _eigh_route(s.copy(), scale)
+        got = _maximizer(s.copy(), scale)
+    for x, y in zip(got, want):
         assert np.array_equal(x, y)
 
 
@@ -1191,11 +1285,16 @@ def test_refinement_reaches_its_stop_on_ill_conditioned_data(caplog, seed):
 
 
 def test_solver_takes_roots_with_the_numpy_1_cholesky(monkeypatch):
-    # the declared floor is numpy 1.24, whose cholesky takes the matrix alone
-    # (its `upper` keyword came in numpy 2.0); every public solver path runs
-    # with such a cholesky, and a root T is upper triangular with T^T T = Psi
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky(a))
+    # the declared floor is numpy 1.24: its numpy.linalg._umath_linalg has
+    # eigh_lo, cholesky_lo and inv, each taking the matrix alone, but no
+    # cholesky_up (numpy 2.0, behind cholesky's `upper` keyword); every
+    # public solver path runs with only those gufuncs, and a root T is upper
+    # triangular with T^T T = Psi
+    lapack = tnm.mle._umath_linalg
+    numpy_1 = types.SimpleNamespace(eigh_lo=lambda a: lapack.eigh_lo(a),
+                                    cholesky_lo=lambda a: lapack.cholesky_lo(a),
+                                    inv=lambda a: lapack.inv(a))
+    monkeypatch.setattr(tnm.mle, "_umath_linalg", numpy_1)
     p = random_precision((3, 4), seed=1)
     for (t,), f in zip(_roots([f[None] for f in p.factors]), p.factors):
         assert np.array_equal(t, np.triu(t))
@@ -1205,7 +1304,9 @@ def test_solver_takes_roots_with_the_numpy_1_cholesky(monkeypatch):
     mode_statistic(s, p, 1)
     flip_flop_step(s, p, 2)
     assert fit_mle(s, p).status is FitStatus.CONVERGED
+    gauge_fix(p)
     assert verify_datum(Datum((3, 4), 2), trials=1, restarts=2, seed=0, threads=1).trials[0].all_converged
+    verify_datum(Datum((8, 8), 2), trials=1, restarts=2, seed=0, threads=1)  # the Cholesky route and _inv
 
 
 def test_verify_samples_smoke():
