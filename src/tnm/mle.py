@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -513,17 +512,13 @@ def _eigh_route(s: np.ndarray, scale: int):
     """
     w, v = _eigh(s)
     d = s.shape[-1]
-    # w ascends, so a row whose w_1 exceeds DEGENERATE_EIG_RTOL w_d is neither lost nor ridged
-    if np.count_nonzero(w[:, 0] > DEGENERATE_EIG_RTOL * w[:, -1]) == len(w):
-        lost, ridged = np.zeros((2, len(w)), dtype=bool)
-    else:
-        lost = w[:, -1] <= 0.0
-        if np.count_nonzero(lost):
-            w[lost], v[lost] = scale, np.eye(d)
-        top = w[:, -1:]
-        ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
-        if np.count_nonzero(ridged):
-            w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
+    lost = w[:, -1] <= 0.0
+    if np.count_nonzero(lost):
+        w[lost], v[lost] = scale, np.eye(d)
+    top = w[:, -1:]
+    ridged = w[:, 0] < DEGENERATE_EIG_RTOL * top[:, 0]
+    if np.count_nonzero(ridged):
+        w[ridged] = np.maximum(w[ridged], 0.0) + _RIDGE_RTOL * top[ridged]
     logdet = d * math.log(scale) - np.log(w).sum(axis=1)
     new = np.multiply(v.transpose(0, 2, 1), np.sqrt(scale / w)[:, :, None], out=s)  # S's buffer
     return new, lost, w[:, -1] / w[:, 0], ridged, logdet
@@ -1218,18 +1213,12 @@ def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]
     return [np.stack(s) for s in zip(*starts)]
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """np.linalg.norm(x), as numpy computes it: sqrt(x . x) of x raveled."""
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
 def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[float, float]:
     """Largest per-factor Frobenius gap between two factor tuples: (relative, absolute)."""
     rel = abs_ = 0.0
     for fa, fb in zip(a, b):
-        diff = _frobenius(fa - fb)
-        denom = max(_frobenius(fa), _frobenius(fb), 1e-300)
+        diff = float(np.linalg.norm(fa - fb))
+        denom = max(float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1e-300)
         rel = max(rel, diff / denom)
         abs_ = max(abs_, diff)
     return rel, abs_
@@ -1238,28 +1227,26 @@ def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[floa
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
     """Fit, refine and compare the restarts of one data set.  Its inputs are
     checked before it runs, so a ValueError inside it is a solver fault, not
-    a usage error: it leaves as a RuntimeError chained to it.  Floating-point
-    warnings are filtered out for the trial: the kernel turns non-finite and
-    vanishing statistics into lost, diverged or degenerate restarts, so they
-    say nothing more.  numpy's error state is left as it is."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            data = _Unfoldings(samples.tensors())
-            fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
-                              DEFAULT_MAX_SWEEPS)
-            refined, polish_sweeps = _refine(data, fits, ends)
-            ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
-            spread = 0.0
-            if len(ls) >= 2:
-                spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
-            rel = abs_ = 0.0
-            for x, y in itertools.combinations([f for f in refined if f is not None], 2):
-                r_xy, a_xy = _factor_gaps(x, y)
-                rel = max(rel, r_xy)
-                abs_ = max(abs_, a_xy)
-        except ValueError as exc:
-            raise RuntimeError(f"solver fault: {exc}") from exc
+    a usage error: it leaves as a RuntimeError chained to it.  The solver
+    loops (_fit, _refine) ignore numpy's floating-point errors: the kernel
+    turns non-finite and vanishing statistics into lost, diverged or
+    degenerate restarts, so they say nothing more."""
+    try:
+        data = _Unfoldings(samples.tensors())
+        fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
+                          DEFAULT_MAX_SWEEPS)
+        refined, polish_sweeps = _refine(data, fits, ends)
+        ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
+        spread = 0.0
+        if len(ls) >= 2:
+            spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
+        rel = abs_ = 0.0
+        for x, y in itertools.combinations([f for f in refined if f is not None], 2):
+            r_xy, a_xy = _factor_gaps(x, y)
+            rel = max(rel, r_xy)
+            abs_ = max(abs_, a_xy)
+    except ValueError as exc:
+        raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(
         statuses=tuple(f.status.value for f in fits),
         logliks=tuple(f.loglik for f in fits),

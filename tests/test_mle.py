@@ -672,18 +672,16 @@ def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
         assert np.array_equal(_inv(x), np.linalg.inv(x))
 
 
-def test_lapack_helpers_raise_where_numpy_does():
+def test_lapack_helpers_raise_where_numpy_does(monkeypatch):
     # a stack with one indefinite row has no Cholesky factorization, for
     # _cholesky as for numpy; _cholesky_rows retries row by row and returns
-    # the other rows' factors.  A NaN stack has no eigendecomposition, and a
-    # zero matrix no inverse
+    # the other rows' factors.  A zero matrix has no inverse
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 4, 8))
     s = a @ a.transpose(0, 2, 1)
     s[1, 0, 0] = -1.0
-    nan = np.full((4, 3, 3), np.nan)
     with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
-        for helper, numpy_call, x in [(_cholesky, np.linalg.cholesky, s), (_eigh, np.linalg.eigh, nan),
+        for helper, numpy_call, x in [(_cholesky, np.linalg.cholesky, s),
                                       (_inv, np.linalg.inv, np.zeros((2, 3, 3)))]:
             with pytest.raises(np.linalg.LinAlgError):
                 numpy_call(x)
@@ -692,39 +690,46 @@ def test_lapack_helpers_raise_where_numpy_does():
         rows, low = _cholesky_rows(s)
     assert rows.tolist() == [0, 2]
     assert np.array_equal(low, np.linalg.cholesky(s[[0, 2]]))
+    # LAPACK's eigh fails on no finite input, so _eigh's failure is staged:
+    # an eigh_lo that marks the second item failed, as the gufunc marks one
+    w, v = tnm.mle._umath_linalg.eigh_lo(s[[0, 2]])
+    failed = v.copy()
+    failed[1] = np.nan
+    monkeypatch.setattr(tnm.mle, "_umath_linalg", types.SimpleNamespace(eigh_lo=lambda x: (w, failed)))
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        _eigh(s[[0, 2]])
+    monkeypatch.setattr(tnm.mle, "_umath_linalg", types.SimpleNamespace(eigh_lo=lambda x: (w, v)))
+    got = _eigh(s[[0, 2]])
+    assert got[0] is w and got[1] is v
 
 
 def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
     # numpy.linalg._umath_linalg is private: the helpers rely on eigh_lo,
     # cholesky_lo and inv being there, as in numpy 1.24 (the declared floor)
-    # and since, and on each marking an item LAPACK cannot factor by NaN in
-    # every entry and numpy's invalid flag, while the item beside it comes
-    # out as it does alone
+    # and since, and on a failed item coming back NaN in every entry with
+    # numpy's invalid flag set, while the item beside it comes out as it
+    # does alone.  cholesky_lo and inv fail on every indefinite or singular
+    # input; eigh_lo fails on no finite one, so only its result is checked
     lapack = tnm.mle._umath_linalg
     good = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-    nan = np.eye(3)
-    nan[2, 0] = nan[0, 2] = np.nan
-    for name, bad in [("eigh_lo", nan), ("cholesky_lo", -good), ("inv", np.zeros((3, 3)))]:
+    for x, y in zip(lapack.eigh_lo(good[None]), np.linalg.eigh(good[None])):
+        assert np.array_equal(x, y)
+    for name, bad in [("cholesky_lo", -good), ("inv", np.zeros((3, 3)))]:
         gufunc = getattr(lapack, name)
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
                 gufunc(np.stack([good, bad]))
         with np.errstate(invalid="ignore"):
             got = gufunc(np.stack([good, bad]))
-        alone = gufunc(good[None])
-        if name != "eigh_lo":  # one result array
-            got, alone = [got], [alone]
-        for x, y in zip(got, alone):
-            assert np.isnan(x[1]).all() and np.array_equal(x[:1], y)
+        assert np.isnan(got[1]).all() and np.array_equal(got[:1], gufunc(good[None]))
 
 
 def test_verify_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
-    # the solver reaches LAPACK only through _eigh, _cholesky and _inv and
-    # takes its Frobenius norms itself: a verify run on each datum of the
-    # benchmark's verify_panel calls none of numpy.linalg's eigh, cholesky,
-    # inv and norm
+    # the solver reaches LAPACK only through _eigh, _cholesky and _inv: a
+    # verify run on each datum of the benchmark's verify_panel calls none of
+    # numpy.linalg's eigh, cholesky and inv
     calls = []
-    for name in ("eigh", "cholesky", "inv", "norm"):
+    for name in ("eigh", "cholesky", "inv"):
         def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
