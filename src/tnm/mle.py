@@ -93,10 +93,10 @@ _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to 
 _CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block); eigh /
                               # Cholesky route on 4-restart stacks, us, best of 5: 25 / 25 at d = 4,
                               # 28 / 28 at 5, 34 / 29 at 6, 48 / 32 at 8, 132 / 57 at 16, 1545 / 273
-                              # at 64 (2-vCPU Xeon, 1 BLAS thread, LAPACK through _eigh and
-                              # _cholesky; the routes cross near d = 4-5)
-_TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv (_inv); 4-restart inverse,
-                              # us, base 8 / base 16 / _inv of the whole: 147 / 182 / 393 at d = 64,
+                              # at 64 (2-vCPU Xeon, 1 BLAS thread, LAPACK through its gufuncs;
+                              # the routes cross near d = 4-5)
+_TRI_INV_BASE = 8             # largest block _tri_inv hands to LAPACK inv; 4-restart inverse,
+                              # us, base 8 / base 16 / inv of the whole: 147 / 182 / 393 at d = 64,
                               # 28 / 27 / 26 at d = 16 (same machine)
 _MAX_DRAW_ENTRIES = 1 << 24   # most sample entries m * prod(d_i) one draw may hold (128 MiB)
 _MAX_STACK_ENTRIES = 1 << 27  # most entries restarts * (m * prod(d_i) + sum d_i^2) a trial's stacks
@@ -317,18 +317,26 @@ class FitReport:
 # restarts a stack holds: they report per-restart masks, and only the solver
 # loops (_fit, _refine) retire restarts.
 #
-# LAPACK is called through _eigh, _cholesky and _inv.  numpy.linalg's eigh,
-# cholesky and inv each make one call of a gufunc of numpy.linalg._umath_linalg
-# (eigh_lo, cholesky_lo, inv), inside checks, casts and an np.errstate that
-# turns LAPACK's failure flag into LinAlgError; on the kernel's small stacks
-# that wrapper took as long as LAPACK itself.  The helpers make the same call
-# on the kernel's float64 stacks, so their results are numpy's bit for bit,
-# and raise LinAlgError where numpy does, read off the NaN the gufunc writes
-# into every entry of an item LAPACK could not factor.  Such an item also
-# sets numpy's invalid flag, so numpy's floating-point errors are ignored
-# (np.errstate) once around each solver loop (_fit, _refine) and in each
-# public function that calls the kernel outside them, not around every call.
-# The gufunc names are those of numpy 1.24, the declared floor.
+# LAPACK is called through the gufuncs of numpy.linalg._umath_linalg
+# (eigh_lo, cholesky_lo, inv) that numpy.linalg's eigh, cholesky and inv
+# call inside checks, casts and an np.errstate that turns LAPACK's failure
+# flag into LinAlgError; on the kernel's small stacks that wrapper took as
+# long as LAPACK itself.  On the kernel's float64 stacks the results are
+# numpy's bit for bit.  A gufunc writes NaN into every entry of an item
+# LAPACK could not factor, and the items beside it come out as they do
+# alone.  So inside the solver loops a failed row is read off that NaN and
+# does not affect its stack partners: a statistic with no Cholesky factor
+# takes the eigh route (_cholesky_route), a Newton direction that is not
+# finite takes no step (_newton).  At entry and exit a failure raises
+# LinAlgError where numpy does: in _cholesky, which converts factors in and
+# out (_roots, _gauge_fix, KroneckerPrecision), where it means bad input or
+# a solver fault, and in _eigh, bitwise numpy's on finite input, which
+# _eigh_route alone calls, on finite statistics (_update_block zeroes the
+# others).  A failed item also sets numpy's invalid flag, so numpy's
+# floating-point errors are ignored (np.errstate) once around each solver
+# loop (_fit, _refine) and in each public function that calls the kernel
+# outside them, not around every call.  The gufunc names are those of
+# numpy 1.24, the declared floor.
 
 
 def _raise_failed(x: np.ndarray, message: str) -> None:
@@ -339,7 +347,9 @@ def _raise_failed(x: np.ndarray, message: str) -> None:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(a): (w, v), the eigenvalues in ascending order."""
+    """np.linalg.eigh(a), bitwise, for a finite stack a: (w, v), the
+    eigenvalues in ascending order.  (On some non-finite items, where numpy
+    returns NaN, this raises.)"""
     w, v = _umath_linalg.eigh_lo(a)
     _raise_failed(v, "Eigenvalues did not converge")
     return w, v
@@ -350,13 +360,6 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     low = _umath_linalg.cholesky_lo(a)
     _raise_failed(low, "Matrix is not positive definite")
     return low
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(a)."""
-    out = _umath_linalg.inv(a)
-    _raise_failed(out, "Singular matrix")
-    return out
 
 
 class _Unfoldings:
@@ -524,23 +527,6 @@ def _eigh_route(s: np.ndarray, scale: int):
     return new, lost, w[:, -1] / w[:, 0], ridged, logdet
 
 
-def _cholesky_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, L): the positions of the rows of s that have a Cholesky
-    factor, and those factors.  A failing stack is retried row by row, so a
-    row's factor does not depend on its stack partners."""
-    try:
-        return np.arange(len(s)), _cholesky(s)
-    except np.linalg.LinAlgError:
-        rows, low = [], []
-        for i, a in enumerate(s):
-            try:
-                low.append(_cholesky(a))
-            except np.linalg.LinAlgError:
-                continue
-            rows.append(i)
-        return np.array(rows, dtype=int), np.array(low).reshape(-1, *s.shape[1:])
-
-
 def _cholesky_route(s: np.ndarray, scale: int):
     """The block update of _update_block through S = L L^T, for the rows of
     the stack s it can take: (rows, out), the positions taken and for them
@@ -551,25 +537,25 @@ def _cholesky_route(s: np.ndarray, scale: int):
     the condition number the route reports the bound ||S||_F ||L^{-1}||_F^2
     = ||S||_F tr(S^{-1}), which is at least ||S||_F ||S^{-1}||_F and so the
     condition number of S and of the new factor, and at most sqrt(d) times
-    that.  A row is taken only if it has a Cholesky factor and a bound below
-    0.5 / DEGENERATE_EIG_RTOL: it then neither ridges nor exceeds
-    CONDITION_LIMIT.
+    that.  A row is taken only if its bound is below 0.5 / DEGENERATE_EIG_RTOL:
+    it then neither ridges nor exceeds CONDITION_LIMIT.  The whole stack is
+    factored in one call; a row with no Cholesky factor comes back NaN, and
+    so does its bound.
     """
-    rows, low = _cholesky_rows(s)
-    if not len(rows):
-        return rows, None
-    if len(rows) < len(s):
-        s = s[rows]
+    low = _umath_linalg.cholesky_lo(s)
     new = _tri_inv(low)
     cond = np.sqrt(np.einsum("rij,rij->r", s, s)) * np.einsum("rij,rij->r", new, new)
+    keep = cond < 0.5 / DEGENERATE_EIG_RTOL
+    rows = np.flatnonzero(keep)
+    if not len(rows):
+        return rows, None
     new *= math.sqrt(scale)
     diag = np.diagonal(low, axis1=1, axis2=2)
     logdet = s.shape[-1] * math.log(scale) - 2.0 * np.log(diag).sum(axis=1)
-    lost, ridged = np.zeros((2, len(rows)), dtype=bool)
+    lost, ridged = np.zeros((2, len(s)), dtype=bool)
     out = [new, lost, cond, ridged, logdet]
-    keep = cond < 0.5 / DEGENERATE_EIG_RTOL
-    if not keep.all():
-        rows, out = rows[keep], [x[keep] for x in out]
+    if len(rows) < len(s):
+        out = [x[keep] for x in out]
     return rows, out
 
 
@@ -581,10 +567,11 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
     on a stack of twice the length.  Blocks of at most _TRI_INV_BASE rows go
     to LAPACK inv, whose row pivoting can leave rounding-level entries above
     the diagonal inside those blocks; every other entry above it is exactly
-    0.  Each row's arithmetic is its own."""
+    0.  Each row's arithmetic is its own, and a row with a singular base
+    block comes back with NaN entries."""
     r, d = len(low), low.shape[-1]
     if d <= _TRI_INV_BASE:
-        return _inv(low)
+        return _umath_linalg.inv(low)
     h = d // 2
     if d % 2:
         a, c = _tri_inv(low[:, :h, :h]), _tri_inv(low[:, h:, h:])
@@ -751,10 +738,11 @@ def _newton(data: _Unfoldings, mats: list):
       l(t) - l(0) = (t/2) sum_i c_i tr V_i - (1/2) sum_e P_e expm1(t Lambda_e),
     with P the squared samples (U_i^T T_i) Y summed over samples and Lambda
     the outer sum of the lambda_i.  A restart that finds no rise in
-    _MAX_HALVINGS halvings takes no step.  The stepped restarts' new roots
-    exp(t Lambda_i / 2) U_i^T T_i are written into `mats`; the others are
-    left as they are, and all are when a direction cannot be formed
-    (LinAlgError).
+    _MAX_HALVINGS halvings takes no step; so does one whose direction is not
+    finite, or whose eigendecomposition LAPACK could not form (eigh_lo
+    returns it NaN): its t, and with it its gain, is NaN.  The stepped
+    restarts' new roots exp(t Lambda_i / 2) U_i^T T_i are written into
+    `mats`; the others are left as they are.
     """
     r, dims = len(mats[0]), data.dims
     scales = [data.m * data.n // d for d in dims]
@@ -775,7 +763,8 @@ def _newton(data: _Unfoldings, mats: list):
         g *= -0.5  # -grad
     vs = _newton_direction(data, zs, grams, res)
     del zs, grams, res  # the line search whitens the samples once more
-    lam, vecs = zip(*(_eigh(v) for v in vs))
+    finite = np.isfinite(sum(v.sum(axis=(1, 2)) for v in vs))
+    lam, vecs = zip(*(_umath_linalg.eigh_lo(v) for v in vs))
     rot = [u.transpose(0, 2, 1) @ b for b, u in zip(roots, vecs)]
     z = _whiten(data, rot).reshape(len(go), data.m, data.n)
     power = np.einsum("rsn,rsn->rn", z, z)
@@ -784,6 +773,7 @@ def _newton(data: _Unfoldings, mats: list):
         grid = (grid[:, :, None] + w[:, None, :]).reshape(len(go), -1)
     rise = sum(0.5 * c * w.sum(axis=1) for c, w in zip(scales, lam))
     t = 1.0 / np.maximum(1.0, np.sqrt(sum((w * w).sum(axis=1) for w in lam)))
+    t[~finite] = np.nan
     ok = np.zeros(len(go), dtype=bool)
     for _ in range(_MAX_HALVINGS):
         gain = t * rise - 0.5 * (power * np.expm1(t[:, None] * grid)).sum(axis=1)
@@ -803,23 +793,16 @@ def _newton(data: _Unfoldings, mats: list):
 # running, and retires a restart at the end of the iteration in which it finishes.
 
 
-def _newton_rows(data: _Unfoldings, mats: list, rows: list) -> list:
-    """A Newton step (_newton) for the rows `rows` of the stack, written into
-    `mats`; returns each row's (norm, stepped), in order.  A step that cannot
-    be formed (LinAlgError) is not taken, and the rows of a shared call that
-    fails try one by one; a row that no call steps reads (inf, False)."""
-    taken, groups = {}, [rows]
-    for g in groups:
-        sub = [a[g] for a in mats]
-        try:
-            norm, stepped = _newton(data, sub)
-        except np.linalg.LinAlgError:  # not taken
-            groups.extend([p] for p in g if len(g) > 1)
-            continue
+def _on_rows(step, data: _Unfoldings, mats: list, rows: list, *args):
+    """step(data, sub, *args) (_sweep or _newton) on the rows `rows` of the
+    stack `mats`, with the new roots of sub written back into mats; returns
+    step's result."""
+    sub = mats if len(rows) == len(mats[0]) else [a[rows] for a in mats]
+    out = step(data, sub, *args)
+    if sub is not mats:
         for a, b in zip(mats, sub):
-            a[g] = b
-        taken.update(zip(g, zip(norm.tolist(), stepped.tolist())))
-    return [taken.get(p, (math.inf, False)) for p in rows]
+            a[rows] = b
+    return out
 
 
 @np.errstate(all="ignore")  # see the kernel's header: LAPACK is quieted once per loop
@@ -859,8 +842,9 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
             break
         it += 1
         due = [p for p, i in enumerate(rows) if newton[i]]
-        for p, (_, stepped) in zip(due, _newton_rows(data, mats, due) if due else []):
-            steps[rows[p]] += stepped
+        if due:
+            for p, stepped in zip(due, _on_rows(_newton, data, mats, due)[1].tolist()):
+                steps[rows[p]] += stepped
         lost, cond, ridged, logdets, _ = _sweep(data, mats)
         logdet = sum((data.n // d) * ld for d, ld in zip(data.dims, logdets))
         loglik = 0.5 * data.m * logdet - 0.5 * data.m * data.n
@@ -887,7 +871,7 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
 
 
 @np.errstate(all="ignore")
-def _refine(data: _Unfoldings, fits: list, ends: list):
+def _refine(data: _Unfoldings, ends: list):
     """Refine every converged fit from the roots it ended at (`ends`, see
     _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (refined,
     iterations), one entry per restart: its gauge-fixed refined factors
@@ -901,8 +885,9 @@ def _refine(data: _Unfoldings, fits: list, ends: list):
     that finds no rise.  A Newton step costs several sweeps, so a restart
     due one waits, taking neither, until every restart is due one; waiting
     changes no restart's arithmetic.  A restart whose statistic loses its
-    scale ends where its fit ended; one still above the stop after
-    _REFINE_MAX_ITER iterations keeps its last iterate, with one warning.
+    scale ends where its fit ended, at T_i^T T_i of its `ends`; one still
+    above the stop after _REFINE_MAX_ITER iterations keeps its last
+    iterate, with one warning.
     """
     refined, counts = [None] * len(ends), [0] * len(ends)
     conv = rows = [i for i, e in enumerate(ends) if e is not None]  # the restart in each row
@@ -915,23 +900,20 @@ def _refine(data: _Unfoldings, fits: list, ends: list):
     while rows:
         swept = [p for p, i in enumerate(rows) if not newton[i]]  # a row due a step waits
         if not swept:
-            for p, (norm, stepped) in enumerate(_newton_rows(data, mats, list(range(len(rows))))):
-                counts[rows[p]] += stepped
-                if norm < _MOMENT_TOL:
+            norm, stepped = _newton(data, mats)
+            for p, (x, st) in enumerate(zip(norm.tolist(), stepped.tolist())):
+                counts[rows[p]] += st
+                if x < _MOMENT_TOL:
                     end(p)
-                elif not stepped:
+                elif not st:
                     swept.append(p)
         if swept:
-            sub = mats if len(swept) == len(rows) else [a[swept] for a in mats]
-            lost, _, _, _, norm = _sweep(data, sub, moment=True)
-            if sub is not mats:
-                for a, b in zip(mats, sub):
-                    a[swept] = b
+            lost, _, _, _, norm = _on_rows(_sweep, data, mats, swept, True)
             for p, ls, x in zip(swept, lost.tolist(), norm.tolist()):
                 i = rows[p]
                 counts[i] += 1
                 if ls or x < _MOMENT_TOL:  # a lost one ends where its fit ended
-                    end(p, list(fits[i].factors.factors) if ls else None)
+                    end(p, [e.T @ e for e in ends[i]] if ls else None)
                 newton[i] = newton[i] or x > _NEWTON_SWITCH * norms[i]
                 norms[i] = x
         for p, i in enumerate(rows):
@@ -1235,7 +1217,7 @@ def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResu
         data = _Unfoldings(samples.tensors())
         fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
                           DEFAULT_MAX_SWEEPS)
-        refined, polish_sweeps = _refine(data, fits, ends)
+        refined, polish_sweeps = _refine(data, ends)
         ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
         spread = 0.0
         if len(ls) >= 2:

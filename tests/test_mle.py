@@ -49,14 +49,12 @@ from tnm.mle import (
     _check_restarts,
     _cholesky,
     _cholesky_route,
-    _cholesky_rows,
     _eigh,
     _eigh_route,
     _fit,
     _gauge_fix,
     _grams,
     _hessian_product,
-    _inv,
     _loglik,
     _maximizer,
     _newton,
@@ -540,7 +538,7 @@ def solve_trial(samples, mats, tol=DEFAULT_TOL):
     refinement iterations), one entry per restart."""
     data = _Unfoldings(samples.tensors())
     fits, ends = _fit(data, _roots(mats), tol, DEFAULT_MAX_SWEEPS)
-    return (fits, *_refine(data, fits, ends))
+    return (fits, *_refine(data, ends))
 
 
 def _same_fit(a, b) -> bool:
@@ -657,10 +655,10 @@ def test_tri_inv_matches_lapack_inverse(d, cond):
 @pytest.mark.parametrize("r", [1, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64])
 def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
-    # _eigh, _cholesky and _inv make the gufunc call numpy.linalg's eigh,
-    # cholesky and inv make, so on a stack of positive definite matrices,
-    # their Cholesky factors and a strided view of those, every result is
-    # bitwise numpy's
+    # _eigh, _cholesky and _tri_inv's base case make the gufunc call
+    # numpy.linalg's eigh, cholesky and inv make, so on a stack of positive
+    # definite matrices and their Cholesky factors, contiguous and as a
+    # strided view, every result is bitwise numpy's
     rng = np.random.default_rng(d)
     a = rng.standard_normal((r, d, 2 * d))
     s = a @ a.transpose(0, 2, 1)
@@ -668,28 +666,36 @@ def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
         assert np.array_equal(x, y)
     low = _cholesky(s)
     assert np.array_equal(low, np.linalg.cholesky(s))
-    for x in (s, low, low[:, ::-1, ::-1]):
-        assert np.array_equal(_inv(x), np.linalg.inv(x))
+    if d <= _TRI_INV_BASE:
+        for x in (low, low[:, ::-1, ::-1].swapaxes(1, 2)):
+            assert np.array_equal(_tri_inv(x), np.linalg.inv(x))
 
 
 def test_lapack_helpers_raise_where_numpy_does(monkeypatch):
     # a stack with one indefinite row has no Cholesky factorization, for
-    # _cholesky as for numpy; _cholesky_rows retries row by row and returns
-    # the other rows' factors.  A zero matrix has no inverse
+    # _cholesky as for numpy.  The Cholesky route reads the failure off that
+    # row, in one call: it takes the other rows, bitwise as it takes them
+    # without it.  A singular row of _tri_inv comes back NaN, the others as
+    # they do alone
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 4, 8))
-    s = a @ a.transpose(0, 2, 1)
-    s[1, 0, 0] = -1.0
-    with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
-        for helper, numpy_call, x in [(_cholesky, np.linalg.cholesky, s),
-                                      (_inv, np.linalg.inv, np.zeros((2, 3, 3)))]:
+    for d in (4, 8, 17):
+        a = rng.standard_normal((3, d, 2 * d))
+        s = a @ a.transpose(0, 2, 1)
+        s[1, 0, 0] = -1.0
+        with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
             with pytest.raises(np.linalg.LinAlgError):
-                numpy_call(x)
+                np.linalg.cholesky(s)
             with pytest.raises(np.linalg.LinAlgError):
-                helper(x)
-        rows, low = _cholesky_rows(s)
-    assert rows.tolist() == [0, 2]
-    assert np.array_equal(low, np.linalg.cholesky(s[[0, 2]]))
+                _cholesky(s)
+            rows, got = _cholesky_route(s.copy(), 2 * d)
+            good, want = _cholesky_route(s[[0, 2]].copy(), 2 * d)
+            low = _cholesky(s[[0, 2]])
+            low = np.stack([low[0], np.tril(np.ones((d, d))) - np.eye(d), low[1]])
+            inv = _tri_inv(low)
+        assert rows.tolist() == [0, 2] and good.tolist() == [0, 1]
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert np.isnan(inv[1]).any() and np.array_equal(inv[[0, 2]], _tri_inv(low[[0, 2]]))
     # LAPACK's eigh fails on no finite input, so _eigh's failure is staged:
     # an eigh_lo that marks the second item failed, as the gufunc marks one
     w, v = tnm.mle._umath_linalg.eigh_lo(s[[0, 2]])
@@ -704,12 +710,14 @@ def test_lapack_helpers_raise_where_numpy_does(monkeypatch):
 
 
 def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
-    # numpy.linalg._umath_linalg is private: the helpers rely on eigh_lo,
+    # numpy.linalg._umath_linalg is private: the kernel relies on eigh_lo,
     # cholesky_lo and inv being there, as in numpy 1.24 (the declared floor)
     # and since, and on a failed item coming back NaN in every entry with
     # numpy's invalid flag set, while the item beside it comes out as it
     # does alone.  cholesky_lo and inv fail on every indefinite or singular
-    # input; eigh_lo fails on no finite one, so only its result is checked
+    # input.  eigh_lo fails on no finite input; on a non-finite one (a
+    # Newton direction that is not finite) its result is not finite, and
+    # the items beside it come out as they do alone
     lapack = tnm.mle._umath_linalg
     good = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
     for x, y in zip(lapack.eigh_lo(good[None]), np.linalg.eigh(good[None])):
@@ -722,12 +730,24 @@ def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
         with np.errstate(invalid="ignore"):
             got = gufunc(np.stack([good, bad]))
         assert np.isnan(got[1]).all() and np.array_equal(got[:1], gufunc(good[None]))
+    for d in (2, 3):
+        for value, pos in [(np.nan, (0, 0)), (np.nan, (0, 1)), (np.inf, (1, 1)), (-np.inf, (1, 0))]:
+            bad = good[:d, :d].copy()
+            bad[pos] = bad[pos[::-1]] = value
+            with np.errstate(all="ignore"):
+                got = lapack.eigh_lo(np.stack([good[:d, :d], bad, 2.0 * good[:d, :d]]))
+                alone = [lapack.eigh_lo(x[None, :d, :d]) for x in (good, 2.0 * good)]
+            for x, y, z in zip(got, *alone):
+                assert np.array_equal(x[0], y[0]) and np.array_equal(x[2], z[0])
+            assert not all(np.isfinite(x[1]).all() for x in got)
 
 
 def test_verify_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
-    # the solver reaches LAPACK only through _eigh, _cholesky and _inv: a
-    # verify run on each datum of the benchmark's verify_panel calls none of
-    # numpy.linalg's eigh, cholesky and inv
+    # the solver reaches LAPACK only through the gufuncs of
+    # numpy.linalg._umath_linalg (_eigh, _cholesky, _cholesky_route,
+    # _tri_inv and _newton call them): a verify run on each datum of the
+    # benchmark's verify_panel calls none of numpy.linalg's eigh, cholesky
+    # and inv
     calls = []
     for name in ("eigh", "cholesky", "inv"):
         def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
@@ -782,16 +802,16 @@ def test_low_rank_statistic_skips_cholesky(monkeypatch):
     # d = 16 block (rank up to 256) still tries Cholesky.  The attempt it
     # skips would have taken no row, so the update is bitwise the same
     dims, seen = (2, 16, 128), []
-    cholesky_rows = tnm.mle._cholesky_rows
+    cholesky_route = tnm.mle._cholesky_route
 
-    def spy(s):
+    def spy(s, scale):
         seen.append(s.shape[-1])
-        return cholesky_rows(s)
+        return cholesky_route(s, scale)
 
     samples = sample_standard(dims, 1, seed=[0, 101, 0])
     data = _Unfoldings(samples.tensors())
     mats = _restart_inits(dims, 4, (0, 202, 0))
-    monkeypatch.setattr(tnm.mle, "_cholesky_rows", spy)
+    monkeypatch.setattr(tnm.mle, "_cholesky_route", spy)
     with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
         _sweep(data, mats)
         assert seen == [16]
@@ -899,45 +919,53 @@ def test_fit_switch_is_checked_from_sweep_3():
 
 
 def test_fit_newton_step_that_cannot_be_formed(monkeypatch, caplog):
-    # a Newton step that raises LinAlgError is not taken and no exception
-    # leaves the trial: restarts sharing the failed call retry one by one,
-    # so a step that fails only in company changes nothing, and a step that
-    # always fails leaves plain flip-flop, with its slow tail where the fits
-    # took Newton steps ((3,3;2) seed 2), and refinement by sweeps that end
-    # at the stop or at the cap, with its one warning.  On (3,3;3) seed 0
-    # only refinement takes Newton steps
-    newton = tnm.mle._newton
+    # a row whose Newton direction is not finite (NaN in one, inf in
+    # another) takes no step and keeps its roots, also where LAPACK would
+    # return a finite eigendecomposition for it (staged by zeroing the
+    # non-finite entries first); every other row of the same _newton call is
+    # bitwise what a call without those rows gives.  A direction that is
+    # never finite is never taken and no exception leaves the trial: it
+    # leaves plain flip-flop, with its slow tail where the fits took Newton
+    # steps ((3,3;2) seed 2), and refinement by sweeps that end at the stop
+    # or at the cap, with its one warning.  On (3,3;3) seed 0 only
+    # refinement takes Newton steps
+    direction, lapack = tnm.mle._newton_direction, tnm.mle._umath_linalg
+    finite = types.SimpleNamespace(eigh_lo=lambda v: lapack.eigh_lo(np.nan_to_num(v, posinf=0.0)))
 
-    def never(data, mats):
-        raise np.linalg.LinAlgError("not positive definite")
+    def broken(*args):
+        vs = direction(*args)
+        vs[0][1, 0, -1] = np.nan
+        vs[-1][3, 0, 0] = np.inf
+        return vs
+
+    for dims, m in [((3, 3), 2), ((2, 5, 5), 1), ((8, 8, 8), 1)]:
+        data = _Unfoldings(sample_standard(dims, m, seed=[0, 101, 0]).tensors())
+        inits = _roots(_restart_inits(dims, 4, (0, 202, 0)))
+        rest = [a[[0, 2]] for a in inits]
+        want_norm, want_stepped = _newton(data, rest)
+        assert want_stepped.all()
+        for eigh in (lapack, finite):
+            mats = [a.copy() for a in inits]
+            with monkeypatch.context() as patch:
+                patch.setattr(tnm.mle, "_newton_direction", broken)
+                patch.setattr(tnm.mle, "_umath_linalg", eigh)
+                norm, stepped = _newton(data, mats)
+            assert stepped.tolist() == [True, False, True, False]
+            assert np.array_equal(norm[[0, 2]], want_norm)
+            for a, b, c in zip(mats, inits, rest):
+                assert np.array_equal(a[[1, 3]], b[[1, 3]]) and np.array_equal(a[[0, 2]], c)
+
+    def never(data, zs, grams, res):
+        return [np.full_like(g, np.nan) for g in res]
 
     for dims, m, seed, tail in [((3, 3), 2, 2, True), ((3, 3), 3, 0, False)]:
         s = sample_standard(dims, m, seed=[seed, 101, 0])
-        inits = _restart_inits(dims, 4, (seed, 202, 0))
-        want, want_refined, want_counts = solve_trial(s, [a.copy() for a in inits])
+        want, _, _ = solve_trial(s, _restart_inits(dims, 4, (seed, 202, 0)))
         assert all(f.status is FitStatus.CONVERGED for f in want)
         assert all(bool(f.newton_steps) is tail for f in want)
-        trial = verify_samples(s, restarts=4, seed=seed).trials[0]
-        failed = []
-
-        def alone_only(data, mats):
-            if len(mats[0]) > 1:
-                failed.append(len(mats[0]))
-                raise np.linalg.LinAlgError("not positive definite")
-            return newton(data, mats)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(tnm.mle, "_newton", alone_only)
-            assert verify_samples(s, restarts=4, seed=seed).trials[0] == trial
-            assert failed
-            got, refined, counts = solve_trial(s, [a.copy() for a in inits])
-        assert all(_same_fit(a, b) and a.newton_steps == b.newton_steps for a, b in zip(got, want))
-        assert counts == want_counts
-        for a, b in zip(refined, want_refined):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
         caplog.clear()
         with monkeypatch.context() as patch, caplog.at_level(logging.WARNING, logger="tnm.mle"):
-            patch.setattr(tnm.mle, "_newton", never)
+            patch.setattr(tnm.mle, "_newton_direction", never)
             plain = verify_samples(s, restarts=4, seed=seed).trials[0]
         assert plain.all_converged and plain.fit_newton_steps == (0, 0, 0, 0)
         assert (min(plain.iterations) > 1000) is tail
@@ -1311,7 +1339,7 @@ def test_solver_takes_roots_with_the_numpy_1_cholesky(monkeypatch):
     assert fit_mle(s, p).status is FitStatus.CONVERGED
     gauge_fix(p)
     assert verify_datum(Datum((3, 4), 2), trials=1, restarts=2, seed=0, threads=1).trials[0].all_converged
-    verify_datum(Datum((8, 8), 2), trials=1, restarts=2, seed=0, threads=1)  # the Cholesky route and _inv
+    verify_datum(Datum((8, 8), 2), trials=1, restarts=2, seed=0, threads=1)  # the Cholesky route and LAPACK inv
 
 
 def test_verify_samples_smoke():
