@@ -324,41 +324,27 @@ class FitReport:
 # long as LAPACK itself.  On the kernel's float64 stacks the results are
 # numpy's bit for bit.  A gufunc writes NaN into every entry of an item
 # LAPACK could not factor, and the items beside it come out as they do
-# alone.  So inside the solver loops a failed row is read off that NaN and
-# does not affect its stack partners: a statistic with no Cholesky factor
-# takes the eigh route (_cholesky_route), a Newton direction that is not
-# finite takes no step (_newton).  At entry and exit a failure raises
-# LinAlgError where numpy does: in _cholesky, which converts factors in and
-# out (_roots, _gauge_fix, KroneckerPrecision), where it means bad input or
-# a solver fault, and in _eigh, bitwise numpy's on finite input, which
-# _eigh_route alone calls, on finite statistics (_update_block zeroes the
-# others).  A failed item also sets numpy's invalid flag, so numpy's
-# floating-point errors are ignored (np.errstate) once around each solver
-# loop (_fit, _refine) and in each public function that calls the kernel
-# outside them, not around every call.  The gufunc names are those of
-# numpy 1.24, the declared floor.
-
-
-def _raise_failed(x: np.ndarray, message: str) -> None:
-    """LinAlgError(message) if an item of the gufunc result x failed: its
-    entries are all NaN, and [0, 0] is NaN in no other item of a finite input."""
-    if np.count_nonzero(np.isnan(x[..., 0, 0])):
-        raise np.linalg.LinAlgError(message)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(a), bitwise, for a finite stack a: (w, v), the
-    eigenvalues in ascending order.  (On some non-finite items, where numpy
-    returns NaN, this raises.)"""
-    w, v = _umath_linalg.eigh_lo(a)
-    _raise_failed(v, "Eigenvalues did not converge")
-    return w, v
+# alone.  One rule follows: inside the solver loops (_fit, _refine) a
+# LAPACK failure is a row outcome, read off that NaN, and does not affect
+# the row's stack partners.  A block update tries Cholesky, then eigh, then
+# counts the row lost (_maximizer); a Newton step whose direction or
+# eigendecomposition is not finite is not taken (_newton).  Only _cholesky
+# raises (LinAlgError, where numpy does): it converts factors in and out
+# of the kernel (_roots, _gauge_fix, KroneckerPrecision), where a failure
+# means bad input or a solver fault.  A failed item also sets numpy's
+# invalid flag, so numpy's floating-point errors are ignored (np.errstate)
+# once around each solver loop and in each public function that calls the
+# kernel outside them, not around every call.  The gufunc names are those
+# of numpy 1.24, the declared floor.
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky(a): the lower-triangular L with a = L L^T."""
+    """np.linalg.cholesky(a): the lower-triangular L with a = L L^T.  Raises
+    LinAlgError if an item failed: its entries are all NaN, and [0, 0] is
+    NaN in no other item of a finite input."""
     low = _umath_linalg.cholesky_lo(a)
-    _raise_failed(low, "Matrix is not positive definite")
+    if np.count_nonzero(np.isnan(low[..., 0, 0])):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     return low
 
 
@@ -452,23 +438,26 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
     with c_j = m*n/d_j, in place.
 
     Returns (lost, cond, ridged, logdet, norm), one entry per restart:
-    whether its statistic had no usable scale (non-finite or vanishing), the
-    new factor's condition number or a bound on it (see _cholesky_route),
-    whether the step ridged, log det of the new factor, and with `moment`
-    the moment-map norm ||T_j S_j T_j^T / c_j - I||_F at the root T_j the
-    update replaces (None without).  A lost restart has all its roots set
-    to I, the replaced one too, so the sweep stays finite; the caller
-    retires it.  A numerically singular statistic certifies an unbounded
-    ascent direction, and its restart takes a ridge-regularized surrogate
-    step whose huge condition number trips the divergence detector.
+    whether its statistic had no usable scale (non-finite, vanishing, or
+    not decomposed by LAPACK), the new factor's condition number or a bound
+    on it (see _cholesky_route), whether the step ridged, log det of the
+    new factor, and with `moment` the moment-map norm
+    ||T_j S_j T_j^T / c_j - I||_F at the root T_j the update replaces (None
+    without).  A lost restart has all its roots set to I, the replaced one
+    too, so the sweep stays finite; the caller retires it.  A numerically
+    singular statistic certifies an unbounded ascent direction, and its
+    restart takes a ridge-regularized surrogate step whose huge condition
+    number trips the divergence detector.
 
-    Blocks with d_j >= _CHOLESKY_MIN_DIM factor S_j = L L^T.  Every other
-    restart takes the eigendecomposition (_eigh_route): one whose S_j has no
-    Cholesky factor or too large a condition bound to rule out a ridge or a
-    divergence, and every one of a block with c_j < d_j, whose S_j is a Gram
-    of c_j vectors and would fail one of the two tests.  So every lost,
-    ridged and divergence decision is made from the eigenvalues, and each
-    restart on its own.
+    Each restart's update is its own row outcome, and none raises: a row
+    goes through Cholesky, then eigh, then counts as lost (_maximizer).
+    Blocks with d_j >= _CHOLESKY_MIN_DIM try S_j = L L^T.  A row whose S_j
+    has no Cholesky factor, or too large a condition bound to rule out a
+    ridge or a divergence, takes the eigendecomposition, and so does every
+    row of a block with c_j < d_j, whose S_j is a Gram of c_j vectors and
+    would fail one of the two tests.  A row LAPACK cannot decompose there
+    either is lost.  So every lost, ridged and divergence decision is made
+    from the eigenvalues, and each restart on its own.
     """
     s = _statistic(data, mats, j)
     if not math.isfinite(s.sum()):
@@ -486,22 +475,15 @@ def _update_block(data: _Unfoldings, mats: list, j: int, moment: bool = False):
 def _maximizer(s: np.ndarray, scale: int):
     """(new, lost, cond, ridged, logdet) for the stack of statistics s
     (consumed), routed as _update_block describes; new holds the roots of
-    the new factors."""
+    the new factors.  The Cholesky route takes the whole stack and names
+    the rows it cannot take; the eigh route runs on those rows alone, and
+    its results are written over theirs."""
     if s.shape[-1] < _CHOLESKY_MIN_DIM or scale < s.shape[-1]:  # small or of low rank
         return _eigh_route(s, scale)
-    rows, out = _cholesky_route(s, scale)
-    if not len(rows):
-        return _eigh_route(s, scale)
-    if len(rows) < len(s):
-        rest = np.setdiff1d(np.arange(len(s)), rows)
-        out = [_scatter(rows, a, rest, b) for a, b in zip(out, _eigh_route(s[rest], scale))]
-    return out
-
-
-def _scatter(pos_a, a: np.ndarray, pos_b, b: np.ndarray) -> np.ndarray:
-    """One stack with a's rows at positions pos_a and b's at pos_b."""
-    out = np.empty((len(a) + len(b), *a.shape[1:]), dtype=a.dtype)
-    out[pos_a], out[pos_b] = a, b
+    *out, rest = _cholesky_route(s, scale)
+    if len(rest):
+        for a, b in zip(out, _eigh_route(s[rest], scale)):
+            a[rest] = b
     return out
 
 
@@ -510,12 +492,14 @@ def _eigh_route(s: np.ndarray, scale: int):
     one batched eigh, S = V diag(w) V^T; s is consumed.
 
     Returns (new, lost, cond, ridged, logdet), new holding the roots
-    diag(sqrt(c / w)) V^T.  A lost row's new root is I (V = I, w = c); a
-    ridged row's w is the ridged one.
+    diag(sqrt(c / w)) V^T.  A row is lost when its largest eigenvalue is
+    not positive: a vanishing statistic, or one LAPACK could not decompose
+    (eigh_lo returns its w NaN).  A lost row's new root is I (V = I, w = c);
+    a ridged row's w is the ridged one.
     """
-    w, v = _eigh(s)
+    w, v = _umath_linalg.eigh_lo(s)
     d = s.shape[-1]
-    lost = w[:, -1] <= 0.0
+    lost = ~(w[:, -1] > 0.0)
     if np.count_nonzero(lost):
         w[lost], v[lost] = scale, np.eye(d)
     top = w[:, -1:]
@@ -528,10 +512,10 @@ def _eigh_route(s: np.ndarray, scale: int):
 
 
 def _cholesky_route(s: np.ndarray, scale: int):
-    """The block update of _update_block through S = L L^T, for the rows of
-    the stack s it can take: (rows, out), the positions taken and for them
-    (new, lost, cond, ridged, logdet) as _maximizer returns them (None if
-    no row has a Cholesky factor).
+    """The block update of _update_block through S = L L^T, for the whole
+    stack s (read, not consumed): (new, lost, cond, ridged, logdet) as
+    _maximizer returns them, plus rest, the positions of the rows the route
+    cannot take.  The five outputs of a row in rest are meaningless.
 
     The new root is sqrt(c) L^{-1}, with L^{-1} from _tri_inv.  In place of
     the condition number the route reports the bound ||S||_F ||L^{-1}||_F^2
@@ -540,23 +524,17 @@ def _cholesky_route(s: np.ndarray, scale: int):
     that.  A row is taken only if its bound is below 0.5 / DEGENERATE_EIG_RTOL:
     it then neither ridges nor exceeds CONDITION_LIMIT.  The whole stack is
     factored in one call; a row with no Cholesky factor comes back NaN, and
-    so does its bound.
+    so does its bound, so it is not taken.
     """
     low = _umath_linalg.cholesky_lo(s)
     new = _tri_inv(low)
     cond = np.sqrt(np.einsum("rij,rij->r", s, s)) * np.einsum("rij,rij->r", new, new)
-    keep = cond < 0.5 / DEGENERATE_EIG_RTOL
-    rows = np.flatnonzero(keep)
-    if not len(rows):
-        return rows, None
     new *= math.sqrt(scale)
     diag = np.diagonal(low, axis1=1, axis2=2)
     logdet = s.shape[-1] * math.log(scale) - 2.0 * np.log(diag).sum(axis=1)
     lost, ridged = np.zeros((2, len(s)), dtype=bool)
-    out = [new, lost, cond, ridged, logdet]
-    if len(rows) < len(s):
-        out = [x[keep] for x in out]
-    return rows, out
+    rest = np.flatnonzero(~(cond < 0.5 / DEGENERATE_EIG_RTOL))
+    return new, lost, cond, ridged, logdet, rest
 
 
 def _tri_inv(low: np.ndarray) -> np.ndarray:
@@ -1051,8 +1029,8 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
 
     Holding the other factors fixed, this maximizes the log-likelihood over
     Psi_i, so the likelihood never decreases.  Raises DegenerateStatistic
-    when the smallest eigenvalue of S_i falls below 1e-12 times the largest.
-    i is 1-based.
+    when the smallest eigenvalue of S_i falls below 1e-12 times the largest,
+    or when LAPACK cannot decompose S_i.  i is 1-based.
     """
     _check_compatible(samples, factors)
     if not 1 <= i <= samples.k:

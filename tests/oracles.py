@@ -277,6 +277,38 @@ def dense_mode_statistic(samples, mats, i: int) -> np.ndarray:
     return s
 
 
+def _normal_axes(tens: np.ndarray) -> np.ndarray:
+    """Sample tensors (m, d_1, ..., d_k) with the tensor axes sorted
+    ascending by size (stably) and the axes of size 1 dropped."""
+    dims = tens.shape[1:]
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    kept = [dims[i] for i in order if dims[i] > 1] or [1]
+    return np.transpose(tens, [0, *(i + 1 for i in order)]).reshape(len(tens), *kept)
+
+
+def castle_sample(samples):
+    """The castling transform of a sample set, through the Grassmannian
+    duality Gr(d_k, N) = Gr(N - d_k, N), N = m * d_1 ... d_{k-1}; needs
+    N > d_k.
+
+    With its axes normalized (sorted, 1s dropped), the sample flattens to the
+    N x d_k matrix A whose rows are indexed by the sample and the first k - 1
+    axes.  The last N - d_k left singular vectors of A, an orthonormal basis
+    of the complement of its column span, reshape to m samples of shape
+    (d_1, ..., d_{k-1}, N - d_k), normalized the same way.  The group acts
+    on the complement by g^{-T}, an automorphism, so the stability notions
+    carry over.  Only numpy's SVD is used."""
+    tens = _normal_axes(samples.tensors())
+    *head, d_k = tens.shape[1:]
+    a = tens.reshape(-1, d_k)
+    n = len(a)
+    if n <= d_k:
+        raise ValueError(f"no castling move: N = {n} <= d_k = {d_k}")
+    basis = np.linalg.svd(a, full_matrices=True)[0][:, d_k:]
+    out = _normal_axes(basis.reshape(samples.m, *head, n - d_k))
+    return type(samples)(out.shape[1:], samples.m, out.ravel())
+
+
 # ---------------------------------------------------------------------------
 # flip-flop, one restart at a time (the solver before it was batched)
 

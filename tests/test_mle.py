@@ -22,6 +22,7 @@ from tnm import (
     NotPositiveDefinite,
     SampleSet,
     ShapeMismatch,
+    castle_step,
     fit_mle,
     flip_flop_step,
     gauge_fix,
@@ -49,7 +50,6 @@ from tnm.mle import (
     _check_restarts,
     _cholesky,
     _cholesky_route,
-    _eigh,
     _eigh_route,
     _fit,
     _gauge_fix,
@@ -68,9 +68,11 @@ from tnm.mle import (
     _Unfoldings,
     _whiten,
 )
+from tnm.castling import _castle_step
 from tnm.pool import _pool_map, _pool_workers
 
 from oracles import (
+    castle_sample,
     dense_kron,
     dense_loglik,
     dense_mode_statistic,
@@ -617,10 +619,10 @@ def test_cholesky_route_matches_eigh_route(d):
     rng = np.random.default_rng(d)
     a = rng.standard_normal((3, d, 2 * d))
     s = a @ a.transpose(0, 2, 1)
-    rows, (new, lost, cond, ridged, logdet) = _cholesky_route(s.copy(), 2 * d)
+    new, lost, cond, ridged, logdet, rest = _cholesky_route(s.copy(), 2 * d)
     e_new, e_lost, e_cond, e_ridged, e_logdet = _eigh_route(s.copy(), 2 * d)
     new, e_new = new.transpose(0, 2, 1) @ new, e_new.transpose(0, 2, 1) @ e_new
-    assert rows.tolist() == [0, 1, 2]
+    assert not len(rest)
     assert not (lost.any() or ridged.any() or e_lost.any() or e_ridged.any())
     gap = np.linalg.norm(new - e_new, axis=(1, 2)) / np.linalg.norm(e_new, axis=(1, 2))
     assert gap.max() <= 1e-12
@@ -655,14 +657,14 @@ def test_tri_inv_matches_lapack_inverse(d, cond):
 @pytest.mark.parametrize("r", [1, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64])
 def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
-    # _eigh, _cholesky and _tri_inv's base case make the gufunc call
+    # _eigh_route, _cholesky and _tri_inv's base case make the gufunc call
     # numpy.linalg's eigh, cholesky and inv make, so on a stack of positive
     # definite matrices and their Cholesky factors, contiguous and as a
     # strided view, every result is bitwise numpy's
     rng = np.random.default_rng(d)
     a = rng.standard_normal((r, d, 2 * d))
     s = a @ a.transpose(0, 2, 1)
-    for x, y in zip(_eigh(s), np.linalg.eigh(s)):
+    for x, y in zip(tnm.mle._umath_linalg.eigh_lo(s), np.linalg.eigh(s)):
         assert np.array_equal(x, y)
     low = _cholesky(s)
     assert np.array_equal(low, np.linalg.cholesky(s))
@@ -673,10 +675,11 @@ def test_lapack_helpers_are_numpy_linalg_bitwise(d, r):
 
 def test_lapack_helpers_raise_where_numpy_does(monkeypatch):
     # a stack with one indefinite row has no Cholesky factorization, for
-    # _cholesky as for numpy.  The Cholesky route reads the failure off that
-    # row, in one call: it takes the other rows, bitwise as it takes them
-    # without it.  A singular row of _tri_inv comes back NaN, the others as
-    # they do alone
+    # _cholesky as for numpy: _cholesky, which converts factors in and out of
+    # the kernel, is the one helper that raises.  The Cholesky route reads the
+    # failure off that row, in one call: it names the row, and takes the
+    # other rows bitwise as it takes them without it.  A singular row of
+    # _tri_inv comes back NaN, the others as they do alone
     rng = np.random.default_rng(3)
     for d in (4, 8, 17):
         a = rng.standard_normal((3, d, 2 * d))
@@ -685,28 +688,62 @@ def test_lapack_helpers_raise_where_numpy_does(monkeypatch):
         with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(s)
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite"):
                 _cholesky(s)
-            rows, got = _cholesky_route(s.copy(), 2 * d)
-            good, want = _cholesky_route(s[[0, 2]].copy(), 2 * d)
+            *got, rest = _cholesky_route(s.copy(), 2 * d)
+            *want, none = _cholesky_route(s[[0, 2]].copy(), 2 * d)
             low = _cholesky(s[[0, 2]])
             low = np.stack([low[0], np.tril(np.ones((d, d))) - np.eye(d), low[1]])
             inv = _tri_inv(low)
-        assert rows.tolist() == [0, 2] and good.tolist() == [0, 1]
+        assert rest.tolist() == [1] and not len(none)
         for x, y in zip(got, want):
-            assert np.array_equal(x, y)
+            assert np.array_equal(x[[0, 2]], y)
         assert np.isnan(inv[1]).any() and np.array_equal(inv[[0, 2]], _tri_inv(low[[0, 2]]))
-    # LAPACK's eigh fails on no finite input, so _eigh's failure is staged:
-    # an eigh_lo that marks the second item failed, as the gufunc marks one
-    w, v = tnm.mle._umath_linalg.eigh_lo(s[[0, 2]])
-    failed = v.copy()
-    failed[1] = np.nan
-    monkeypatch.setattr(tnm.mle, "_umath_linalg", types.SimpleNamespace(eigh_lo=lambda x: (w, failed)))
-    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        _eigh(s[[0, 2]])
-    monkeypatch.setattr(tnm.mle, "_umath_linalg", types.SimpleNamespace(eigh_lo=lambda x: (w, v)))
-    got = _eigh(s[[0, 2]])
-    assert got[0] is w and got[1] is v
+    # LAPACK's eigh fails on no finite input, so an eigh failure is staged: an
+    # eigh_lo that marks the second item of a 3-row stack failed, as the
+    # gufunc marks one (NaN in every entry of w and v).  The block update
+    # raises nothing: that row is lost, its new root I, and its neighbours
+    # come out bitwise as they do alone, in _eigh_route and in one _sweep of
+    # (3,4;2), whose blocks both take the eigh route.  flip_flop_step, whose
+    # one row fails, raises DegenerateStatistic
+    lapack = tnm.mle._umath_linalg
+
+    def staged(fail):
+        def eigh_lo(x):
+            w, v = lapack.eigh_lo(x)
+            w[fail(len(x))] = v[fail(len(x))] = np.nan
+            return w, v
+        return types.SimpleNamespace(eigh_lo=eigh_lo, cholesky_lo=lapack.cholesky_lo, inv=lapack.inv)
+
+    a = rng.standard_normal((3, 4, 8))
+    s = a @ a.transpose(0, 2, 1)
+    samples = sample_standard((3, 4), 2, seed=[0, 101, 0])
+    data = _Unfoldings(samples.tensors())
+    inits = _roots(_restart_inits((3, 4), 3, (0, 202, 0)))
+    with np.errstate(all="ignore"):
+        alone = [_eigh_route(s[[r]].copy(), 8) for r in (0, 2)]
+        solo = []
+        for r in (0, 2):
+            mats = [x[[r]] for x in inits]
+            solo.append((_sweep(data, mats), mats))
+        monkeypatch.setattr(tnm.mle, "_umath_linalg", staged(lambda r: [1] if r == 3 else []))
+        new, lost, cond, ridged, logdet = _eigh_route(s.copy(), 8)
+        mats = [x.copy() for x in inits]
+        swept = _sweep(data, mats)
+    assert lost.tolist() == [False, True, False] and not ridged.any()
+    assert np.array_equal(new[1], np.eye(4)) and cond[1] == 1.0
+    for p, want in zip((0, 2), alone):
+        for x, y in zip((new, lost, cond, ridged, logdet), want):
+            assert np.array_equal(x[p], y[0])
+    assert swept[0].tolist() == [False, True, False]
+    assert all(np.array_equal(x[1], np.eye(len(x[1]))) for x in mats)
+    for p, ((lost_p, cond_p, ridged_p, logdets_p, _), roots) in zip((0, 2), solo):
+        assert not lost_p[0] and cond_p[0] == swept[1][p] and ridged_p[0] == swept[2][p]
+        assert all(x[p] == y[0] for x, y in zip(swept[3], logdets_p))
+        assert all(np.array_equal(x[p], y[0]) for x, y in zip(mats, roots))
+    monkeypatch.setattr(tnm.mle, "_umath_linalg", staged(lambda r: slice(None)))
+    with pytest.raises(DegenerateStatistic):
+        flip_flop_step(samples, KroneckerPrecision.identity((3, 4)), 1)
 
 
 def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
@@ -744,7 +781,7 @@ def test_numpy_has_the_gufuncs_the_lapack_helpers_call():
 
 def test_verify_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
     # the solver reaches LAPACK only through the gufuncs of
-    # numpy.linalg._umath_linalg (_eigh, _cholesky, _cholesky_route,
+    # numpy.linalg._umath_linalg (_cholesky, _eigh_route, _cholesky_route,
     # _tri_inv and _newton call them): a verify run on each datum of the
     # benchmark's verify_panel calls none of numpy.linalg's eigh, cholesky
     # and inv
@@ -763,37 +800,36 @@ def test_verify_calls_no_numpy_linalg_wrapper(monkeypatch, capsys):
 
 
 def test_block_update_decisions_come_from_eigenvalues():
-    # one d = 8 stack: a well-conditioned statistic, one with condition
-    # number 1e13, an indefinite one and a vanishing one.  Only the first
-    # takes the Cholesky route; the lost, ridged and divergence flags are the
-    # eigh route's, the other rows are bitwise the eigh route's, and the
-    # first row is bitwise the Cholesky route's and its update alone
+    # d = 8 statistics: two well-conditioned ones (g, h), one with condition
+    # number 1e13 (c), an indefinite one (i) and a vanishing one (z), stacked
+    # with the rows the Cholesky route cannot take last, first and last, and
+    # everywhere.  The route names exactly c, i and z.  Their lost, ridged
+    # and divergence flags are the eigh route's, and their outputs bitwise
+    # the eigh route's on the whole stack; every other row is bitwise the
+    # Cholesky route's and its update alone
     d, scale = 8, 16
     rng = np.random.default_rng(7)
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    a = rng.standard_normal((d, 2 * d))
-    s = np.stack([a @ a.T, (q * np.logspace(0, -13, d)) @ q.T,
-                  (q * np.r_[np.ones(d - 1), -1.0]) @ q.T, np.zeros((d, d))])
-    with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
-        rows, chol = _cholesky_route(s.copy(), scale)
-        got = _maximizer(s.copy(), scale)
-        want = _eigh_route(s.copy(), scale)
-        one = _maximizer(s[:1].copy(), scale)
-        none = _maximizer(s[2:].copy(), scale)
-    assert rows.tolist() == [0]
-    for x, y in zip(got, chol):
-        assert np.array_equal(x[:1], y)
-    assert got[1].tolist() == want[1].tolist() == [False, False, False, True]  # lost
-    assert got[3].tolist() == want[3].tolist() == [False, True, True, False]  # ridged
-    diverged = [False, True, True, False]
-    assert (got[2] > CONDITION_LIMIT).tolist() == (want[2] > CONDITION_LIMIT).tolist() == diverged
-    for x, y in zip(got, want):
-        assert np.array_equal(x[1:], y[1:])
-    for x, y in zip(got, one):
-        assert np.array_equal(x[:1], y)
-    # a stack in which no row has a Cholesky factor is all eigh's
-    for x, y in zip(none, want):
-        assert np.array_equal(x, y[2:])
+    a, b = rng.standard_normal((2, d, 2 * d))
+    g, h = a @ a.T, b @ b.T
+    c, i = (q * np.logspace(0, -13, d)) @ q.T, (q * np.r_[np.ones(d - 1), -1.0]) @ q.T
+    named = dict(g=g, h=h, c=c, i=i, z=np.zeros((d, d)))
+    lost, ridged = {"c": False, "i": False, "z": True}, {"c": True, "i": True, "z": False}  # ridged diverge
+    for rows in ("gciz", "ighz", "ciz"):
+        s = np.stack([named[x] for x in rows])
+        with np.errstate(all="ignore"):  # the solver loops quiet the failed factorizations
+            *chol, rest = _cholesky_route(s.copy(), scale)
+            got = _maximizer(s.copy(), scale)
+            want = _eigh_route(s.copy(), scale)
+            alone = [_maximizer(s[[p]].copy(), scale) for p in range(len(s))]
+        failed = [p for p, x in enumerate(rows) if x in "ciz"]
+        assert rest.tolist() == failed
+        assert got[1][failed].tolist() == want[1][failed].tolist() == [lost[rows[p]] for p in failed]
+        assert got[3][failed].tolist() == want[3][failed].tolist() == [ridged[rows[p]] for p in failed]
+        assert (got[2][failed] > CONDITION_LIMIT).tolist() == [ridged[rows[p]] for p in failed]
+        for p in range(len(s)):
+            for x, y, one in zip(got, want if p in failed else chol, alone[p]):
+                assert np.array_equal(x[p], y[p]) and np.array_equal(x[p], one[0])
 
 
 def test_low_rank_statistic_skips_cholesky(monkeypatch):
@@ -817,8 +853,8 @@ def test_low_rank_statistic_skips_cholesky(monkeypatch):
         assert seen == [16]
         monkeypatch.undo()
         s, scale = _statistic(data, mats, 2), samples.n // 128
-        rows, _ = _cholesky_route(s.copy(), scale)
-        assert not len(rows)
+        *_, rest = _cholesky_route(s.copy(), scale)
+        assert rest.tolist() == [0, 1, 2, 3]
         want = _eigh_route(s.copy(), scale)
         got = _maximizer(s.copy(), scale)
     for x, y in zip(got, want):
@@ -1348,6 +1384,33 @@ def test_verify_samples_smoke():
     assert rep.datum == Datum((3, 3), 3)
     assert rep.hard_clauses_agree
     assert len(rep.trials) == 1
+
+
+def test_castled_sample_gets_the_same_verdict():
+    # castling acts on a sample through Gr(d_k, N) = Gr(N - d_k, N)
+    # (oracles.castle_sample, which shares no code with the solver or the
+    # classifier).  Its dims are castle_step's, castling back returns the
+    # column span of the flattened sample, and at 4 restarts and seeds 0..3
+    # each trial and its castle agree on all-converged against all-diverged
+    # and on uniqueness (factor spread <= 1e-6 against > 1e-6)
+    def verdict(t):
+        return t.all_converged, t.all_diverged, t.factor_spread_rel <= GAUGE_AGREEMENT_RTOL
+
+    def span(x):
+        q = np.linalg.qr(x.tensors().reshape(-1, x.dims[-1]))[0]
+        return q @ q.T
+
+    for dims, m in [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((4, 4, 4), 1), ((8, 8, 8), 1),
+                    ((3, 5), 2), ((2, 3, 5), 1)]:
+        for seed in range(4):
+            s = sample_standard(dims, m, seed=seed)
+            c = castle_sample(s)
+            assert Datum(c.dims, c.m) == castle_step(Datum(dims, m))
+            if seed == 0 and _castle_step(c.dims, m) == dims:
+                assert np.abs(span(castle_sample(c)) - span(s)).max() <= 1e-12
+            want, got = verify_samples(s, restarts=4, seed=seed), verify_samples(c, restarts=4, seed=seed)
+            assert verdict(got.trials[0]) == verdict(want.trials[0]), (dims, m, seed)
+            assert verdict(want.trials[0])[:2] != (False, False)
 
 
 def trial(statuses, rel=0.0, abs_=0.0):
