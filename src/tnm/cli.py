@@ -70,12 +70,9 @@ _CLASS_ORDER = list(StabilityClass)  # unstable < polystable < stable
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InvalidDatum(f"cannot parse dimensions from {text!r}")
-    if not dims:
-        raise InvalidDatum("need at least one dimension")
-    return dims
 
 
 def _default_seed() -> int:

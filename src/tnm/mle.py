@@ -134,7 +134,9 @@ def _shape(dims: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
         raise ShapeMismatch(f"dimensions must be integers, got {dims!r}")
     if m_int is None:
         raise ShapeMismatch(f"sample count must be an integer, got {m!r}")
-    if not dims_int or any(d < 1 for d in dims_int):
+    if not dims_int:
+        raise ShapeMismatch("need at least one dimension")
+    if any(d < 1 for d in dims_int):
         raise ShapeMismatch(f"dimensions must be >= 1, got {dims_int}")
     if m_int < 1:
         raise ShapeMismatch(f"sample count must be >= 1, got {m_int}")
@@ -309,8 +311,9 @@ class FitReport:
 #
 # Every factor is held as a root T, Psi = T^T T, in a stack of shape
 # (R, d, d): R factor sets (restarts) updated together against one data
-# tensor.  Psi itself is formed only where the kernel hands a factor to a
-# public type, and roots are taken only where it receives one (_roots).
+# tensor.  Roots are taken only where a factor enters (_roots), and Psi is
+# formed only where one leaves: a fit's report (_fit), the refined factors
+# a trial compares (_run_trial; _refine returns roots) and flip_flop_step.
 # Each operation acts on every slice of a stack on its own, so a restart's
 # arithmetic does not depend on which other restarts share its stack; the
 # public functions are the R = 1 case.  No kernel function changes how many
@@ -851,9 +854,9 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
 @np.errstate(all="ignore")
 def _refine(data: _Unfoldings, ends: list):
     """Refine every converged fit from the roots it ended at (`ends`, see
-    _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (refined,
-    iterations), one entry per restart: its gauge-fixed refined factors
-    Psi_i (None unless it converged) and its refinement iterations.
+    _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (roots,
+    iterations), one entry per restart: the roots it refined to (None
+    unless it converged) and its refinement iterations.
 
     The likelihood-change rule can halt while slowly contracting directions
     still carry a few 1e-6 of error.  Each iteration of a restart is a
@@ -863,17 +866,17 @@ def _refine(data: _Unfoldings, ends: list):
     that finds no rise.  A Newton step costs several sweeps, so a restart
     due one waits, taking neither, until every restart is due one; waiting
     changes no restart's arithmetic.  A restart whose statistic loses its
-    scale ends where its fit ended, at T_i^T T_i of its `ends`; one still
-    above the stop after _REFINE_MAX_ITER iterations keeps its last
-    iterate, with one warning.
+    scale ends at the roots its fit ended at, its `ends`; one still above
+    the stop after _REFINE_MAX_ITER iterations keeps its last iterate, with
+    one warning.
     """
-    refined, counts = [None] * len(ends), [0] * len(ends)
+    roots, counts = [None] * len(ends), [0] * len(ends)
     conv = rows = [i for i, e in enumerate(ends) if e is not None]  # the restart in each row
     newton, norms, capped = [False] * len(ends), [math.inf] * len(ends), 0
     mats = [np.stack(a) for a in zip(*(ends[i] for i in rows))]
 
-    def end(p, factors=None):
-        refined[rows[p]] = factors or [a[p].T @ a[p] for a in mats]
+    def end(p, lost=False):
+        roots[rows[p]] = ends[rows[p]] if lost else [a[p] for a in mats]
 
     while rows:
         swept = [p for p, i in enumerate(rows) if not newton[i]]  # a row due a step waits
@@ -891,14 +894,14 @@ def _refine(data: _Unfoldings, ends: list):
                 i = rows[p]
                 counts[i] += 1
                 if ls or x < _MOMENT_TOL:  # a lost one ends where its fit ended
-                    end(p, [e.T @ e for e in ends[i]] if ls else None)
+                    end(p, ls)
                 newton[i] = newton[i] or x > _NEWTON_SWITCH * norms[i]
                 norms[i] = x
         for p, i in enumerate(rows):
-            if refined[i] is None and counts[i] >= _REFINE_MAX_ITER:
+            if roots[i] is None and counts[i] >= _REFINE_MAX_ITER:
                 capped += 1
                 end(p)
-        keep = [p for p, i in enumerate(rows) if refined[i] is None]
+        keep = [p for p, i in enumerate(rows) if roots[i] is None]
         if len(keep) < len(rows):
             rows, mats = [rows[p] for p in keep], [a[keep] for a in mats]
     if capped:
@@ -910,11 +913,7 @@ def _refine(data: _Unfoldings, ends: list):
             "unfinished iterates",
             _REFINE_MAX_ITER, capped, len(conv), "x".join(map(str, data.dims)), data.m, _MOMENT_TOL,
         )
-    if conv:
-        fixed = _gauge_fix([np.stack(fs) for fs in zip(*(refined[i] for i in conv))])
-        for n, i in enumerate(conv):
-            refined[i] = [a[n] for a in fixed]
-    return refined, counts
+    return roots, counts
 
 
 # ---------------------------------------------------------------------------
@@ -1117,10 +1116,6 @@ class TrialResult:
     fit_newton_steps: tuple[int, ...] = ()
 
     @property
-    def n_converged(self) -> int:
-        return sum(s == FitStatus.CONVERGED.value for s in self.statuses)
-
-    @property
     def all_diverged(self) -> bool:
         return all(s == FitStatus.DIVERGED.value for s in self.statuses)
 
@@ -1184,27 +1179,31 @@ def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[floa
     return rel, abs_
 
 
+@np.errstate(all="ignore")
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
-    """Fit, refine and compare the restarts of one data set.  Its inputs are
-    checked before it runs, so a ValueError inside it is a solver fault, not
-    a usage error: it leaves as a RuntimeError chained to it.  The solver
-    loops (_fit, _refine) ignore numpy's floating-point errors: the kernel
-    turns non-finite and vanishing statistics into lost, diverged or
-    degenerate restarts, so they say nothing more."""
+    """Fit, refine and compare the restarts of one data set.  Where two or
+    more converged, their refined roots T_i become one stack Psi_i = T_i^T
+    T_i per factor, gauge-fixed together; the factor spreads are the gaps
+    between its rows.  Inputs are checked before it runs, so a ValueError
+    inside is a solver fault, not a usage error: it leaves as a RuntimeError
+    chained to it.  numpy's floating-point errors are ignored, as in the
+    solver loops: the kernel turns non-finite and vanishing statistics into
+    lost, diverged or degenerate restarts, so they say nothing more."""
     try:
         data = _Unfoldings(samples.tensors())
         fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
                           DEFAULT_MAX_SWEEPS)
-        refined, polish_sweeps = _refine(data, ends)
+        roots, polish_sweeps = _refine(data, ends)
+        conv = [ts for ts in roots if ts is not None]
         ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
-        spread = 0.0
-        if len(ls) >= 2:
+        spread = rel = abs_ = 0.0
+        if len(conv) >= 2:
             spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
-        rel = abs_ = 0.0
-        for x, y in itertools.combinations([f for f in refined if f is not None], 2):
-            r_xy, a_xy = _factor_gaps(x, y)
-            rel = max(rel, r_xy)
-            abs_ = max(abs_, a_xy)
+            fixed = _gauge_fix([np.stack([t.T @ t for t in ts]) for ts in zip(*conv)])
+            for x, y in itertools.combinations(zip(*fixed), 2):
+                r_xy, a_xy = _factor_gaps(x, y)
+                rel = max(rel, r_xy)
+                abs_ = max(abs_, a_xy)
     except ValueError as exc:
         raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(

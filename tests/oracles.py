@@ -8,9 +8,9 @@ at a time, each scan row computed from its own datum through the public
 invariants, likelihood quantities recomputed from the dense n x n Kronecker
 matrix, flip-flop run one restart at a time with the log-likelihood
 evaluated explicitly after every iteration, its refinement run one
-restart at a time with every mode product a tensordot, and JSON text
-written by json.dumps from a converted copy of the document.  Slow but
-unarguable.
+restart at a time with every mode product a tensordot, the moment map at
+given roots evaluated in Python ints, and JSON text written by json.dumps
+from a converted copy of the document.  Slow but unarguable.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
@@ -573,3 +574,52 @@ def refine_sequential(samples, factors, max_iter=_REFINE_MAX_ITER):
         newton = newton or norm > _NEWTON_SWITCH * prev
         prev = norm
     return _gauge_fix(mats), taken
+
+
+# ---------------------------------------------------------------------------
+# the moment map at given roots, in exact arithmetic
+
+
+def _dyadic(a):
+    """The float array a as (ints, e): an object array of Python ints with
+    a = ints / 2**e exactly, as every finite float is a dyadic rational."""
+    pairs = [x.as_integer_ratio() for x in np.asarray(a, dtype=float).ravel().tolist()]
+    e = max(q.bit_length() - 1 for _, q in pairs)
+    ints = [p << (e - q.bit_length() + 1) for p, q in pairs]
+    return np.array(ints, dtype=object).reshape(np.shape(a)), e
+
+
+def _sqrt_nearest(x: Fraction) -> float:
+    """The float nearest to the square root of x >= 0.  The root of x * 4**s
+    is taken in integers with at least 120 bits, plus a sticky bit when it
+    is inexact, so the one rounding, to float, is the correct one."""
+    p, q = x.numerator, x.denominator
+    s = max(0, 120 - (p.bit_length() - q.bit_length()) // 2)
+    r = math.isqrt((p << 2 * s) // q)
+    sticky = int(r * r * q != p << 2 * s)
+    return float(Fraction(2 * r + sticky, 1 << (s + 1)))
+
+
+def exact_moment_norm(samples, roots) -> float:
+    """The moment-map norm max_i ||T_i S_i T_i^T / (m n / d_i) - I||_F at the
+    roots T_i (Psi_i = T_i^T T_i, float arrays), computed exactly.
+
+    The samples and roots are read as the dyadic rationals they are; the
+    whitened samples Z = (T_1 (x) ... (x) T_k) Y and their block Grams,
+    which are T_i S_i T_i^T, are formed in Python ints over one power of
+    two, and the norm is rounded to the nearest float once, at the end.
+    Since that rounding is monotone, the returned norm is below a float
+    bound only if the exact norm is.  Shares no code with tnm.mle.
+    """
+    z, e = _dyadic(samples.tensors())
+    for j, t in enumerate(roots):
+        ints, et = _dyadic(t)
+        z, e = _mode_apply(ints, z, j + 1), e + et
+    worst = Fraction(0)
+    for i, d in enumerate(samples.dims):
+        u = _unfold(z, i + 1)
+        gap = u @ u.T  # 4**e * T_i S_i T_i^T
+        c = (samples.m * samples.n // d) << 2 * e
+        gap[range(d), range(d)] -= c
+        worst = max(worst, Fraction(sum(x * x for x in gap.ravel().tolist()), c * c))
+    return _sqrt_nearest(worst)

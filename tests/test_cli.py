@@ -304,6 +304,15 @@ def test_scan_rejects_max_k_above_limit_before_out(tmp_path):
     assert not out.exists()
 
 
+def test_scan_rejects_grid_above_limit_before_out(tmp_path):
+    out = tmp_path / "x.csv"
+    res = run("scan", "--max-k", "3", "--max-dim", "400", "--max-m", "1000", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.strip().splitlines() == [
+        "tnm scan: grid has 10746800000 data, more than the 10000000 limit"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["scan", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exit_2(tmp_path, command, threads):

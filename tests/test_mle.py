@@ -1,6 +1,7 @@
 """Sampling, likelihood evaluation, the flip-flop solver, and verification."""
 
 import dataclasses
+import itertools
 import logging
 import math
 import os
@@ -51,6 +52,7 @@ from tnm.mle import (
     _cholesky,
     _cholesky_route,
     _eigh_route,
+    _factor_gaps,
     _fit,
     _gauge_fix,
     _grams,
@@ -76,6 +78,7 @@ from oracles import (
     dense_kron,
     dense_loglik,
     dense_mode_statistic,
+    exact_moment_norm,
     fit_sequential,
     hessian_product,
     polish_sequential,
@@ -113,7 +116,7 @@ def test_sampleset_validation():
         SampleSet((2, 3), 2, np.zeros(11))
     with pytest.raises(ShapeMismatch):
         SampleSet((2, 0), 1, np.zeros(0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^need at least one dimension$"):
         SampleSet((), 1, np.zeros(0))
     with pytest.raises(ShapeMismatch):
         SampleSet((2,), 0, np.zeros(0))
@@ -198,6 +201,7 @@ def test_sampleset_rejects_other_fields():
     {"dims": [2], "m": 2, "data": [[0.5, 1.0], [2.0, -1.0]]},
     {"dims": [2, 2], "m": 1, "data": ["1", "2", "3", "4"]},
     {"dims": [2, 2], "m": 1, "data": [True, False, True, True]},
+    {"dims": [], "m": 1, "data": []},
 ])
 def test_sampleset_from_json_rejects_malformed(doc):
     with pytest.raises(ValueError):  # ShapeMismatch is a ValueError
@@ -364,6 +368,14 @@ def test_mode_statistic_index_range():
         mode_statistic(s, p, 0)
     with pytest.raises(ValueError):
         mode_statistic(s, p, 3)
+
+
+def test_flip_flop_step_index_range():
+    s = sample_standard((2, 3), 1, seed=0)
+    p = KroneckerPrecision.identity((2, 3))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"factor position must be in 1..2, got {i}"):
+            flip_flop_step(s, p, i)
 
 
 def test_flip_flop_step_single_factor_is_classical_mle():
@@ -536,11 +548,23 @@ def test_loglik_from_eigenvalues_matches_explicit():
 
 def solve_trial(samples, mats, tol=DEFAULT_TOL):
     """_fit and then _refine on the roots of the restart stack of factors
-    `mats`, as verify runs a trial: (FitReports, refined factors or None,
+    `mats`, as verify runs a trial: (FitReports, refined roots or None,
     refinement iterations), one entry per restart."""
     data = _Unfoldings(samples.tensors())
     fits, ends = _fit(data, _roots(mats), tol, DEFAULT_MAX_SWEEPS)
     return (fits, *_refine(data, ends))
+
+
+def trial_factors(roots):
+    """The gauge-fixed factors Psi_i = T_i^T T_i that _run_trial compares,
+    formed as it forms them from the refined roots of solve_trial: one
+    stack per factor, gauge-fixed together.  One list per restart, None
+    where its roots are None."""
+    conv = [ts for ts in roots if ts is not None]
+    if not conv:
+        return list(roots)
+    rows = zip(*_gauge_fix([np.stack([t.T @ t for t in ts]) for ts in zip(*conv)]))
+    return [None if ts is None else list(next(rows)) for ts in roots]
 
 
 def _same_fit(a, b) -> bool:
@@ -563,7 +587,7 @@ def test_stacked_restarts_equal_solo_fits(dims, m):
     # where any restart converges, the fits end at different iterations, so
     # the fit stack shrinks under the restarts still fitting, and the
     # refinement stack holds fits that ended at different iterations.
-    # Each restart's FitReport, refined factors and refinement count are
+    # Each restart's FitReport, refined roots and refinement count are
     # bitwise those of the same restart run alone, and its fit is fit_mle's
     samples = sample_standard(dims, m, seed=[0, 101, 0])
     inits = _restart_inits(dims, 4, (0, 202, 0))
@@ -894,12 +918,20 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
     # Newton steps already ends at the maximum, where the two agree to the
     # rounding of their evaluation), and meet the stop: their moment-map
     # norm, recomputed independently, is below 1e-10 up to its rounding.
-    # Trial seeds 0..7 are every panel trial the benchmark runs
+    # The refined factors are those _run_trial forms from the refined roots:
+    # their gaps are bitwise the trial's factor spreads.  Trial seeds 0..7
+    # are every panel trial the benchmark runs
     scales = [m * math.prod(dims) // d for d in dims]
     for seed in range(8):
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
         inits = _restart_inits(dims, 4, (seed, 202, 0))
-        fits, polished, counts = solve_trial(samples, [a.copy() for a in inits])
+        fits, roots, counts = solve_trial(samples, [a.copy() for a in inits])
+        polished = trial_factors(roots)
+        gaps = [_factor_gaps(x, y)
+                for x, y in itertools.combinations([f for f in polished if f is not None], 2)]
+        t = verify_samples(samples, restarts=4, seed=seed).trials[0]
+        want = max([0.0, *(r for r, _ in gaps)]), max([0.0, *(a for _, a in gaps)])
+        assert (t.factor_spread_rel, t.factor_spread_abs) == want
         for r, fit in enumerate(fits):
             status, sweeps, history, factors, steps = fit_sequential(samples, [a[r] for a in inits])
             assert (fit.status, fit.iterations, fit.newton_steps) == (status, sweeps, steps)
@@ -922,6 +954,22 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
                 assert norm < 1.01 * _MOMENT_TOL
             else:
                 assert counts[r] == 0 and polished[r] is None
+
+
+def test_refined_roots_meet_the_stop_exactly():
+    # every refined restart of (10,20;2) at trial seeds 0 and 5 and of the
+    # panel at seed 0 ends below the stop, with the moment-map norm taken in
+    # exact rational arithmetic at the roots _refine returns ((2,2,8;1)
+    # diverges, so 28 restarts).  The closest, (3,3;3) restart 3, reads
+    # 9.75e-11, 2.5 % below it; on (10,20;2), seed 5 restart 2 reads 8.55e-11
+    refined = 0
+    for dims, m, seed in [((10, 20), 2, 0), ((10, 20), 2, 5), *((d, m, 0) for d, m in PANEL)]:
+        samples = sample_standard(dims, m, seed=[seed, 101, 0])
+        _, roots, _ = solve_trial(samples, _restart_inits(dims, 4, (seed, 202, 0)))
+        for ts in filter(None, roots):
+            refined += 1
+            assert exact_moment_norm(samples, ts) < _MOMENT_TOL
+    assert refined == 28
 
 
 @pytest.mark.parametrize("dims,m", PANEL)
@@ -1102,7 +1150,7 @@ def test_newton_step_safeguards(monkeypatch):
     fits, got, counts = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
     assert all(f.status is FitStatus.CONVERGED for f in fits)
     assert max(counts) < _REFINE_MAX_ITER
-    for g, w in zip(got, want):
+    for g, w in zip(trial_factors(got), trial_factors(want)):
         for a, b in zip(g, w):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -1110,10 +1158,10 @@ def test_newton_step_safeguards(monkeypatch):
 def test_polish_restart_that_loses_its_scale_keeps_its_input(monkeypatch):
     # a restart whose block-1 statistic vanishes in its first refinement
     # sweep (its second root is set so small, as the sweep starts, that
-    # S_1 underflows to 0) leaves after one iteration with the gauge-fixed
-    # factors its fit ended at; its fit and the restarts beside it are
-    # bitwise as before.  The sweep finds the restart by the factors
-    # T^T T its roots stand for
+    # S_1 underflows to 0) leaves after one iteration with the roots its
+    # fit ended at, those whose T^T T is its reported fit; its fit and the
+    # restarts beside it are bitwise as before.  The sweep finds the
+    # restart by the factors T^T T its roots stand for
     base = sample_standard((3, 3), 3, seed=[0, 101, 0])
     s = SampleSet(base.dims, base.m, 1e-20 * base.data)
     inits = _restart_inits((3, 3), 4, (0, 202, 0))
@@ -1132,8 +1180,7 @@ def test_polish_restart_that_loses_its_scale_keeps_its_input(monkeypatch):
     got_fits, got, got_counts = solve_trial(s, [a.copy() for a in inits])
     assert all(_same_fit(a, b) for a, b in zip(got_fits, fits))
     assert got_counts[2] == 1
-    want = _gauge_fix([f[None] for f in end])
-    assert all(np.array_equal(x, y[0]) for x, y in zip(got[2], want))
+    assert all(np.array_equal(t.T @ t, f) for t, f in zip(got[2], end))
     for r in (0, 1, 3):
         assert got_counts[r] == counts[r] >= 1
         assert all(np.array_equal(x, y) for x, y in zip(got[r], refined[r]))
