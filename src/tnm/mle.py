@@ -89,6 +89,13 @@ _NEWTON_SWITCH = 0.5          # a sweep keeping more of the norm than this switc
 _STALL_RATIO = 0.9            # a fit sweep gaining more than this of the last gain switches to Newton
 _CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
+_HESSIAN_ROW_ENTRIES = 3 << 12  # largest P^2, P = sum d_i^2, whose Hessian _newton_direction assembles;
+                              # one direction at _CG_RTOL from a fit's end point, 4 restarts, us, best
+                              # of 7, assembled / matrix-free: (3,3;3) 77 / 90, (2,5,5;1) 268 / 527,
+                              # (4,4,4;1) 449 / 1071, (7,7;2) 517 / 617, (6,6,6;1) 574 / 933 (P^2 =
+                              # 324, 2916, 2304, 9604, 11664), against (8,8;2) 349 / 100, (7,7,7;1)
+                              # 805 / 1001 and (8,8,8;1) 1116 / 929 (P^2 = 16384, 21609, 36864)
+_HESSIAN_STACK_ENTRIES = 1 << 16  # most entries of one assembled stack; more rows go in groups
 _MAX_HALVINGS = 30            # step halvings before a Newton step gives way to a sweep
 _CHOLESKY_MIN_DIM = 8         # smallest block updated through Cholesky (see _update_block); eigh /
                               # Cholesky route on 4-restart stacks, us, best of 5: 25 / 25 at d = 4,
@@ -169,6 +176,8 @@ class SampleSet:
         dims, m = _shape(self.dims, self.m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "m", m)
+        if np.iscomplexobj(self.data):
+            raise ValueError("sample data must be real, got complex entries")
         data = np.asarray(self.data, dtype=float).ravel()
         expected = self.m * math.prod(dims)
         if data.size != expected:
@@ -248,6 +257,8 @@ class KroneckerPrecision:
             raise ShapeMismatch("need at least one factor")
         mats = []
         for idx, f in enumerate(self.factors):
+            if np.iscomplexobj(f):
+                raise ValueError(f"factor {idx + 1} must be real, got complex entries")
             a = np.asarray(f, dtype=float)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ShapeMismatch(f"factor {idx + 1} is not square: shape {a.shape}")
@@ -316,7 +327,9 @@ class FitReport:
 # a trial compares (_run_trial; _refine returns roots) and flip_flop_step.
 # Each operation acts on every slice of a stack on its own, so a restart's
 # arithmetic does not depend on which other restarts share its stack; the
-# public functions are the R = 1 case.  No kernel function changes how many
+# public functions are the R = 1 case.  Where a choice of method could
+# depend on the stack (the Newton direction's Hessian product,
+# _newton_direction), it is made from the dims alone.  No kernel function changes how many
 # restarts a stack holds: they report per-restart masks, and only the solver
 # loops (_fit, _refine) retire restarts.
 #
@@ -364,7 +377,8 @@ class _Unfoldings:
     that large is served by mmap or trimmed back to the system when freed,
     and faulted in page by page when allocated again.  An _applied result
     is therefore valid only until the next _applied or _hessian_product
-    call on the same data.
+    call on the same data.  An assembled Hessian is kept in a third
+    buffer (hessian), for the same reason.
     """
 
     def __init__(self, tens: np.ndarray) -> None:
@@ -381,6 +395,14 @@ class _Unfoldings:
             self.plans.append(plan)
         self._buffers = np.empty((2, 0))
         self._outs = {}
+        self._hessian = np.empty(0)
+
+    def hessian(self, size: int) -> np.ndarray:
+        """A scratch buffer of `size` entries for an assembled Hessian
+        (_assembled_hessian), valid until the next call."""
+        if size > len(self._hessian):
+            self._hessian = np.empty(size)
+        return self._hessian[:size]
 
     def outs(self, r: int) -> list:
         """For a stack of r restarts: outs(r)[j][s] is the pair of views,
@@ -625,6 +647,20 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 # serves, so both use the roots as the stack holds them.  The gauge
 # directions (c_i I with sum c_i = 0) lie in the kernel of A, and so, at a
 # maximizer that is not unique, do the directions along the maximizer set.
+#
+# A direction V is held flat, one row of P = sum d_i^2 entries per restart,
+# the blocks V_i one after another, each row-major (_blocks gives the
+# per-block views).  On small blocks A is assembled once per Newton step as
+# a dense P x P matrix per row (_assembled_hessian), so that a conjugate-
+# gradient iteration is one batched matmul rather than a few numpy calls
+# per block pair.  Its entries, for block i's (a, a') against block j's
+# (b, c), are
+#   j = i:   (delta_ab S~_i[c, a'] + S~_i[a, b] delta_ca') / 4,
+#   j != i:  (C_ij[a, b, a', c] + C_ij[a, c, a', b]) / 4,
+# with C_ij the Gram of Z with axes i and j leading,
+# C_ij[a, b, a', c] = sum Z[.. a_i = a .. a_j = b ..] Z[.. a_i = a' .. a_j = c ..].
+# On symmetric V it is A, and it is symmetric; every entry is read from a
+# Gram entry or a sum of two, the same one for an entry and its transpose.
 
 
 def _whiten(data: _Unfoldings, roots) -> np.ndarray:
@@ -643,17 +679,20 @@ def _grams(zs) -> list[np.ndarray]:
     return [z.transpose(0, 2, 1) @ z for z in zs]
 
 
-def _dot(a, b, tmp) -> np.ndarray:
-    """Frobenius inner product over all blocks, per restart; tmp holds one
-    scratch array per block."""
-    return sum(np.multiply(x, y, out=t).reshape(len(x), -1).sum(axis=1) for x, y, t in zip(a, b, tmp))
+def _blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
+    """The per-block views (R, d_i, d_i) of a stack of flat directions (R, P)."""
+    out, o = [], 0
+    for d in dims:
+        out.append(flat[:, o:o + d * d].reshape(len(flat), d, d))
+        o += d * d
+    return out
 
 
 def _hessian_product(data: _Unfoldings, zs, grams, vs, out) -> list[np.ndarray]:
     """A V at H = 0 (see above), with one mode product per ordered block pair
-    and one Gram per block, written into out (one (R, d_i, d_i) array per
-    block) and returned.  The cross term of block i is summed in data's
-    first scratch buffer, each further mode product written into the
+    and one Gram per block, written into out (one (R, d_i, d_i) array or
+    view per block) and returned.  The cross term of block i is summed in
+    data's first scratch buffer, each further mode product written into the
     second."""
     for i, (z, s, p) in enumerate(zip(zs, grams, out)):
         np.matmul(vs[i], s, out=p)
@@ -670,52 +709,141 @@ def _hessian_product(data: _Unfoldings, zs, grams, vs, out) -> list[np.ndarray]:
     return out
 
 
-def _newton_direction(data: _Unfoldings, zs, grams, res) -> list[np.ndarray]:
-    """V with A V = res (= -grad, consumed), by conjugate gradients batched
-    over restarts.
+@functools.lru_cache(maxsize=32)
+def _hessian_index(dims: tuple[int, ...]):
+    """Where _assembled_hessian reads each entry of A, for blocks of sizes
+    dims: (index, pairs, width).  A row's sources are, in order, the Grams
+    S~_i (P entries, laid out as a direction), the sums S~_i[a, a] +
+    S~_i[a', a'] (P entries, same layout), then for every block pair i < j
+    in pairs, as (i, j, axes, offset), C_ij[a, b, a', c] + C_ij[a, c, a', b]
+    ((d_i d_j)^2 entries from offset; axes moves axes i and j of the
+    whitened samples (R, m, d_1, ..., d_k) last), and a final 0: width
+    entries.  index
+    holds, for the P * P entries of A in row-major order, the position of
+    the source each is (a quarter of)."""
+    offs = np.cumsum([0, *(d * d for d in dims)]).tolist()
+    p, k = offs[-1], len(dims)
+    pairs, width = [], 2 * p
+    for i in range(k):
+        for j in range(i + 1, k):
+            rest = [x + 2 for x in range(k) if x not in (i, j)]
+            pairs.append((i, j, (0, 1, *rest, i + 2, j + 2), width))
+            width += (dims[i] * dims[j]) ** 2
+    zero = width
+    index = np.full((p, p), zero, dtype=np.intp)
+    for i, d in enumerate(dims):
+        a, a2, b, c = np.indices((d,) * 4)  # block row (a, a'), block column (b, c)
+        lo, hi = np.minimum(c, a2), np.maximum(c, a2)  # S~[c, a'], read in its upper triangle
+        blk = np.where(a == b, offs[i] + lo * d + hi, zero)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)  # S~[a, b]
+        blk = np.where(c == a2, np.where(a == b, p + offs[i] + a * d + a2, offs[i] + lo * d + hi), blk)
+        index[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = blk.reshape(d * d, d * d)
+    for i, j, _, o in pairs:
+        di, dj = dims[i], dims[j]
+        a, a2, b, c = np.indices((di, di, dj, dj))
+        blk = (o + ((a * dj + b) * di + a2) * dj + c).reshape(di * di, dj * dj)
+        index[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = blk
+        index[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = blk.T
+    return index.ravel(), pairs, width + 1
 
-    Each restart has its own step lengths and freezes on its own once its
-    residual is at most _CG_RTOL times the initial one, or when it meets a
-    direction without positive curvature.  Started from 0, the iterates stay
-    in the range of A, so kernel directions are left alone.  The iterates,
-    residuals and search directions are updated in place.
-    """
-    x = [np.zeros_like(a) for a in res]
-    p = [a.copy() for a in res]
-    ap, tmp = [np.empty_like(a) for a in res], [np.empty_like(a) for a in res]
-    rr = _dot(res, res, tmp)
-    target = _CG_RTOL * _CG_RTOL * rr
+
+def _assembled_hessian(data: _Unfoldings, zs, grams: np.ndarray) -> np.ndarray:
+    """A (see above) as a dense (R, P, P) stack, in data's hessian buffer,
+    from the whitened samples zs (_per_block) and the flat Grams S~_i
+    (R, P): one Gram per block pair, then one gather of every entry."""
+    r, dims = len(grams), data.dims
+    index, pairs, width = _hessian_index(dims)
+    p = grams.shape[1]
+    src = np.empty((r, width))
+    src[:, :p] = grams
+    for g, s in zip(_blocks(grams, dims), _blocks(src[:, p:2 * p], dims)):
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        np.add(diag[:, :, None], diag[:, None, :], out=s)
+    t = zs[-1].reshape(r, data.m, *dims)  # the last block's layout is the sample layout
+    for i, j, axes, o in pairs:
+        di, dj = dims[i], dims[j]
+        x = t.transpose(axes).reshape(r, -1, di * dj)
+        c = (x.transpose(0, 2, 1) @ x).reshape(r, di, dj, di, dj)
+        np.add(c, c.transpose(0, 1, 4, 3, 2), out=src[:, o:o + c[0].size].reshape(c.shape))
+    src[:, -1] = 0.0
+    src *= 0.25
+    a = data.hessian(r * p * p).reshape(r, p * p)
+    np.take(src, index, axis=1, out=a, mode="clip")  # "raise" would gather into a copy of out
+    return a.reshape(r, p, p)
+
+
+def _conjugate_gradients(product, x, res, p, ap, eta) -> None:
+    """Solve A x = res by conjugate gradients, batched over the rows of the
+    flat stacks x (from 0), res (consumed), p (= res) and ap, all updated in
+    place; product() writes A p into ap.
+
+    Each row has its own step lengths and freezes on its own once its
+    residual is at most eta (its entry) times the initial one, or when it
+    meets a direction without positive curvature."""
+    tmp = np.empty_like(res)
+    rr = np.multiply(res, res, out=tmp).sum(axis=1)
+    target = eta * eta * rr
     live = rr > target
     for _ in range(_CG_MAX_ITER):
-        _hessian_product(data, zs, grams, p, ap)
-        pap = _dot(p, ap, tmp)
+        product()
+        pap = np.multiply(p, ap, out=tmp).sum(axis=1)
         live &= pap > 0.0
-        alpha = (np.where(live, rr, 0.0) / np.where(live, pap, 1.0))[:, None, None]
-        for a, q, b, aq, t in zip(x, p, res, ap, tmp):
-            a += np.multiply(alpha, q, out=t)
-            b -= np.multiply(alpha, aq, out=t)
-        new = _dot(res, res, tmp)
+        alpha = (np.where(live, rr, 0.0) / np.where(live, pap, 1.0))[:, None]
+        x += np.multiply(alpha, p, out=tmp)
+        res -= np.multiply(alpha, ap, out=tmp)
+        new = np.multiply(res, res, out=tmp).sum(axis=1)
         live &= new > target
         if not np.count_nonzero(live):
             break
-        beta = np.divide(new, rr, out=np.zeros_like(rr), where=live)[:, None, None]
-        for b, q in zip(res, p):  # p <- res + beta p
-            q *= beta
-            q += b
+        p *= np.divide(new, rr, out=np.zeros_like(rr), where=live)[:, None]
+        p += res
         rr = new
-    return x
 
 
-def _newton(data: _Unfoldings, mats: list):
+def _newton_direction(data: _Unfoldings, zs, grams, res, eta) -> list[np.ndarray]:
+    """V with A V = res by conjugate gradients (_conjugate_gradients), each
+    row to its own relative residual eta; grams and res (= -grad, consumed)
+    are flat (R, P).  Returns V as per-block views (_blocks).
+
+    Started from 0, the iterates stay in the range of A, so kernel
+    directions are left alone.  Where a row's A has at most
+    _HESSIAN_ROW_ENTRIES entries it is assembled (_assembled_hessian), for
+    at most _HESSIAN_STACK_ENTRIES entries of rows at a time; elsewhere
+    each product is _hessian_product's.  Either way a row's arithmetic does
+    not depend on the rows beside it."""
+    dims = data.dims
+    x, p, ap = np.zeros_like(res), res.copy(), np.empty_like(res)
+    size = res.shape[1] ** 2
+    if size > _HESSIAN_ROW_ENTRIES:
+        args = (data, zs, _blocks(grams, dims), _blocks(p, dims), _blocks(ap, dims))
+        _conjugate_gradients(lambda: _hessian_product(*args), x, res, p, ap, eta)
+    else:
+        step = _HESSIAN_STACK_ENTRIES // size
+        for lo in range(0, len(res), step):
+            rows = slice(lo, lo + step)
+            a = _assembled_hessian(data, [z[rows] for z in zs], grams[rows])
+            pr, apr = p[rows], ap[rows]
+            _conjugate_gradients(lambda: np.matmul(a, pr[:, :, None], out=apr[:, :, None]),
+                                 x[rows], res[rows], pr, apr, eta[rows])
+    return _blocks(x, dims)
+
+
+def _newton(data: _Unfoldings, mats: list, forcing: bool = False):
     """One safeguarded Newton-CG step on the log-factors of every restart.
 
     Returns (norm, stepped): the moment-map norm max_i ||S~_i / c_i - I||_F
     at the current point, and which restarts took a step.  Restarts whose
-    norm is already below _MOMENT_TOL take none.  The step is
-    Psi_i <- T_i^T exp(t V_i) T_i with V from _newton_direction, t at most 1
-    and at most 1 / ||V||_F (a trust radius in log space), halved until the
-    log-likelihood rises.  In the eigenbasis V_i = U_i diag(lambda_i) U_i^T
-    the gain is exact and cheap to evaluate for every t:
+    norm is already below _MOMENT_TOL take none.  The direction V
+    (_newton_direction) is solved to the relative residual _CG_RTOL; with
+    `forcing` (refinement's steps), a restart at norm `norm` solves it only
+    to eta = min(_CG_RTOL, max(norm, 0.1 _MOMENT_TOL / norm)), a forcing
+    term (Dembo, Eisenstat and Steihaug, 1982): eta ~ norm keeps Newton's
+    quadratic rate, and the floor keeps the error the inexact solve leaves
+    in the next norm, about eta * norm, at a tenth of the stop.  The step
+    is Psi_i <- T_i^T exp(t V_i) T_i,
+    t at most 1 and at most 1 / ||V||_F (a trust radius in log space),
+    halved until the log-likelihood rises.  In the eigenbasis V_i = U_i
+    diag(lambda_i) U_i^T the gain is exact and cheap to evaluate for every t:
       l(t) - l(0) = (t/2) sum_i c_i tr V_i - (1/2) sum_e P_e expm1(t Lambda_e),
     with P the squared samples (U_i^T T_i) Y summed over samples and Lambda
     the outer sum of the lambda_i.  A restart that finds no rise in
@@ -728,21 +856,24 @@ def _newton(data: _Unfoldings, mats: list):
     r, dims = len(mats[0]), data.dims
     scales = [data.m * data.n // d for d in dims]
     zs = _per_block(data, _whiten(data, mats))
-    grams = _grams(zs)
-    res = [s.copy() for s in grams]
+    grams = np.concatenate([g.reshape(r, -1) for g in _grams(zs)], axis=1)
+    res = grams.copy()
     norm = np.zeros(r)
-    for g, c in zip(res, scales):
+    for g, c in zip(_blocks(res, dims), scales):
         np.maximum(norm, _moment_norm(g, c), out=norm)
     stepped = np.zeros(r, dtype=bool)
     go = np.flatnonzero(norm >= _MOMENT_TOL)
     if not len(go):
         return norm, stepped
-    roots = mats
+    roots, at = mats, norm
     if len(go) < r:
-        zs, grams, res, roots = ([a[go] for a in x] for x in (zs, grams, res, roots))
-    for g in res:
-        g *= -0.5  # -grad
-    vs = _newton_direction(data, zs, grams, res)
+        zs, roots = ([a[go] for a in x] for x in (zs, roots))
+        grams, res, at = grams[go], res[go], norm[go]
+    res *= -0.5  # -grad
+    eta = np.full(len(go), _CG_RTOL)
+    if forcing:
+        np.minimum(eta, np.maximum(at, 0.1 * _MOMENT_TOL / at), out=eta)
+    vs = _newton_direction(data, zs, grams, res, eta)
     del zs, grams, res  # the line search whitens the samples once more
     finite = np.isfinite(sum(v.sum(axis=(1, 2)) for v in vs))
     lam, vecs = zip(*(_umath_linalg.eigh_lo(v) for v in vs))
@@ -881,7 +1012,7 @@ def _refine(data: _Unfoldings, ends: list):
     while rows:
         swept = [p for p, i in enumerate(rows) if not newton[i]]  # a row due a step waits
         if not swept:
-            norm, stepped = _newton(data, mats)
+            norm, stepped = _newton(data, mats, True)
             for p, (x, st) in enumerate(zip(norm.tolist(), stepped.tolist())):
                 counts[rows[p]] += st
                 if x < _MOMENT_TOL:

@@ -500,8 +500,10 @@ def _inner(a, b):
     return sum(float(np.sum(x * y)) for x, y in zip(a, b))
 
 
-def _newton_sequential(tens, mats, roots, m, n):
-    """One safeguarded Newton-CG step: (moment-map norm before it, stepped)."""
+def _newton_sequential(tens, mats, roots, m, n, forcing=False):
+    """One safeguarded Newton-CG step: (moment-map norm before it, stepped).
+    CG stops at the relative residual _CG_RTOL, or with `forcing` (the
+    refinement's steps) at min(_CG_RTOL, max(norm, 0.1 _MOMENT_TOL / norm))."""
     dims = tens.shape[1:]
     scales = [m * n // d for d in dims]
     z, grams = whitened_grams(tens, roots)
@@ -513,7 +515,8 @@ def _newton_sequential(tens, mats, roots, m, n):
     r = [-g for g in grad]
     p = [a.copy() for a in r]
     rr = _inner(r, r)
-    target = _CG_RTOL**2 * rr
+    eta = min(_CG_RTOL, max(norm, 0.1 * _MOMENT_TOL / norm)) if forcing else _CG_RTOL
+    target = eta**2 * rr
     for _ in range(_CG_MAX_ITER):
         ap = hessian_product(z, grams, p)
         pap = _inner(p, ap)
@@ -558,7 +561,7 @@ def refine_sequential(samples, factors, max_iter=_REFINE_MAX_ITER):
     taken, prev, newton = 0, math.inf, False
     for _ in range(max_iter):
         if newton:
-            norm, stepped = _newton_sequential(tens, mats, roots, m, n)
+            norm, stepped = _newton_sequential(tens, mats, roots, m, n, forcing=True)
             if norm < _MOMENT_TOL:
                 return _gauge_fix(mats), taken
             if stepped:

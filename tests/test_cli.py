@@ -1000,15 +1000,20 @@ def test_verify_bad_tol_exit_2(tol):
 
 def test_solver_fault_is_not_a_usage_error(monkeypatch, capsys):
     # numpy's own ValueError from a fault inside the solver is no bad flag:
-    # it leaves cli.main as a RuntimeError chained to it, not as exit 2
+    # it leaves cli.main as a RuntimeError chained to it, not as exit 2.
+    # The fault is raised by the Hessian product of each path: the
+    # matrix-free one where no Hessian is assembled, the assembly otherwise
     def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(tnm.mle, "_hessian_product", broken)
-    with pytest.raises(RuntimeError) as info:
-        cli.main(["verify", "--dims", "2,5,5", "--samples", "1", "--trials", "1", "--threads", "1"])
-    assert isinstance(info.value.__cause__, ValueError)
-    assert capsys.readouterr().err == ""
+    for name, entries in [("_hessian_product", 0), ("_assembled_hessian", tnm.mle._HESSIAN_ROW_ENTRIES)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(tnm.mle, name, broken)
+            patch.setattr(tnm.mle, "_HESSIAN_ROW_ENTRIES", entries)
+            with pytest.raises(RuntimeError) as info:
+                cli.main(["verify", "--dims", "2,5,5", "--samples", "1", "--trials", "1", "--threads", "1"])
+        assert isinstance(info.value.__cause__, ValueError)
+        assert capsys.readouterr().err == ""
 
 
 def test_verify_missing_file_exit_2(tmp_path):

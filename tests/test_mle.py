@@ -47,6 +47,8 @@ from tnm.mle import (
     _TRI_INV_BASE,
     TrialResult,
     _assemble_report,
+    _assembled_hessian,
+    _blocks,
     _check_draw,
     _check_restarts,
     _cholesky,
@@ -85,6 +87,7 @@ from oracles import (
     refine_sequential,
     whitened_grams,
 )
+import reference_ops
 import threshold_walk
 from threshold_walk import verdict_digest
 
@@ -122,6 +125,11 @@ def test_sampleset_validation():
         SampleSet((2,), 0, np.zeros(0))
     with pytest.raises(ValueError):
         SampleSet((2,), 1, np.array([1.0, np.nan]))
+    # complex data is refused before it is cast, not cut to its real part
+    # (numpy's ComplexWarning, an error under this suite's warning filter)
+    for data in (np.array([1 + 2j, 3 + 0j]), [1.0, 3 + 0j]):
+        with pytest.raises(ValueError, match="^sample data must be real, got complex entries$"):
+            SampleSet((2,), 1, data)
 
 
 @pytest.mark.parametrize("dims, m", [
@@ -226,6 +234,8 @@ def test_precision_validation():
         KroneckerPrecision((np.diag([1.0, -1.0]),))
     with pytest.raises(NotPositiveDefinite):
         KroneckerPrecision((np.diag([1.0, 0.0]),))
+    with pytest.raises(ValueError, match="^factor 2 must be real, got complex entries$"):
+        KroneckerPrecision((np.eye(2), np.array([[2 + 1j, 0], [0, 1]])))
 
 
 def test_precision_identity():
@@ -1007,12 +1017,13 @@ def test_fit_newton_step_that_cannot_be_formed(monkeypatch, caplog):
     # another) takes no step and keeps its roots, also where LAPACK would
     # return a finite eigendecomposition for it (staged by zeroing the
     # non-finite entries first); every other row of the same _newton call is
-    # bitwise what a call without those rows gives.  A direction that is
-    # never finite is never taken and no exception leaves the trial: it
-    # leaves plain flip-flop, with its slow tail where the fits took Newton
-    # steps ((3,3;2) seed 2), and refinement by sweeps that end at the stop
-    # or at the cap, with its one warning.  On (3,3;3) seed 0 only
-    # refinement takes Newton steps
+    # bitwise what a call without those rows gives, on (3,3;2) and (2,5,5;1)
+    # with the Hessian assembled and on (8,8,8;1) with the matrix-free
+    # product.  A direction that is never finite is never taken and no
+    # exception leaves the trial: it leaves plain flip-flop, with its slow
+    # tail where the fits took Newton steps ((3,3;2) seed 2), and refinement
+    # by sweeps that end at the stop or at the cap, with its one warning.
+    # On (3,3;3) seed 0 only refinement takes Newton steps
     direction, lapack = tnm.mle._newton_direction, tnm.mle._umath_linalg
     finite = types.SimpleNamespace(eigh_lo=lambda v: lapack.eigh_lo(np.nan_to_num(v, posinf=0.0)))
 
@@ -1039,8 +1050,8 @@ def test_fit_newton_step_that_cannot_be_formed(monkeypatch, caplog):
             for a, b, c in zip(mats, inits, rest):
                 assert np.array_equal(a[[1, 3]], b[[1, 3]]) and np.array_equal(a[[0, 2]], c)
 
-    def never(data, zs, grams, res):
-        return [np.full_like(g, np.nan) for g in res]
+    def never(data, zs, grams, res, eta):
+        return [np.full((len(res), d, d), np.nan) for d in data.dims]
 
     for dims, m, seed, tail in [((3, 3), 2, 2, True), ((3, 3), 3, 0, False)]:
         s = sample_standard(dims, m, seed=[seed, 101, 0])
@@ -1080,9 +1091,9 @@ def _kernel_calls(monkeypatch, dims, m, seed):
     newton, sweep = tnm.mle._newton, tnm.mle._sweep
     newtons, sweeps = [], []
 
-    def counted_newton(data, mats):
+    def counted_newton(data, mats, *args):
         newtons.append(len(mats[0]))
-        return newton(data, mats)
+        return newton(data, mats, *args)
 
     def counted_sweep(data, mats, moment=False):
         sweeps.append(moment)
@@ -1096,16 +1107,15 @@ def _kernel_calls(monkeypatch, dims, m, seed):
 
 
 @pytest.mark.parametrize("dims,m,seed,want", [
-    ((3, 3), 3, 0, ((3, 10), (48, 2))),
+    ((3, 3), 3, 0, ((2, 8), (48, 2))),
     ((2, 5, 5), 1, 4, ((8, 24), (34, 2))),
 ])
 def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
     # restarts end their fits at different iterations; a refining restart
     # due a Newton step waits for the others, so their steps share _newton
-    # calls (without the wait, (3,3;3) seed 0 makes 7 calls), and one trial
-    # makes these (calls, rows) of _newton and (calls, moment calls) of
-    # _sweep.  Fitting rows no longer pay for moment norms: the moment calls
-    # are the refinement's alone
+    # calls, and one trial makes these (calls, rows) of _newton and (calls,
+    # moment calls) of _sweep.  Fitting rows no longer pay for moment norms:
+    # the moment calls are the refinement's alone
     newtons, sweeps, _ = _kernel_calls(monkeypatch, dims, m, seed)
     assert ((len(newtons), sum(newtons)), (len(sweeps), sum(sweeps))) == want
 
@@ -1128,31 +1138,114 @@ def test_newton_step_safeguards(monkeypatch):
     # far from the maximizer each step stays inside the trust radius and
     # raises the explicit log-likelihood; a direction along which l only
     # falls is refused after the halvings, and refinement then reaches the
-    # stop by plain sweeps, at the same maximizer
+    # stop by plain sweeps, at the same maximizer.  Both Hessian products
+    # hold to this: the assembled one, which (3,3;3) takes, and the
+    # matrix-free one, with no row assembled
     s = sample_standard((3, 3), 3, seed=[0, 101, 0])
     data = _Unfoldings(s.tensors())
-    mats = _restart_inits((3, 3), 4, (0, 202, 0))
-
-    def loglik():
-        return _loglik(data, mats)
-
-    for _ in range(3):
-        before = loglik()
-        norm, stepped = _newton(data, mats)
-        assert stepped.all() and np.all(loglik() > before)
-    _, want, _ = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
     newton_direction = tnm.mle._newton_direction
-    monkeypatch.setattr(tnm.mle, "_newton_direction", lambda *a: [-v for v in newton_direction(*a)])
-    kept = [a.copy() for a in mats]
-    norm, stepped = _newton(data, mats)
-    assert not stepped.any()
-    assert all(np.array_equal(a, b) for a, b in zip(mats, kept))
-    fits, got, counts = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
-    assert all(f.status is FitStatus.CONVERGED for f in fits)
-    assert max(counts) < _REFINE_MAX_ITER
-    for g, w in zip(trial_factors(got), trial_factors(want)):
-        for a, b in zip(g, w):
-            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+    for entries in (tnm.mle._HESSIAN_ROW_ENTRIES, 0):
+        monkeypatch.setattr(tnm.mle, "_HESSIAN_ROW_ENTRIES", entries)
+        mats = _restart_inits((3, 3), 4, (0, 202, 0))
+        for _ in range(3):
+            before = _loglik(data, mats)
+            norm, stepped = _newton(data, mats)
+            assert stepped.all() and np.all(_loglik(data, mats) > before)
+        _, want, _ = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
+        with monkeypatch.context() as patch:
+            patch.setattr(tnm.mle, "_newton_direction", lambda *a: [-v for v in newton_direction(*a)])
+            kept = [a.copy() for a in mats]
+            norm, stepped = _newton(data, mats)
+            assert not stepped.any()
+            assert all(np.array_equal(a, b) for a, b in zip(mats, kept))
+            fits, got, counts = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
+        assert all(f.status is FitStatus.CONVERGED for f in fits)
+        assert max(counts) < _REFINE_MAX_ITER
+        for g, w in zip(trial_factors(got), trial_factors(want)):
+            for a, b in zip(g, w):
+                assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def _direction_inputs(dims, m, r):
+    """The data, whitened samples, flat Grams and flat -grad of _newton's
+    direction at the starting roots of trial seed 0's first r restarts."""
+    data = _Unfoldings(sample_standard(dims, m, seed=[0, 101, 0]).tensors())
+    zs = _per_block(data, _whiten(data, _roots(_restart_inits(dims, r, (0, 202, 0)))))
+    grams = np.concatenate([g.reshape(r, -1) for g in _grams(zs)], axis=1)
+    res = grams.copy()
+    for g, d in zip(_blocks(res, dims), dims):
+        g[:, range(d), range(d)] -= data.m * data.n // d
+    return data, zs, grams, -0.5 * res
+
+
+@pytest.mark.parametrize("dims,m", [
+    ((5,), 3), ((2, 3), 2), ((2, 5, 5), 1), ((4, 4, 4), 1), ((2, 3, 2, 2), 1),
+])
+def test_assembled_hessian_matches_the_product(dims, m):
+    # the Hessian assembled once per Newton step is symmetric and, applied
+    # to random symmetric directions, gives the per-pair oracle's product to
+    # rounding (largest relative gap measured: 9.0e-16, on (4,4,4;1));
+    # assembled for a subset of the rows, each row is bitwise the same
+    rng = np.random.default_rng(len(dims))
+    data, zs, grams, _ = _direction_inputs(dims, m, 3)
+    roots = _roots(_restart_inits(dims, 3, (0, 202, 0)))
+    a = _assembled_hessian(data, zs, grams).copy()
+    assert np.array_equal(a, a.transpose(0, 2, 1))
+    assert np.array_equal(_assembled_hessian(data, [z[[2, 0]] for z in zs], grams[[2, 0]]), a[[2, 0]])
+    tens = sample_standard(dims, m, seed=[0, 101, 0]).tensors()
+    for r in range(3):
+        z, want = whitened_grams(tens, [t[r].T for t in roots])
+        vs = [x + x.T for x in (rng.standard_normal((d, d)) for d in dims)]
+        got = _blocks((a[r] @ np.concatenate([v.ravel() for v in vs]))[None], dims)
+        for x, y in zip(got, hessian_product(z, want, vs)):
+            assert np.abs(x[0] - y).max() <= 1e-14 * np.abs(y).max()
+
+
+def test_newton_direction_takes_one_product_per_row_size(monkeypatch):
+    # a row of P = sum d_i^2 entries has its Hessian assembled when P^2 is
+    # at most _HESSIAN_ROW_ENTRIES ((4,4,4;1), 2,304), in groups of rows of
+    # at most _HESSIAN_STACK_ENTRIES entries; (8,8,8;1) rows (P^2 = 36,864)
+    # take the matrix-free product, and nothing is assembled.  Either way a
+    # row's direction is bitwise what it is alone.  Each product's
+    # directions meet the relative residual 1e-2, and they agree up to the
+    # rounding that CG amplifies at these starting points
+    calls = []
+
+    def spy(name):
+        product = getattr(tnm.mle, name)
+
+        def counted(data, zs, *args):
+            calls.append((name, len(zs[0])))
+            return product(data, zs, *args)
+        return counted
+
+    for name in ("_assembled_hessian", "_hessian_product"):
+        monkeypatch.setattr(tnm.mle, name, spy(name))
+
+    def direction(data, zs, grams, res, rows):
+        args = [z[rows] for z in zs], grams[rows], res[rows].copy(), np.full(len(rows), 1e-2)
+        vs = tnm.mle._newton_direction(data, *args)
+        return np.concatenate([v.reshape(len(rows), -1) for v in vs], axis=1)
+
+    for dims, path in [((4, 4, 4), "_assembled_hessian"), ((8, 8, 8), "_hessian_product")]:
+        data, zs, grams, res = _direction_inputs(dims, 1, 4)
+        monkeypatch.setattr(tnm.mle, "_HESSIAN_STACK_ENTRIES", 2 * grams.shape[1] ** 2)
+        calls.clear()
+        stack = direction(data, zs, grams, res, [0, 1, 2, 3])
+        if path == "_assembled_hessian":
+            assert calls == [(path, 2), (path, 2)]  # two groups of two rows
+        else:
+            assert calls and set(calls) == {(path, 4)}
+        for r in range(4):
+            assert np.array_equal(direction(data, zs, grams, res, [r])[0], stack[r])
+        with monkeypatch.context() as patch:
+            patch.setattr(tnm.mle, "_HESSIAN_ROW_ENTRIES", 0 if path == "_assembled_hessian" else 1 << 40)
+            other = direction(data, zs, grams, res, [0, 1, 2, 3])
+        a = _assembled_hessian(data, zs, grams)
+        for x in (stack, other):
+            gap = np.linalg.norm(np.einsum("rij,rj->ri", a, x) - res, axis=1)
+            assert np.all(gap <= 1e-2 * np.linalg.norm(res, axis=1))
+        assert np.abs(other - stack).max() <= 1e-5 * np.abs(stack).max()  # 3.5e-7 measured
 
 
 def test_polish_restart_that_loses_its_scale_keeps_its_input(monkeypatch):
@@ -1439,7 +1532,8 @@ def test_castled_sample_gets_the_same_verdict():
     # classifier).  Its dims are castle_step's, castling back returns the
     # column span of the flattened sample, and at 4 restarts and seeds 0..3
     # each trial and its castle agree on all-converged against all-diverged
-    # and on uniqueness (factor spread <= 1e-6 against > 1e-6)
+    # and on uniqueness (factor spread <= 1e-6 against > 1e-6).  The 130
+    # castlable data of the threshold walk (N > d_k) are checked at seed 0
     def verdict(t):
         return t.all_converged, t.all_diverged, t.factor_spread_rel <= GAUGE_AGREEMENT_RTOL
 
@@ -1447,9 +1541,12 @@ def test_castled_sample_gets_the_same_verdict():
         q = np.linalg.qr(x.tensors().reshape(-1, x.dims[-1]))[0]
         return q @ q.T
 
-    for dims, m in [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((4, 4, 4), 1), ((8, 8, 8), 1),
-                    ((3, 5), 2), ((2, 3, 5), 1)]:
-        for seed in range(4):
+    panel = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((4, 4, 4), 1), ((8, 8, 8), 1),
+             ((3, 5), 2), ((2, 3, 5), 1)]
+    walk = [(dims, m) for dims, m in reference_ops.walk_data() if _castle_step(dims, m) is not None]
+    assert len(walk) == 130
+    for dims, m, seeds in [*((d, m, range(4)) for d, m in panel), *((d, m, [0]) for d, m in walk)]:
+        for seed in seeds:
             s = sample_standard(dims, m, seed=seed)
             c = castle_sample(s)
             assert Datum(c.dims, c.m) == castle_step(Datum(dims, m))
