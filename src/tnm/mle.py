@@ -87,7 +87,7 @@ _MOMENT_TOL = 1e-10           # moment-map norm at which refinement stops
 _REFINE_MAX_ITER = 500        # refinement iterations per restart before it gives up
 _NEWTON_SWITCH = 0.5          # a sweep keeping more of the norm than this switches to Newton
 _STALL_RATIO = 0.9            # a fit sweep gaining more than this of the last gain switches to Newton
-_CG_RTOL = 1e-2               # relative residual at which a Newton direction is accepted
+_CG_RTOL = 1e-2               # cap of the forcing term a Newton direction is solved to (_newton)
 _CG_MAX_ITER = 100            # conjugate-gradient iterations per Newton step
 _HESSIAN_ROW_ENTRIES = 3 << 12  # largest P^2, P = sum d_i^2, whose Hessian _newton_direction assembles;
                               # one direction at _CG_RTOL from a fit's end point, 4 restarts, us, best
@@ -150,13 +150,30 @@ def _shape(dims: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
     return dims_int, m_int
 
 
-def _count(name: str, v: int) -> int:
-    """v as an int, taken only when integral (2.0 is 2); anything else
-    (2.5, '2') raises ValueError rather than failing later inside range."""
+def _count(name: str, v: int, least: int) -> int:
+    """v as an int, taken only when integral (2.0 is 2) and >= least; anything
+    else (2.5, '2', -1) raises ValueError before range or a generator sees it."""
     n = _as_int(v)
     if n is None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """values as floats, taken only when every entry is an int or a float: a
+    complex entry, bool, string or other object raises ValueError before any
+    cast, and an int beyond the float range raises it as a non-finite entry."""
+    a = np.asarray(values)
+    kinds = {np.dtype(type(v)).kind for v in a.flat} if a.dtype.kind == "O" else {a.dtype.kind}
+    if not kinds <= set("iuf"):
+        got = "complex" if "c" in kinds else a.dtype
+        raise ValueError(f"{what} must be real, got {got} entries")
+    try:
+        return a.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} contains non-finite entries") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +181,8 @@ class SampleSet:
     """m real sample tensors of shape d_1 x ... x d_k, stored flat.
 
     The flat layout is sample-major, then row-major over the tensor indices
-    (the last index a_k varies fastest).  All entries must be finite, and
-    each dimension and the sample count integral (int(v) == v).
+    (the last index a_k varies fastest).  Entries must be finite ints or
+    floats, and each dimension and the sample count integral (int(v) == v).
     """
 
     dims: tuple[int, ...]
@@ -176,9 +193,7 @@ class SampleSet:
         dims, m = _shape(self.dims, self.m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "m", m)
-        if np.iscomplexobj(self.data):
-            raise ValueError("sample data must be real, got complex entries")
-        data = np.asarray(self.data, dtype=float).ravel()
+        data = _reals(self.data, "sample data").ravel()
         expected = self.m * math.prod(dims)
         if data.size != expected:
             raise ShapeMismatch(
@@ -224,11 +239,7 @@ class SampleSet:
             raise ShapeMismatch("dims must be a list of integers, m an integer, data a list")
         if not all(type(v) in (int, float) for v in data):  # no bool, string or nested list
             raise ValueError("data must be a list of numbers")
-        try:
-            values = np.asarray(data, float)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("sample data contains non-finite entries") from None
-        return cls(tuple(dims), m, values)
+        return cls(tuple(dims), m, data)
 
     def save(self, path) -> None:
         """Write the JSON document; floats survive the round trip exactly."""
@@ -246,8 +257,8 @@ class SampleSet:
 class KroneckerPrecision:
     """Factors (Psi_1, ..., Psi_k) of a Kronecker-product concentration.
 
-    Each factor must be square, symmetric to within a 1e-12 relative
-    tolerance, and positive definite; this is checked on construction.
+    Each factor must be a non-empty square matrix of finite ints or floats,
+    symmetric to within a 1e-12 relative tolerance, and positive definite.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -257,12 +268,12 @@ class KroneckerPrecision:
             raise ShapeMismatch("need at least one factor")
         mats = []
         for idx, f in enumerate(self.factors):
-            if np.iscomplexobj(f):
-                raise ValueError(f"factor {idx + 1} must be real, got complex entries")
-            a = np.asarray(f, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ShapeMismatch(f"factor {idx + 1} is not square: shape {a.shape}")
-            scale = float(np.max(np.abs(a))) if a.size else 0.0
+            a = _reals(f, f"factor {idx + 1}")
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+                raise ShapeMismatch(f"factor {idx + 1} is not a square matrix: shape {a.shape}")
+            scale = float(np.max(np.abs(a)))
+            if not math.isfinite(scale):
+                raise ValueError(f"factor {idx + 1} contains non-finite entries")
             if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * max(scale, 1.0):
                 raise ValueError(f"factor {idx + 1} is not symmetric")
             try:
@@ -633,7 +644,7 @@ def _gauge_fix(mats) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Newton steps, for refinement and the fit's slow tail (private)
+# Newton steps, one rule for the fit's slow tail and for refinement (private)
 #
 # For the roots T_i of the stack, Psi_i = T_i^T T_i, the whitened samples
 # Z = (T_1 (x) ... (x) T_k) Y have block Grams S~_i = T_i S_i T_i^T.
@@ -828,16 +839,15 @@ def _newton_direction(data: _Unfoldings, zs, grams, res, eta) -> list[np.ndarray
     return _blocks(x, dims)
 
 
-def _newton(data: _Unfoldings, mats: list, forcing: bool = False):
+def _newton(data: _Unfoldings, mats: list):
     """One safeguarded Newton-CG step on the log-factors of every restart.
 
     Returns (norm, stepped): the moment-map norm max_i ||S~_i / c_i - I||_F
     at the current point, and which restarts took a step.  Restarts whose
-    norm is already below _MOMENT_TOL take none.  The direction V
-    (_newton_direction) is solved to the relative residual _CG_RTOL; with
-    `forcing` (refinement's steps), a restart at norm `norm` solves it only
-    to eta = min(_CG_RTOL, max(norm, 0.1 _MOMENT_TOL / norm)), a forcing
-    term (Dembo, Eisenstat and Steihaug, 1982): eta ~ norm keeps Newton's
+    norm is already below _MOMENT_TOL take none.  A restart at norm `norm`
+    solves its direction V (_newton_direction) to the relative residual
+    eta = min(_CG_RTOL, max(norm, 0.1 _MOMENT_TOL / norm)), a forcing term
+    (Dembo, Eisenstat and Steihaug, 1982): eta ~ norm keeps Newton's
     quadratic rate, and the floor keeps the error the inexact solve leaves
     in the next norm, about eta * norm, at a tenth of the stop.  The step
     is Psi_i <- T_i^T exp(t V_i) T_i,
@@ -870,9 +880,7 @@ def _newton(data: _Unfoldings, mats: list, forcing: bool = False):
         zs, roots = ([a[go] for a in x] for x in (zs, roots))
         grams, res, at = grams[go], res[go], norm[go]
     res *= -0.5  # -grad
-    eta = np.full(len(go), _CG_RTOL)
-    if forcing:
-        np.minimum(eta, np.maximum(at, 0.1 * _MOMENT_TOL / at), out=eta)
+    eta = np.minimum(_CG_RTOL, np.maximum(at, 0.1 * _MOMENT_TOL / at))
     vs = _newton_direction(data, zs, grams, res, eta)
     del zs, grams, res  # the line search whitens the samples once more
     finite = np.isfinite(sum(v.sum(axis=(1, 2)) for v in vs))
@@ -1012,7 +1020,7 @@ def _refine(data: _Unfoldings, ends: list):
     while rows:
         swept = [p for p, i in enumerate(rows) if not newton[i]]  # a row due a step waits
         if not swept:
-            norm, stepped = _newton(data, mats, True)
+            norm, stepped = _newton(data, mats)
             for p, (x, st) in enumerate(zip(norm.tolist(), stepped.tolist())):
                 counts[rows[p]] += st
                 if x < _MOMENT_TOL:
@@ -1062,10 +1070,8 @@ def _check_draw(dims: Sequence[int], m: int) -> None:
 
 
 def _check_restarts(dims: Sequence[int], m: int, restarts: int, tol: float) -> None:
-    """Refuse, before anything is allocated, fewer than 2 restarts, a bad tol,
-    or restart stacks of more than _MAX_STACK_ENTRIES entries."""
-    if restarts < 2:
-        raise ValueError(f"restarts must be >= 2, got {restarts}")
+    """Refuse, before anything is allocated, a bad tol or restart stacks of
+    more than _MAX_STACK_ENTRIES entries."""
     _check_tol(tol)
     entries = restarts * (m * math.prod(dims) + sum(d * d for d in dims))
     if entries > _MAX_STACK_ENTRIES:
@@ -1110,11 +1116,14 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
 # likelihood and flip-flop updates
 
 
-def _check_compatible(samples: SampleSet, factors: KroneckerPrecision) -> None:
+def _check_compatible(samples: SampleSet, factors: KroneckerPrecision, i: int = 1) -> None:
+    """Refuse factors whose dims are not the samples', or a position i not in 1..k."""
     if samples.dims != factors.dims:
         raise ShapeMismatch(
             f"sample dims {samples.dims} do not match factor dims {factors.dims}"
         )
+    if not 1 <= i <= samples.k:
+        raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
 
 
 def _check_tol(tol: float) -> None:
@@ -1147,9 +1156,7 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
     columns by the remaining indices in their original row-major order.
     The result is computed as a Gram, so it is symmetric.  i is 1-based.
     """
-    _check_compatible(samples, factors)
-    if not 1 <= i <= samples.k:
-        raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
+    _check_compatible(samples, factors, i)
     return _statistic(_Unfoldings(samples.tensors()), _stack(factors), i - 1)[0]
 
 
@@ -1162,9 +1169,7 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     when the smallest eigenvalue of S_i falls below 1e-12 times the largest,
     or when LAPACK cannot decompose S_i.  i is 1-based.
     """
-    _check_compatible(samples, factors)
-    if not 1 <= i <= samples.k:
-        raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
+    _check_compatible(samples, factors, i)
     mats = _stack(factors)
     lost, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
     if lost[0] or ridged[0]:
@@ -1401,9 +1406,8 @@ def verify_datum(
     most `threads` worker processes, capped by CPUs and trials; results do
     not depend on it.
     """
-    trials, restarts = _count("trials", trials), _count("restarts", restarts)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials, restarts = _count("trials", trials, 1), _count("restarts", restarts, 2)
+    seed = _count("seed", seed, 0)
     if datum.product() > DESK_SCALE_LIMIT:
         raise DeskScaleExceeded(
             f"prod(dims) = {datum.product()} exceeds the limit {DESK_SCALE_LIMIT}"
@@ -1421,7 +1425,7 @@ def verify_samples(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Like verify_datum, but for one externally supplied data set."""
-    restarts = _count("restarts", restarts)
+    restarts, seed = _count("restarts", restarts, 2), _count("seed", seed, 0)
     _check_restarts(samples.dims, samples.m, restarts, tol)
     datum = Datum(samples.dims, samples.m)
     trial = _run_trial(samples, restarts, (seed, 202, 0), tol)

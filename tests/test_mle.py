@@ -127,9 +127,17 @@ def test_sampleset_validation():
         SampleSet((2,), 1, np.array([1.0, np.nan]))
     # complex data is refused before it is cast, not cut to its real part
     # (numpy's ComplexWarning, an error under this suite's warning filter)
-    for data in (np.array([1 + 2j, 3 + 0j]), [1.0, 3 + 0j]):
+    for data in (np.array([1 + 2j, 3 + 0j]), [1.0, 3 + 0j], np.array([1.0, 3 + 0j], dtype=object)):
         with pytest.raises(ValueError, match="^sample data must be real, got complex entries$"):
             SampleSet((2,), 1, data)
+    # so are strings, bools and other objects, which a cast would read as numbers
+    for data in (["1", "2.5"], [True, False], np.array([1.0, None], dtype=object)):
+        with pytest.raises(ValueError, match="^sample data must be real, got (<U3|bool|object) entries$"):
+            SampleSet((2,), 1, data)
+    with pytest.raises(ValueError, match="^sample data contains non-finite entries$"):
+        SampleSet((2,), 1, [10**400, 1])
+    for data in ([1, 2], np.array([1, 2.0], dtype=object), np.array([1, 2], dtype=np.int8)):
+        assert SampleSet((2,), 1, data).data.tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("dims, m", [
@@ -184,6 +192,13 @@ def test_verify_counts_must_be_integral():
             verify_datum(datum, **kwargs)
     with pytest.raises(ValueError, match="integer"):
         verify_samples(samples, restarts=2.5)
+    # so does seed, which must also be >= 0: a usage error, not a solver fault
+    assert verify_samples(samples, restarts=2, seed=3.0) == verify_samples(samples, restarts=2, seed=3)
+    for seed, match in ((2.5, "integer"), ("3", "integer"), (-1, "^seed must be >= 0, got -1$")):
+        with pytest.raises(ValueError, match=match):
+            verify_datum(datum, trials=2, restarts=2, seed=seed)
+        with pytest.raises(ValueError, match=match):
+            verify_samples(samples, restarts=2, seed=seed)
 
 
 def test_sampleset_json_round_trip(tmp_path):
@@ -236,6 +251,18 @@ def test_precision_validation():
         KroneckerPrecision((np.diag([1.0, 0.0]),))
     with pytest.raises(ValueError, match="^factor 2 must be real, got complex entries$"):
         KroneckerPrecision((np.eye(2), np.array([[2 + 1j, 0], [0, 1]])))
+    with pytest.raises(ValueError, match="^factor 1 must be real, got complex entries$"):
+        KroneckerPrecision((np.array([[2 + 1j, 0], [0, 1]], dtype=object),))
+    for f in ([["1", "0"], ["0", "1"]], np.eye(2, dtype=bool)):
+        with pytest.raises(ValueError, match="^factor 1 must be real, got (<U1|bool) entries$"):
+            KroneckerPrecision((f,))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^factor 1 contains non-finite entries$"):
+            KroneckerPrecision((np.array([[bad, 0], [0, 1.0]]),))
+    with pytest.raises(ShapeMismatch, match=r"^factor 2 is not a square matrix: shape \(0, 0\)$"):
+        KroneckerPrecision((np.eye(2), np.zeros((0, 0))))
+    p = KroneckerPrecision(([[2, 0], [0, 1]], np.array([[1, 0.5], [0.5, 1]], dtype=object)))
+    assert [f.tolist() for f in p.factors] == [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]]
 
 
 def test_precision_identity():
@@ -920,7 +947,8 @@ PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1
 def test_stacked_kernel_matches_sequential_oracle(dims, m):
     # the batched kernel against the one-restart-at-a-time solver with an
     # explicit log-likelihood every sweep, and its refinement against the
-    # one-restart refinement; diverged log-likelihoods are only where the
+    # one-restart refinement, both with the kernel's one Newton-CG stop
+    # rule (the forcing term); diverged log-likelihoods are only where the
     # runaway tripped, so they are not compared.  The refined factors also
     # stay within the uniqueness tolerance of the old parameter-change
     # polish (at its 2000-sweep cap on (3,3;2) seed 2), score at least the
@@ -1108,7 +1136,7 @@ def _kernel_calls(monkeypatch, dims, m, seed):
 
 @pytest.mark.parametrize("dims,m,seed,want", [
     ((3, 3), 3, 0, ((2, 8), (48, 2))),
-    ((2, 5, 5), 1, 4, ((8, 24), (34, 2))),
+    ((2, 5, 5), 1, 4, ((8, 24), (33, 1))),
 ])
 def test_waiting_rule_batches_kernel_calls(monkeypatch, dims, m, seed, want):
     # restarts end their fits at different iterations; a refining restart
