@@ -53,7 +53,7 @@ from .classify import (
     explain,
     thresholds,
 )
-from .datum import MAX_FACTORS, Datum, InvalidDatum, _big_r, _delta, _g_max, _last_entry_invariants
+from .datum import MAX_FACTORS, Datum, InvalidDatum, _big_r, _count, _delta, _g_max, _last_entry_invariants
 from .pool import _pool_map
 
 EXIT_OK = 0
@@ -76,14 +76,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _default_seed() -> int:
-    text = os.environ.get("TNM_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        raise ValueError(f"TNM_SEED must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise ValueError(f"TNM_SEED must be >= 0, got {seed}")
-    return seed
+    seed = os.environ.get("TNM_SEED", "0")
+    with contextlib.suppress(ValueError):  # text int() cannot read stays text, which _count refuses
+        seed = int(seed)
+    return _count("TNM_SEED", seed, 0)
 
 
 def _dims_str(dims) -> str:
@@ -533,13 +529,10 @@ def main(argv=None) -> int:
         print("tnm verify: --dims and --samples are required without --data", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command in ("scan", "verify") and args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if args.command in ("scan", "verify"):
+            _count("--threads", args.threads, 1)
         if args.command in ("simulate", "verify"):
-            if args.seed is None:
-                args.seed = _default_seed()
-            elif args.seed < 0:
-                raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            args.seed = _default_seed() if args.seed is None else _count("--seed", args.seed, 0)
         return args.func(args)
     except (ValueError, OSError) as exc:  # InvalidDatum, DeskScaleExceeded, bad files
         print(f"tnm {args.command}: {exc}", file=sys.stderr)

@@ -9,12 +9,15 @@ Everything here is exact: plain Python integers (arbitrary precision) and
 `fractions.Fraction`, never floats.  All derived quantities are invariant
 under permuting the dimensions and under dropping dimensions equal to one.
 
-Input is checked once, where it enters: the public `Datum(...)` and
-`z_quantity` keep every check they have.  A Datum derived from a Datum --
-by `normalize`, a castling move or the castling trace -- is built by
-`_derived` without the checks, and the library's own callers take the
-invariants of such dimensions from the private cores (`_big_r`, `_delta`,
-`_g_max`, `_gcd_subset_sum`), which check nothing.
+Input is checked once, where it enters, by one of two gates: `_count` for
+one count and `_shape` for dimensions with a sample count.  Each takes a
+value only when it is integral (2.0 is 2; 2.5, '2' and True are refused,
+never truncated) and in range, and raises the exception class its caller
+names.  A Datum derived from a Datum -- by `normalize`, a castling move
+or the castling trace -- is built by `_derived` without the checks, and
+the library's own callers take the invariants of such dimensions from the
+private cores (`_big_r`, `_delta`, `_g_max`, `_gcd_subset_sum`), which
+check nothing.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class Datum:
     dims : tuple of ints, each >= 1, at most MAX_FACTORS of them
     m    : sample count, >= 1
 
-    Each value is taken only when it is integral (int(v) == v); any other
-    raises InvalidDatum rather than being truncated.  A Datum derived from
+    Each value is taken by `_shape`: only when integral (an int, a numpy
+    integer or 3.0, never a bool), else InvalidDatum.  A Datum derived from
     another one is built by `_derived`, which skips these checks and gives
     a Datum equal to, and hashing like, the checked one.
     """
@@ -76,21 +79,9 @@ class Datum:
     m: int = 1
 
     def __post_init__(self) -> None:
-        dims, m = tuple(map(_as_int, self.dims)), _as_int(self.m)
-        if None in dims:
-            raise InvalidDatum(f"dimensions must be integers, got {self.dims!r}")
-        if m is None:
-            raise InvalidDatum(f"sample count must be an integer, got {self.m!r}")
+        dims, m = _shape(self.dims, self.m, InvalidDatum, MAX_FACTORS)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "m", m)
-        if len(dims) == 0:
-            raise InvalidDatum("need at least one dimension")
-        if len(dims) > MAX_FACTORS:
-            raise InvalidDatum(f"at most {MAX_FACTORS} dimensions supported, got {len(dims)}")
-        if any(d < 1 for d in dims):
-            raise InvalidDatum(f"dimensions must be >= 1, got {dims}")
-        if self.m < 1:
-            raise InvalidDatum(f"sample count must be >= 1, got {self.m}")
 
     @property
     def k(self) -> int:
@@ -107,12 +98,49 @@ class Datum:
 
 def _as_int(v) -> int | None:
     """int(v) when v is integral (int(v) == v: an int, a numpy integer, 3.0),
-    else None (2.7, '3', NaN, inf): a count is never silently truncated."""
+    else None (2.7, '3', NaN, inf, True): a count is never silently truncated.
+    A numpy bool is told by its dtype, not by __index__, which differs
+    between numpy versions."""
+    if isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b":
+        return None
     try:
         n = int(v)
     except (TypeError, ValueError, OverflowError):
         return None
     return n if n == v else None
+
+
+def _count(name: str, v, least: int, error=ValueError, most: int | None = None) -> int:
+    """v as an int, taken only when integral (`_as_int`) and >= least, else
+    `error`: 2.0 is 2, and 2.5, '2', True and -1 never reach a range, a
+    generator or an index.  Given `most`, every refusal says least..most."""
+    n = _as_int(v)
+    if most is not None and (n is None or not least <= n <= most):
+        raise error(f"{name} must be in {least}..{most}, got {v if n is not None else repr(v)}")
+    if n is None:
+        raise error(f"{name} must be an integer, got {v!r}")
+    if n < least:
+        raise error(f"{name} must be >= {least}, got {n}")
+    return n
+
+
+def _shape(dims, m, error, most: int | None = None, noun="dimensions") -> tuple[tuple[int, ...], int]:
+    """dims and m as ints, each taken only when integral (`_as_int`) and >= 1,
+    with 1..`most` dims, else `error`; `noun` names the dims in messages."""
+    ints, n = tuple(map(_as_int, dims)), _as_int(m)
+    if None in ints:
+        raise error(f"{noun} must be integers, got {dims!r}")
+    if n is None:
+        raise error(f"sample count must be an integer, got {m!r}")
+    if not ints:
+        raise error("need at least one dimension")
+    if most is not None and len(ints) > most:
+        raise error(f"at most {most} {noun} supported, got {len(ints)}")
+    if any(d < 1 for d in ints):
+        raise error(f"{noun} must be >= 1, got {ints}")
+    if n < 1:
+        raise error(f"sample count must be >= 1, got {n}")
+    return ints, n
 
 
 def _derived(dims: tuple[int, ...], m: int) -> Datum:
@@ -263,26 +291,19 @@ def z_quantity(values: Iterable[int]) -> int:
     is taken only when it is integral, as in Datum.
     """
     values = tuple(values)
-    vals = tuple(map(_as_int, values))
-    if None in vals:
-        raise InvalidDatum(f"values must be integers, got {values!r}")
-    if not vals:
+    if not values:
         raise EmptyInput("z_quantity needs at least one value")
-    if len(vals) > MAX_FACTORS:
-        raise InvalidDatum(f"at most {MAX_FACTORS} values supported, got {len(vals)}")
-    if any(v < 1 for v in vals):
-        raise InvalidDatum(f"values must be >= 1, got {vals}")
-    return _gcd_subset_sum(vals, power=1)
+    return _gcd_subset_sum(_shape(values, 1, InvalidDatum, MAX_FACTORS, "values")[0], power=1)
 
 
 def index_of_factor(datum: Datum, i: int) -> Fraction:
     """Index m * prod(d) / (2 * d_i^2) of the model against factor i (1-based).
 
-    Defined for nontrivial factors only; raises TrivialFactor when d_i = 1.
+    Defined for nontrivial factors only; raises TrivialFactor when d_i = 1,
+    and InvalidDatum for an i that is not integral (1.0 is 1) in 1..k.
     The smallest index over the factors belongs to a largest dimension.
     """
-    if not 1 <= i <= datum.k:
-        raise InvalidDatum(f"factor position must be in 1..{datum.k}, got {i}")
+    i = _count("factor position", i, 1, InvalidDatum, datum.k)
     d_i = datum.dims[i - 1]
     if d_i == 1:
         raise TrivialFactor(f"factor {i} has dimension 1; its index is undefined")

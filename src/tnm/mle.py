@@ -38,7 +38,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .classify import MleProfile, mle_profile
-from .datum import Datum, _as_int
+from .datum import Datum, _count, _shape
 from .pool import _pool_map
 
 __all__ = [
@@ -133,34 +133,6 @@ class DeskScaleExceeded(ValueError):
 # data containers
 
 
-def _shape(dims: Sequence[int], m: int) -> tuple[tuple[int, ...], int]:
-    """dims and m as ints, each taken only when integral (int(v) == v) and
-    >= 1; anything else raises ShapeMismatch rather than being truncated."""
-    dims_int, m_int = tuple(map(_as_int, dims)), _as_int(m)
-    if None in dims_int:
-        raise ShapeMismatch(f"dimensions must be integers, got {dims!r}")
-    if m_int is None:
-        raise ShapeMismatch(f"sample count must be an integer, got {m!r}")
-    if not dims_int:
-        raise ShapeMismatch("need at least one dimension")
-    if any(d < 1 for d in dims_int):
-        raise ShapeMismatch(f"dimensions must be >= 1, got {dims_int}")
-    if m_int < 1:
-        raise ShapeMismatch(f"sample count must be >= 1, got {m_int}")
-    return dims_int, m_int
-
-
-def _count(name: str, v: int, least: int) -> int:
-    """v as an int, taken only when integral (2.0 is 2) and >= least; anything
-    else (2.5, '2', -1) raises ValueError before range or a generator sees it."""
-    n = _as_int(v)
-    if n is None:
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
-    return n
-
-
 def _reals(values, what: str) -> np.ndarray:
     """values as floats, taken only when every entry is an int or a float: a
     complex entry, bool, string or other object raises ValueError before any
@@ -182,7 +154,8 @@ class SampleSet:
 
     The flat layout is sample-major, then row-major over the tensor indices
     (the last index a_k varies fastest).  Entries must be finite ints or
-    floats, and each dimension and the sample count integral (int(v) == v).
+    floats.  Each dimension and the sample count is taken as Datum takes it
+    (`datum._shape`: integral and >= 1, never a bool), else ShapeMismatch.
     """
 
     dims: tuple[int, ...]
@@ -190,7 +163,7 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        dims, m = _shape(self.dims, self.m)
+        dims, m = _shape(self.dims, self.m, ShapeMismatch)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "m", m)
         data = _reals(self.data, "sample data").ravel()
@@ -298,7 +271,8 @@ class KroneckerPrecision:
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "KroneckerPrecision":
-        return cls(tuple(np.eye(int(d)) for d in dims))
+        """Identity factors; `dims` is taken as SampleSet takes it."""
+        return cls(tuple(map(np.eye, _shape(dims, 1, ShapeMismatch)[0])))
 
 
 class FitStatus(Enum):
@@ -1072,7 +1046,7 @@ def _check_draw(dims: Sequence[int], m: int) -> None:
 def _check_restarts(dims: Sequence[int], m: int, restarts: int, tol: float) -> None:
     """Refuse, before anything is allocated, a bad tol or restart stacks of
     more than _MAX_STACK_ENTRIES entries."""
-    _check_tol(tol)
+    _check_positive("tol", tol)
     entries = restarts * (m * math.prod(dims) + sum(d * d for d in dims))
     if entries > _MAX_STACK_ENTRIES:
         raise DeskScaleExceeded(f"restarts * (m * prod(dims) + sum(d_i^2)) = {entries} "
@@ -1086,7 +1060,7 @@ def sample_standard(dims: Sequence[int], m: int, seed=0) -> SampleSet:
     SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
     in all DeskScaleExceeded, both before anything is drawn.
     """
-    dims, m = _shape(dims, m)
+    dims, m = _shape(dims, m, ShapeMismatch)
     _check_draw(dims, m)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(m * math.prod(dims))
@@ -1101,7 +1075,7 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
     SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
     in all DeskScaleExceeded, both before anything is drawn.
     """
-    dims, m = _shape(factors.dims, m)
+    dims, m = _shape(factors.dims, m, ShapeMismatch)
     _check_draw(dims, m)
     z = np.random.default_rng(seed).standard_normal((1, m, *dims))
     pre, n = m, math.prod(dims)
@@ -1116,19 +1090,25 @@ def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
 # likelihood and flip-flop updates
 
 
-def _check_compatible(samples: SampleSet, factors: KroneckerPrecision, i: int = 1) -> None:
-    """Refuse factors whose dims are not the samples', or a position i not in 1..k."""
+def _check_compatible(samples: SampleSet, factors: KroneckerPrecision, i: int = 1) -> int:
+    """Refuse factors whose dims are not the samples', or a position i not
+    integral in 1..k (1.0 is 1); return i as an int."""
     if samples.dims != factors.dims:
         raise ShapeMismatch(
             f"sample dims {samples.dims} do not match factor dims {factors.dims}"
         )
-    if not 1 <= i <= samples.k:
-        raise ValueError(f"factor position must be in 1..{samples.k}, got {i}")
+    return _count("factor position", i, 1, ValueError, samples.k)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+def _check_positive(name: str, v, finite: bool = True) -> None:
+    """Refuse, with ValueError, a v that is no positive number (or no finite
+    one, when `finite`): a bool (True is not 1.0) or a string is none."""
+    try:
+        ok = not isinstance(v, (bool, np.bool_)) and (not finite or math.isfinite(v)) and v > 0.0
+    except TypeError:  # '1e-3', None
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {'finite and ' * finite}positive, got {v}")
 
 
 def _roots(mats) -> list[np.ndarray]:
@@ -1156,7 +1136,7 @@ def mode_statistic(samples: SampleSet, factors: KroneckerPrecision, i: int) -> n
     columns by the remaining indices in their original row-major order.
     The result is computed as a Gram, so it is symmetric.  i is 1-based.
     """
-    _check_compatible(samples, factors, i)
+    i = _check_compatible(samples, factors, i)
     return _statistic(_Unfoldings(samples.tensors()), _stack(factors), i - 1)[0]
 
 
@@ -1169,7 +1149,7 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     when the smallest eigenvalue of S_i falls below 1e-12 times the largest,
     or when LAPACK cannot decompose S_i.  i is 1-based.
     """
-    _check_compatible(samples, factors, i)
+    i = _check_compatible(samples, factors, i)
     mats = _stack(factors)
     lost, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
     if lost[0] or ridged[0]:
@@ -1195,15 +1175,18 @@ def fit_mle(
     `divergence_bound` (default 1e3 * (1 + |l_initial|)) or some factor's
     condition number exceeds 1e12.  MaxIterations: neither after `max_iter`
     iterations.  DegenerateStatistic: a block statistic had no usable scale;
-    reported as a status, not an exception.  A divergence_bound that is NaN
-    or not positive raises ValueError.
+    reported as a status, not an exception.  A tol that is not finite and
+    positive, a divergence_bound that is NaN or not positive (a bool or a
+    string is neither) and a max_iter that is not an integer >= 0 (2.0 is 2)
+    raise ValueError before anything runs.
     """
     if init is None:
         init = KroneckerPrecision.identity(samples.dims)
     _check_compatible(samples, init)
-    _check_tol(tol)
-    if divergence_bound is not None and not divergence_bound > 0.0:
-        raise ValueError(f"divergence_bound must be positive, got {divergence_bound}")
+    _check_positive("tol", tol)
+    if divergence_bound is not None:
+        _check_positive("divergence_bound", divergence_bound, finite=False)
+    max_iter = _count("max_iter", max_iter, 0)
     return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
 
 
@@ -1399,12 +1382,12 @@ def verify_datum(
     Each trial draws a fresh data set, fits it as fit_mle does from
     `restarts` random positive definite initializations (Psi_i = A_i^T A_i
     + 0.01 I with A_i standard normal, all seeded deterministically from
-    `seed`) and refines the converged fits.  Requires integral trials >= 1
-    and restarts >= 2 (2.0 is 2), a finite tol > 0, prod(d_i) <= 4096,
-    m * prod(d_i) <= 2^24 and restarts * (m * prod(d_i) + sum d_i^2) <=
-    2^27; larger models raise DeskScaleExceeded before anything is drawn.  Trials run in at
-    most `threads` worker processes, capped by CPUs and trials; results do
-    not depend on it.
+    `seed`) and refines the converged fits.  Requires integral (2.0 is 2,
+    never a bool) trials >= 1, restarts >= 2, seed >= 0 and threads >= 1, a
+    finite tol > 0, prod(d_i) <= 4096, m * prod(d_i) <= 2^24 and restarts *
+    (m * prod(d_i) + sum d_i^2) <= 2^27; larger models raise DeskScaleExceeded
+    before anything is drawn.  Trials run in at most `threads` worker
+    processes, capped by CPUs and trials; results do not depend on it.
     """
     trials, restarts = _count("trials", trials, 1), _count("restarts", restarts, 2)
     seed = _count("seed", seed, 0)
@@ -1414,6 +1397,7 @@ def verify_datum(
         )
     _check_draw(datum.dims, datum.m)
     _check_restarts(datum.dims, datum.m, restarts, tol)
+    threads = _count("threads", threads, 1)
     trial = functools.partial(_simulated_trial, datum.dims, datum.m, restarts, seed, tol)
     return _assemble_report(datum, _pool_map(trial, range(trials), threads, trials))
 

@@ -47,14 +47,17 @@ def test_datum_validation():
 @pytest.mark.parametrize("dims, m", [
     ((2.7, 3), 1), ((2, 3), 1.9), (("3", "4"), 2), ((2,), "2"),
     ((math.nan, 2), 1), ((2,), math.nan), ((math.inf,), 1), ((2,), math.inf),
+    ((True, 3), 1), ((2, 3), True), ((np.True_, 3), 1), ((2, 3), np.True_),
 ])
 def test_datum_rejects_non_integral_input(dims, m):
-    # int() would truncate 2.7 to 2 and read '3' as 3: a different datum
+    # int() would truncate 2.7 to 2 and read '3' and True as 3 and 1: a different datum
     with pytest.raises(InvalidDatum, match="integer"):
         Datum(dims, m)
 
 
-@pytest.mark.parametrize("values", [[4.7, 9], ["4", 9], [4, math.nan], [math.inf, 9]])
+@pytest.mark.parametrize("values", [
+    [4.7, 9], ["4", 9], [4, math.nan], [math.inf, 9], [True, 9], [4, np.True_],
+])
 def test_z_quantity_rejects_non_integral_input(values):
     # int() would read [4.7, 9] and ['4', 9] as [4, 9], whose Z is 12
     with pytest.raises(InvalidDatum, match="integer"):

@@ -12,7 +12,9 @@ group:
 - `deep`: the same on seeded k = 3-4 data built by up to 20 inverse
   castling moves, so that the castling trace is long and its entries have
   up to 300 digits;
-- `errors`: data that the exact layer rejects, with tnm's own message.
+- `errors`: data that the exact layer rejects, and flag values (threads,
+  seeds, counts, grid bounds) that tnm's own checks refuse, each with tnm's
+  own message.
 
 Argparse's help and usage text is left out: it differs between Python
 versions.  The digests live in `golden_exact.json`.  A change that means to
@@ -105,6 +107,18 @@ def ops() -> dict[str, list[list[str]]]:
         _classify([0, 3], 1, "json"), _classify([2, 3], 0, "text"), _classify([2] * 17, 1, "json"),
         _classify(["2", "x"], 1, "json"), _classify([-2, 3], 2, "text"),
         _threshold([0], "json"), _threshold([2] * 17, "text"), _threshold(["2.5"], "json"),
+    ]
+    # flag values that tnm's own checks refuse (exit 2, one line on stderr);
+    # each is refused before scan opens --out or anything is simulated
+    scan = ["scan", "--max-dim", "3", "--max-m", "2", "--out", os.devnull]
+    simulate = ["simulate", "--dims", "2,2", "--out", os.devnull]
+    verify = ["verify", "--dims", "2,2", "--samples", "2"]
+    errors += [
+        [*scan, "--max-k", "2", "--threads", "0"], [*verify, "--threads", "0"],
+        [*simulate, "--samples", "2", "--seed", "-1"], [*verify, "--seed", "-1"],
+        [*verify, "--trials", "0"], [*verify, "--restarts", "1"],
+        ["verify", "--dims", "2,2", "--samples", "0"], [*simulate, "--samples", "0"],
+        [*scan, "--max-k", "0"], [*scan, "--max-k", "17"],
     ]
     return {"walk": walk, "wide": wide, "deep": deep, "errors": errors}
 

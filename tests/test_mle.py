@@ -19,6 +19,7 @@ from tnm import (
     DegenerateStatistic,
     DeskScaleExceeded,
     FitStatus,
+    InvalidDatum,
     KroneckerPrecision,
     NotPositiveDefinite,
     SampleSet,
@@ -27,6 +28,7 @@ from tnm import (
     fit_mle,
     flip_flop_step,
     gauge_fix,
+    index_of_factor,
     log_likelihood,
     mode_statistic,
     sample_from_model,
@@ -143,6 +145,7 @@ def test_sampleset_validation():
 @pytest.mark.parametrize("dims, m", [
     ((2.5, 2), 1), ((2, 2), 1.5), (("2", "2"), 1), ((2, 2), "1"),
     ((math.nan, 2), 1), ((2, 2), math.nan), ((math.inf, 2), 1), ((2, 2), math.inf),
+    ((True, 2), 1), ((2, 2), True), ((np.True_, 2), 1), ((2, 2), np.True_),
 ])
 def test_sampleset_rejects_non_integral_shape(dims, m):
     with pytest.raises(ShapeMismatch, match="integer"):
@@ -158,6 +161,7 @@ def test_sampleset_accepts_integral_shape():
 @pytest.mark.parametrize("dims, m", [
     ((2.5, 2), 1), ((2, 2), 1.5), (("2", "2"), 1), ((2, 2), "1"),
     ((math.nan, 2), 1), ((2, 2), math.nan), ((math.inf, 2), 1), ((2, 2), math.inf),
+    ((True, 2), 1), ((2, 2), True), ((np.True_, 2), 1), ((2, 2), np.True_),
 ])
 def test_sampling_rejects_non_integral_shape(dims, m, monkeypatch):
     # refused as SampleSet refuses it, before a generator is made: int()
@@ -187,14 +191,16 @@ def test_verify_counts_must_be_integral():
     datum, samples = Datum((2, 2), 1), sample_standard((2, 2), 2, seed=3)
     assert verify_datum(datum, trials=2.0, restarts=2.0) == verify_datum(datum, trials=2, restarts=2)
     assert verify_samples(samples, restarts=2.0) == verify_samples(samples, restarts=2)
-    for kwargs in ({"trials": 2.5}, {"restarts": 2.5}, {"trials": "2"}, {"restarts": math.nan}):
+    for kwargs in ({"trials": 2.5}, {"restarts": 2.5}, {"trials": "2"}, {"restarts": math.nan},
+                   {"trials": True}, {"restarts": np.True_}):
         with pytest.raises(ValueError, match="integer"):
             verify_datum(datum, **kwargs)
     with pytest.raises(ValueError, match="integer"):
         verify_samples(samples, restarts=2.5)
     # so does seed, which must also be >= 0: a usage error, not a solver fault
     assert verify_samples(samples, restarts=2, seed=3.0) == verify_samples(samples, restarts=2, seed=3)
-    for seed, match in ((2.5, "integer"), ("3", "integer"), (-1, "^seed must be >= 0, got -1$")):
+    for seed, match in ((2.5, "integer"), ("3", "integer"), (True, "^seed must be an integer, got True$"),
+                        (np.True_, "integer"), (-1, "^seed must be >= 0, got -1$")):
         with pytest.raises(ValueError, match=match):
             verify_datum(datum, trials=2, restarts=2, seed=seed)
         with pytest.raises(ValueError, match=match):
@@ -536,18 +542,48 @@ def test_fit_rejects_bad_tol_and_shapes():
         fit_mle(s, tol=0.0)
     with pytest.raises(ValueError):
         fit_mle(s, tol=-1e-9)
-    for tol in (math.inf, math.nan):
+    # a bool or a string is no tol: True was read as 1.0, '1e-3' a bare TypeError
+    for tol in (math.inf, math.nan, True, np.True_, "1e-3", None):
         with pytest.raises(ValueError):
             fit_mle(s, tol=tol)
         with pytest.raises(ValueError):
             verify_samples(s, tol=tol)
         with pytest.raises(ValueError):
             verify_datum(Datum((2, 2), 2), tol=tol)
-    for bound in (math.nan, 0.0, -1.0):
+    for bound in (math.nan, 0.0, -1.0, True, np.True_, "1e-3"):
         with pytest.raises(ValueError):
             fit_mle(s, divergence_bound=bound)
+    assert fit_mle(s, tol=np.float64(1e-3), divergence_bound=np.int64(10**6)).status is FitStatus.CONVERGED
     with pytest.raises(ShapeMismatch):
         fit_mle(s, init=KroneckerPrecision.identity((2, 3)))
+
+
+_S, _P = sample_standard((2, 3), 2, seed=1), KroneckerPrecision.identity((2, 3))
+_POSITION = ("factor position must be in 1..2, got {!r}", "factor position must be in 1..2, got 3", 3)
+
+
+@pytest.mark.parametrize("call, error, refused, out_of_range, bad", [
+    (lambda v: KroneckerPrecision.identity((v, 3)).dims, ShapeMismatch,
+     "dimensions must be integers, got ({!r}, 3)", "dimensions must be >= 1, got (0, 3)", 0),
+    (lambda v: fit_mle(_S, max_iter=v).iterations, ValueError,
+     "max_iter must be an integer, got {!r}", "max_iter must be >= 0, got -1", -1),
+    (lambda v: verify_datum(Datum((2, 2), 2), trials=1, restarts=2, threads=v), ValueError,
+     "threads must be an integer, got {!r}", "threads must be >= 1, got 0", 0),
+    (lambda v: mode_statistic(_S, _P, v).tolist(), ValueError, *_POSITION),
+    (lambda v: flip_flop_step(_S, _P, v).factors[1].tolist(), ValueError, *_POSITION),
+    (lambda v: index_of_factor(Datum((2, 3), 1), v), InvalidDatum, *_POSITION),
+], ids=["identity", "max_iter", "threads", "mode_statistic", "flip_flop_step", "index_of_factor"])
+def test_gated_entry_points_take_integral_values_only(call, error, refused, out_of_range, bad):
+    # each truncated 2.5, read True as 1 or ended in a bare TypeError before
+    # its value went through datum._count or datum._shape
+    assert call(2.0) == call(np.int64(2)) == call(2)
+    for v in (True, np.True_, 2.5, "2"):
+        with pytest.raises(error) as exc:
+            call(v)
+        assert type(exc.value) is error and str(exc.value) == refused.format(v)
+    with pytest.raises(error) as exc:
+        call(bad)
+    assert type(exc.value) is error and str(exc.value) == out_of_range
 
 
 def test_fit_stationarity_at_convergence():
