@@ -18,19 +18,22 @@ logged; scan loads none of the three.
 JSON is written in one walk that converts and formats together (tuples as
 lists, dataclasses as objects, floats that are not finite as null) and
 prints the bytes json.dumps(indent=2) would print for the converted
-document; json loads only for its string escaper.  Exact integers are
-printed as decimal strings in JSON so they survive parsers that truncate
-to 53-bit floats, and at any length (_AnyLengthInts).  All output is
-deterministic for a given flag set; the environment variable TNM_SEED
-supplies a default seed when --seed is omitted.  One parser, with every
-command, is built once per process and reused, so a library caller that
-runs main many times pays argparse's set-up once.  An argv that starts
-with a command is parsed by that command's own parser alone; only when it
-leaves arguments unrecognized does the top-level parser parse the argv
-again, to report them with its usage line.  Any other argv (none, -h, an
-unknown command) goes to the top-level parser.  A command's flag takes a
-value that starts with '-' (such as --dims -2,3 or --tol -inf) as its
-value, not as another flag.
+document; json loads only for its string escaper.  The exact integers tnm
+derives (R, Delta, g_max, Z, indices, mlt_*, cor_bounds, git_dimension)
+are printed as decimal strings so they survive parsers that truncate to
+53-bit floats; the dims and m a document echoes from its input (a datum,
+normalized, castling_trace, threshold's dims) are JSON numbers, which such
+a parser rounds beyond 2^53.  Both are printed at any length
+(_AnyLengthInts).  All output is deterministic for a given flag set; the
+environment variable TNM_SEED supplies a default seed when --seed is
+omitted.  One parser, with every command, is built once per process and
+reused, so a library caller that runs main many times pays argparse's
+set-up once.  An argv that starts with a command is parsed by that
+command's own parser alone; only when it leaves arguments unrecognized
+does the top-level parser parse the argv again, to report them with its
+usage line.  Any other argv (none, -h, an unknown command) goes to the
+top-level parser.  A command's flag takes a value that starts with '-'
+(such as --dims -2,3 or --tol -inf) as its value, not as another flag.
 """
 
 from __future__ import annotations

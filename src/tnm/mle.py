@@ -20,9 +20,10 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -308,8 +309,8 @@ class FitReport:
 # Every factor is held as a root T, Psi = T^T T, in a stack of shape
 # (R, d, d): R factor sets (restarts) updated together against one data
 # tensor.  Roots are taken only where a factor enters (_roots), and Psi is
-# formed only where one leaves: a fit's report (_fit), the refined factors
-# a trial compares (_run_trial; _refine returns roots) and flip_flop_step.
+# formed only where one leaves the solver loops, which return roots: the
+# factors a caller receives (_precision) and those a trial compares (_run_trial).
 # Each operation acts on every slice of a stack on its own, so a restart's
 # arithmetic does not depend on which other restarts share its stack; the
 # public functions are the R = 1 case.  Where a choice of method could
@@ -703,9 +704,8 @@ def _hessian_index(dims: tuple[int, ...]):
     in pairs, as (i, j, axes, offset), C_ij[a, b, a', c] + C_ij[a, c, a', b]
     ((d_i d_j)^2 entries from offset; axes moves axes i and j of the
     whitened samples (R, m, d_1, ..., d_k) last), and a final 0: width
-    entries.  index
-    holds, for the P * P entries of A in row-major order, the position of
-    the source each is (a quarter of)."""
+    entries.  index holds, for the P * P entries of A in row-major order,
+    the position of the source each is (a quarter of)."""
     offs = np.cumsum([0, *(d * d for d in dims)]).tolist()
     p, k = offs[-1], len(dims)
     pairs, width = [], 2 * p
@@ -903,8 +903,8 @@ def _on_rows(step, data: _Unfoldings, mats: list, rows: list, *args):
 def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bound=None):
     """Fit every restart of the stack of roots `mats` (consumed) until its
     own verdict (see fit_mle).  Returns (reports, ends), one entry per
-    restart: its FitReport, and for a converged one the roots it ended at
-    (None otherwise).
+    restart: its FitReport, with factors None, and the roots it ended at
+    where its fit keeps them (converged or at max_iter; None otherwise).
 
     Every iteration sweeps every row.  A restart takes sweeps only until its
     contraction stalls (from sweep 3 on, a sweep gains more than
@@ -914,8 +914,7 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
     updates return: with block k at its maximizer the quadratic term is
     exactly m*n, so l = (m/2) sum_i (n/d_i) log det Psi_i - m*n/2; it is
     evaluated explicitly at the start and after a sweep that ridged.  The
-    stop, divergence and stall tests read its history.  Psi_i = T_i^T T_i
-    is formed only when a restart's fit ends.
+    stop, divergence and stall tests read its history.
     """
     r = len(mats[0])
     histories = [[x] for x in _loglik(data, mats).tolist()]
@@ -924,10 +923,9 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
 
     def end(p, status):
         i = rows[p]
-        kept = status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
-        factors = KroneckerPrecision(tuple(a[p].T @ a[p] for a in mats)) if kept else None
-        reports[i] = FitReport(status, histories[i][-1], it, factors, tuple(histories[i]), steps[i])
-        ends[i] = [a[p] for a in mats] if status is FitStatus.CONVERGED else None
+        reports[i] = FitReport(status, histories[i][-1], it, None, tuple(histories[i]), steps[i])
+        if status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS):
+            ends[i] = [a[p] for a in mats]
 
     while rows:
         if it >= max_iter:
@@ -965,9 +963,9 @@ def _fit(data: _Unfoldings, mats: list, tol: float, max_iter: int, divergence_bo
 
 
 @np.errstate(all="ignore")
-def _refine(data: _Unfoldings, ends: list):
-    """Refine every converged fit from the roots it ended at (`ends`, see
-    _fit) until its moment-map norm is below _MOMENT_TOL.  Returns (roots,
+def _refine(data: _Unfoldings, fits: list, ends: list):
+    """Refine every converged fit (`fits`, `ends`: _fit's) from the roots it
+    ended at until its moment-map norm is below _MOMENT_TOL.  Returns (roots,
     iterations), one entry per restart: the roots it refined to (None
     unless it converged) and its refinement iterations.
 
@@ -984,7 +982,7 @@ def _refine(data: _Unfoldings, ends: list):
     one warning.
     """
     roots, counts = [None] * len(ends), [0] * len(ends)
-    conv = rows = [i for i, e in enumerate(ends) if e is not None]  # the restart in each row
+    conv = rows = [i for i, f in enumerate(fits) if f.status is FitStatus.CONVERGED]  # row -> restart
     newton, norms, capped = [False] * len(ends), [math.inf] * len(ends), 0
     mats = [np.stack(a) for a in zip(*(ends[i] for i in rows))]
 
@@ -1034,13 +1032,11 @@ def _refine(data: _Unfoldings, ends: list):
 
 
 def _check_draw(dims: Sequence[int], m: int) -> None:
-    """Refuse, before anything is allocated, a draw of more than
-    _MAX_DRAW_ENTRIES sample entries."""
+    """Refuse, before anything is allocated, a draw of over _MAX_DRAW_ENTRIES entries."""
     entries = m * math.prod(dims)
     if entries > _MAX_DRAW_ENTRIES:
-        raise DeskScaleExceeded(
-            f"m * prod(dims) = {entries} sample entries exceeds the limit {_MAX_DRAW_ENTRIES}"
-        )
+        raise DeskScaleExceeded(f"m * prod(dims) = {entries} sample entries exceeds the limit "
+                                f"{_MAX_DRAW_ENTRIES}")
 
 
 def _check_restarts(dims: Sequence[int], m: int, restarts: int, tol: float) -> None:
@@ -1057,27 +1053,27 @@ def sample_standard(dims: Sequence[int], m: int, seed=0) -> SampleSet:
     """m tensors with i.i.d. standard normal entries from a seeded generator.
 
     Identical (dims, m, seed) always produce identical output.  A shape
-    SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
-    in all DeskScaleExceeded, both before anything is drawn.
+    SampleSet would refuse raises ShapeMismatch, more than 2^24 entries in
+    all DeskScaleExceeded, and a seed that is a bool, a number or a string
+    but no integer >= 0 (7.0 is 7) ValueError, all before anything is
+    drawn; any other seed goes to np.random.default_rng as it is.
     """
     dims, m = _shape(dims, m, ShapeMismatch)
     _check_draw(dims, m)
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal(m * math.prod(dims))
-    return SampleSet(dims, m, data)
+    if isinstance(seed, (numbers.Number, str, np.generic)):
+        seed = _count("seed", seed, 0)
+    return SampleSet(dims, m, np.random.default_rng(seed).standard_normal(m * math.prod(dims)))
 
 
 def sample_from_model(factors: KroneckerPrecision, m: int, seed=0) -> SampleSet:
     """m samples whose covariance is the inverse of the Kronecker concentration.
 
-    Draws standard normal tensors and applies L_i^{-T} along each mode,
-    where Psi_i = L_i L_i^T is the Cholesky factorization.  A sample count
-    SampleSet would refuse raises ShapeMismatch, and more than 2^24 entries
-    in all DeskScaleExceeded, both before anything is drawn.
+    Draws sample_standard's tensors, refused as it refuses them, and applies
+    L_i^{-T} along each mode, where Psi_i = L_i L_i^T is the Cholesky
+    factorization.
     """
     dims, m = _shape(factors.dims, m, ShapeMismatch)
-    _check_draw(dims, m)
-    z = np.random.default_rng(seed).standard_normal((1, m, *dims))
+    z = sample_standard(dims, m, seed).data[None]
     pre, n = m, math.prod(dims)
     for d, psi in zip(dims, factors.factors):
         li = np.linalg.cholesky(psi)
@@ -1094,9 +1090,7 @@ def _check_compatible(samples: SampleSet, factors: KroneckerPrecision, i: int = 
     """Refuse factors whose dims are not the samples', or a position i not
     integral in 1..k (1.0 is 1); return i as an int."""
     if samples.dims != factors.dims:
-        raise ShapeMismatch(
-            f"sample dims {samples.dims} do not match factor dims {factors.dims}"
-        )
+        raise ShapeMismatch(f"sample dims {samples.dims} do not match factor dims {factors.dims}")
     return _count("factor position", i, 1, ValueError, samples.k)
 
 
@@ -1115,6 +1109,11 @@ def _roots(mats) -> list[np.ndarray]:
     """The kernel's form of the factor stacks mats: their roots T = L^T,
     from the Cholesky factorizations Psi = L L^T."""
     return [np.ascontiguousarray(_cholesky(a).swapaxes(-1, -2)) for a in mats]
+
+
+def _precision(roots) -> KroneckerPrecision:
+    """The checked factors Psi_i = T_i^T T_i of the roots T_i of one restart."""
+    return KroneckerPrecision(tuple(t.T @ t for t in roots))
 
 
 @np.errstate(all="ignore")
@@ -1154,7 +1153,7 @@ def flip_flop_step(samples: SampleSet, factors: KroneckerPrecision, i: int) -> K
     lost, _, ridged, _, _ = _update_block(_Unfoldings(samples.tensors()), mats, i - 1)
     if lost[0] or ridged[0]:
         raise DegenerateStatistic(f"block {i} statistic is numerically singular")
-    return KroneckerPrecision(tuple(a[0].T @ a[0] for a in mats))
+    return _precision([a[0] for a in mats])
 
 
 def fit_mle(
@@ -1175,10 +1174,11 @@ def fit_mle(
     `divergence_bound` (default 1e3 * (1 + |l_initial|)) or some factor's
     condition number exceeds 1e12.  MaxIterations: neither after `max_iter`
     iterations.  DegenerateStatistic: a block statistic had no usable scale;
-    reported as a status, not an exception.  A tol that is not finite and
-    positive, a divergence_bound that is NaN or not positive (a bool or a
-    string is neither) and a max_iter that is not an integer >= 0 (2.0 is 2)
-    raise ValueError before anything runs.
+    reported as a status, not an exception.  The factors of a converged or
+    capped run are formed once, from the roots it ended at (_precision).  A
+    tol that is not finite and positive, a divergence_bound that is NaN or
+    not positive (a bool or a string is neither) and a max_iter that is not
+    an integer >= 0 (2.0 is 2) raise ValueError before anything runs.
     """
     if init is None:
         init = KroneckerPrecision.identity(samples.dims)
@@ -1187,7 +1187,9 @@ def fit_mle(
     if divergence_bound is not None:
         _check_positive("divergence_bound", divergence_bound, finite=False)
     max_iter = _count("max_iter", max_iter, 0)
-    return _fit(_Unfoldings(samples.tensors()), _stack(init), tol, max_iter, divergence_bound)[0][0]
+    data = _Unfoldings(samples.tensors())
+    (rep,), (end,) = _fit(data, _stack(init), tol, max_iter, divergence_bound)
+    return rep if end is None else replace(rep, factors=_precision(end))
 
 
 @np.errstate(all="ignore")
@@ -1287,42 +1289,40 @@ def _restart_inits(dims: Sequence[int], restarts: int, seed) -> list[np.ndarray]
     return [np.stack(s) for s in zip(*starts)]
 
 
-def _factor_gaps(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Largest per-factor Frobenius gap between two factor tuples: (relative, absolute)."""
+def _factor_gaps(rows) -> tuple[float, float]:
+    """(relative, absolute) largest per-factor Frobenius gap between two factor tuples of rows."""
     rel = abs_ = 0.0
-    for fa, fb in zip(a, b):
-        diff = float(np.linalg.norm(fa - fb))
-        denom = max(float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1e-300)
-        rel = max(rel, diff / denom)
-        abs_ = max(abs_, diff)
+    for a, b in itertools.combinations(rows, 2):
+        for fa, fb in zip(a, b):
+            diff = float(np.linalg.norm(fa - fb))
+            denom = max(float(np.linalg.norm(fa)), float(np.linalg.norm(fb)), 1e-300)
+            rel, abs_ = max(rel, diff / denom), max(abs_, diff)
     return rel, abs_
 
 
 @np.errstate(all="ignore")
 def _run_trial(samples: SampleSet, restarts: int, seed, tol: float) -> TrialResult:
-    """Fit, refine and compare the restarts of one data set.  Where two or
-    more converged, their refined roots T_i become one stack Psi_i = T_i^T
-    T_i per factor, gauge-fixed together; the factor spreads are the gaps
-    between its rows.  Inputs are checked before it runs, so a ValueError
-    inside is a solver fault, not a usage error: it leaves as a RuntimeError
-    chained to it.  numpy's floating-point errors are ignored, as in the
-    solver loops: the kernel turns non-finite and vanishing statistics into
-    lost, diverged or degenerate restarts, so they say nothing more."""
+    """Fit, refine and compare the restarts of one data set; no fit's factors
+    are formed.  Where two or more converged, their refined roots T_i become
+    one stack Psi_i = T_i^T T_i per factor, gauge-fixed together; the factor
+    spreads are the gaps between its rows.  Inputs are checked before it
+    runs, so a ValueError inside is a solver fault, not a usage error: it
+    leaves as a RuntimeError chained to it.  numpy's floating-point errors
+    are ignored, as in the solver loops: the kernel turns non-finite and
+    vanishing statistics into lost, diverged or degenerate restarts, so
+    they say nothing more."""
     try:
         data = _Unfoldings(samples.tensors())
         fits, ends = _fit(data, _roots(_restart_inits(samples.dims, restarts, seed)), tol,
                           DEFAULT_MAX_SWEEPS)
-        roots, polish_sweeps = _refine(data, ends)
+        roots, polish_sweeps = _refine(data, fits, ends)
         conv = [ts for ts in roots if ts is not None]
         ls = [f.loglik for f in fits if f.status is FitStatus.CONVERGED]
         spread = rel = abs_ = 0.0
         if len(conv) >= 2:
             spread = (max(ls) - min(ls)) / max(max(abs(l) for l in ls), 1e-300)
             fixed = _gauge_fix([np.stack([t.T @ t for t in ts]) for ts in zip(*conv)])
-            for x, y in itertools.combinations(zip(*fixed), 2):
-                r_xy, a_xy = _factor_gaps(x, y)
-                rel = max(rel, r_xy)
-                abs_ = max(abs_, a_xy)
+            rel, abs_ = _factor_gaps(zip(*fixed))
     except ValueError as exc:
         raise RuntimeError(f"solver fault: {exc}") from exc
     return TrialResult(

@@ -36,7 +36,6 @@ alter them records the digests again:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -127,8 +126,7 @@ def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    payload = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    return reference_ops.sha(code, out.getvalue(), err.getvalue())[:16]
 
 
 def digests() -> dict[str, list[str]]:

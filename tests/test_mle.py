@@ -1,7 +1,6 @@
 """Sampling, likelihood evaluation, the flip-flop solver, and verification."""
 
 import dataclasses
-import itertools
 import logging
 import math
 import os
@@ -91,6 +90,7 @@ from oracles import (
 )
 import reference_ops
 import threshold_walk
+from reference_ops import PANEL
 from threshold_walk import verdict_digest
 
 
@@ -560,6 +560,7 @@ def test_fit_rejects_bad_tol_and_shapes():
 
 _S, _P = sample_standard((2, 3), 2, seed=1), KroneckerPrecision.identity((2, 3))
 _POSITION = ("factor position must be in 1..2, got {!r}", "factor position must be in 1..2, got 3", 3)
+_SEED = ("seed must be an integer, got {!r}", "seed must be >= 0, got -1", -1)
 
 
 @pytest.mark.parametrize("call, error, refused, out_of_range, bad", [
@@ -572,10 +573,13 @@ _POSITION = ("factor position must be in 1..2, got {!r}", "factor position must 
     (lambda v: mode_statistic(_S, _P, v).tolist(), ValueError, *_POSITION),
     (lambda v: flip_flop_step(_S, _P, v).factors[1].tolist(), ValueError, *_POSITION),
     (lambda v: index_of_factor(Datum((2, 3), 1), v), InvalidDatum, *_POSITION),
-], ids=["identity", "max_iter", "threads", "mode_statistic", "flip_flop_step", "index_of_factor"])
+    (lambda v: sample_standard((2, 3), 1, seed=v).data.tolist(), ValueError, *_SEED),
+    (lambda v: sample_from_model(_P, 1, seed=v).data.tolist(), ValueError, *_SEED),
+], ids=["identity", "max_iter", "threads", "mode_statistic", "flip_flop_step", "index_of_factor",
+        "sample_standard", "sample_from_model"])
 def test_gated_entry_points_take_integral_values_only(call, error, refused, out_of_range, bad):
-    # each truncated 2.5, read True as 1 or ended in a bare TypeError before
-    # its value went through datum._count or datum._shape
+    # each truncated 2.5, read True as 1 or ended in a bare TypeError (numpy's,
+    # for a seed) before its value went through datum._count or datum._shape
     assert call(2.0) == call(np.int64(2)) == call(2)
     for v in (True, np.True_, 2.5, "2"):
         with pytest.raises(error) as exc:
@@ -584,6 +588,41 @@ def test_gated_entry_points_take_integral_values_only(call, error, refused, out_
     with pytest.raises(error) as exc:
         call(bad)
     assert type(exc.value) is error and str(exc.value) == out_of_range
+
+
+def test_sample_seeds_draw_as_numpy_draws():
+    # a seed that is no bool, number or string goes to numpy as it is, so
+    # the trials' [seed, 101, trial] lists, tuples and SeedSequences draw as
+    # they did, and a Generator is drawn from; an integral number draws as
+    # its int
+    for seed, same in [(7, 7), (np.int64(7), 7), (7.0, 7), ([0, 101, 0], [0, 101, 0]),
+                       ((0, 101, 0), [0, 101, 0]), (np.random.SeedSequence(7), 7)]:
+        want = np.random.default_rng(same).standard_normal(6)
+        assert np.array_equal(sample_standard((2, 3), 1, seed=seed).data, want)
+        assert np.array_equal(sample_from_model(_P, 1, seed=seed).data, want)
+    gen = np.random.default_rng(7)
+    got = [sample_standard((2, 3), 1, seed=gen).data, sample_from_model(_P, 1, seed=gen).data]
+    assert np.array_equal(np.concatenate(got), np.random.default_rng(7).standard_normal(12))
+
+
+def test_factors_are_formed_only_where_a_caller_receives_them(monkeypatch):
+    # the solver loops take roots and return roots: a verify trial of
+    # (3,3;3) builds no KroneckerPrecision, and fit_mle builds exactly one,
+    # for its report, when it converges or stops at max_iter
+    built, post_init = [], KroneckerPrecision.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    s = sample_standard((3, 3), 3, seed=0)
+    init = KroneckerPrecision.identity(s.dims)
+    monkeypatch.setattr(KroneckerPrecision, "__post_init__", counted)
+    assert verify_samples(s, restarts=4, seed=0).trials[0].all_converged and built == []
+    for max_iter, status in ((DEFAULT_MAX_SWEEPS, FitStatus.CONVERGED), (2, FitStatus.MAX_ITERATIONS)):
+        rep = fit_mle(s, init, max_iter=max_iter)
+        assert rep.status is status and built == [rep.factors]
+        built.clear()
 
 
 def test_fit_stationarity_at_convergence():
@@ -621,11 +660,12 @@ def test_loglik_from_eigenvalues_matches_explicit():
 
 def solve_trial(samples, mats, tol=DEFAULT_TOL):
     """_fit and then _refine on the roots of the restart stack of factors
-    `mats`, as verify runs a trial: (FitReports, refined roots or None,
-    refinement iterations), one entry per restart."""
+    `mats`, as verify runs a trial: (FitReports, the roots each fit ended at
+    or None, refined roots or None, refinement iterations), one entry per
+    restart."""
     data = _Unfoldings(samples.tensors())
     fits, ends = _fit(data, _roots(mats), tol, DEFAULT_MAX_SWEEPS)
-    return (fits, *_refine(data, ends))
+    return (fits, ends, *_refine(data, fits, ends))
 
 
 def trial_factors(roots):
@@ -640,15 +680,38 @@ def trial_factors(roots):
     return [None if ts is None else list(next(rows)) for ts in roots]
 
 
-def _same_fit(a, b) -> bool:
-    """Bitwise equal FitReports (histories compared with NaN equal to NaN)."""
-    if (a.status, a.iterations) != (b.status, b.iterations):
+def _same_report(a, b) -> bool:
+    """Bitwise equal FitReports but for their factors (histories compared
+    with NaN equal to NaN)."""
+    return ((a.status, a.iterations, a.newton_steps) == (b.status, b.iterations, b.newton_steps)
+            and np.array_equal(a.loglik_history, b.loglik_history, equal_nan=True))
+
+
+def _kept(fit, roots) -> bool:
+    """fit is a FitReport of _fit, which forms no factors, and roots its end
+    roots: a list exactly where it converged or stopped at max_iter."""
+    kept = fit.status in (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS)
+    return fit.factors is None and (roots is not None) == kept
+
+
+def _same_fit(a, ta, b, tb) -> bool:
+    """Two restarts of _fit, each a FitReport and its end roots (see
+    _kept), are bitwise the same fit: equal reports and equal roots."""
+    if not (_same_report(a, b) and _kept(a, ta) and _kept(b, tb)):
         return False
-    if not np.array_equal(a.loglik_history, b.loglik_history, equal_nan=True):
+    return ta is None or all(np.array_equal(x, y) for x, y in zip(ta, tb))
+
+
+def _is_fit_mle(a, ta, rep) -> bool:
+    """A restart of _fit, its FitReport a and end roots ta (see _kept), is
+    bitwise fit_mle's report rep: equal reports, and rep's factors are the
+    T^T T of ta (None where a keeps no roots)."""
+    if not (_same_report(a, rep) and _kept(a, ta)):
         return False
-    if a.factors is None or b.factors is None:
-        return a.factors is None and b.factors is None
-    return all(np.array_equal(x, y) for x, y in zip(a.factors.factors, b.factors.factors))
+    if ta is None:
+        return rep.factors is None
+    return rep.factors is not None and all(
+        np.array_equal(t.T @ t, f) for t, f in zip(ta, rep.factors.factors))
 
 
 @pytest.mark.parametrize("dims,m", [
@@ -660,17 +723,19 @@ def test_stacked_restarts_equal_solo_fits(dims, m):
     # where any restart converges, the fits end at different iterations, so
     # the fit stack shrinks under the restarts still fitting, and the
     # refinement stack holds fits that ended at different iterations.
-    # Each restart's FitReport, refined roots and refinement count are
-    # bitwise those of the same restart run alone, and its fit is fit_mle's
+    # Each restart's FitReport, end roots, refined roots and refinement
+    # count are bitwise those of the same restart run alone, and its fit is
+    # fit_mle's: the same report, with factors T^T T of those end roots
     samples = sample_standard(dims, m, seed=[0, 101, 0])
     inits = _restart_inits(dims, 4, (0, 202, 0))
-    fits, refined, counts = solve_trial(samples, [a.copy() for a in inits])
+    fits, ends, refined, counts = solve_trial(samples, [a.copy() for a in inits])
     if any(f.status is FitStatus.CONVERGED for f in fits):
         assert len({f.iterations for f in fits}) > 1
     for r, fit in enumerate(fits):
-        (solo,), (alone,), (n,) = solve_trial(samples, [a[r:r + 1].copy() for a in inits])
-        assert _same_fit(fit, solo) and fit.newton_steps == solo.newton_steps
-        assert _same_fit(fit, fit_mle(samples, KroneckerPrecision(tuple(a[r] for a in inits))))
+        (solo,), (end,), (alone,), (n,) = solve_trial(samples, [a[r:r + 1].copy() for a in inits])
+        assert _same_fit(fit, ends[r], solo, end)
+        rep = fit_mle(samples, KroneckerPrecision(tuple(a[r] for a in inits)))
+        assert _is_fit_mle(fit, ends[r], rep)
         assert counts[r] == n
         if fit.status is FitStatus.CONVERGED:
             assert n >= 1 and all(np.array_equal(x, y) for x, y in zip(refined[r], alone))
@@ -691,7 +756,7 @@ def test_mixed_stack_restarts_leave_on_their_own():
         mats[1][5] = 1e308 * np.eye(d)
         inits = [a.copy() for a in mats]
         with np.errstate(all="ignore"):
-            fits, refined, counts = solve_trial(s, mats)
+            fits, ends, refined, counts = solve_trial(s, mats)
             solos = [fit_mle(s, KroneckerPrecision(tuple(a[r] for a in inits))) for r in range(6)]
             alone = [solve_trial(s, [a[r:r + 1].copy() for a in inits]) for r in range(6)]
         assert [f.status for f in fits] == [
@@ -699,10 +764,11 @@ def test_mixed_stack_restarts_leave_on_their_own():
             FitStatus.DEGENERATE_STATISTIC, FitStatus.CONVERGED, FitStatus.DEGENERATE_STATISTIC,
         ]
         assert fits[5].iterations == 1
-        for fit, solo in zip(fits, solos):
-            assert _same_fit(fit, solo)
-        for r, (_, (one,), (n,)) in enumerate(alone):
-            assert counts[r] == n and (refined[r] is one is None) == (fits[r].factors is None)
+        for fit, end, solo in zip(fits, ends, solos):
+            assert _is_fit_mle(fit, end, solo)
+        for r, ((fit,), (end,), (one,), (n,)) in enumerate(alone):
+            assert _same_fit(fits[r], ends[r], fit, end)
+            assert counts[r] == n and (refined[r] is one is None) == (ends[r] is None)
             if one is not None:
                 assert all(np.array_equal(x, y) for x, y in zip(refined[r], one))
 
@@ -976,9 +1042,6 @@ def test_sweep_writes_large_temporaries_into_scratch_buffers():
     assert peak < r * m * math.prod(dims) * 8
 
 
-PANEL = [((3, 3), 3), ((2, 5, 5), 1), ((3, 3), 2), ((2, 2, 8), 1), ((4, 4, 4), 1), ((8, 8, 8), 1)]
-
-
 @pytest.mark.parametrize("dims,m", PANEL)
 def test_stacked_kernel_matches_sequential_oracle(dims, m):
     # the batched kernel against the one-restart-at-a-time solver with an
@@ -999,12 +1062,10 @@ def test_stacked_kernel_matches_sequential_oracle(dims, m):
     for seed in range(8):
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
         inits = _restart_inits(dims, 4, (seed, 202, 0))
-        fits, roots, counts = solve_trial(samples, [a.copy() for a in inits])
+        fits, _, roots, counts = solve_trial(samples, [a.copy() for a in inits])
         polished = trial_factors(roots)
-        gaps = [_factor_gaps(x, y)
-                for x, y in itertools.combinations([f for f in polished if f is not None], 2)]
         t = verify_samples(samples, restarts=4, seed=seed).trials[0]
-        want = max([0.0, *(r for r, _ in gaps)]), max([0.0, *(a for _, a in gaps)])
+        want = _factor_gaps([f for f in polished if f is not None])
         assert (t.factor_spread_rel, t.factor_spread_abs) == want
         for r, fit in enumerate(fits):
             status, sweeps, history, factors, steps = fit_sequential(samples, [a[r] for a in inits])
@@ -1039,7 +1100,7 @@ def test_refined_roots_meet_the_stop_exactly():
     refined = 0
     for dims, m, seed in [((10, 20), 2, 0), ((10, 20), 2, 5), *((d, m, 0) for d, m in PANEL)]:
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
-        _, roots, _ = solve_trial(samples, _restart_inits(dims, 4, (seed, 202, 0)))
+        _, _, roots, _ = solve_trial(samples, _restart_inits(dims, 4, (seed, 202, 0)))
         for ts in filter(None, roots):
             refined += 1
             assert exact_moment_norm(samples, ts) < _MOMENT_TOL
@@ -1054,7 +1115,7 @@ def test_fit_tails_end_in_newton_steps(dims, m):
     # log-likelihood still never falls
     for seed in range(8):
         samples = sample_standard(dims, m, seed=[seed, 101, 0])
-        fits, _, _ = solve_trial(samples, _restart_inits(dims, 4, (seed, 202, 0)))
+        fits, _, _, _ = solve_trial(samples, _restart_inits(dims, 4, (seed, 202, 0)))
         for fit in fits:
             assert fit.iterations <= 200
             assert 0 <= fit.newton_steps <= fit.iterations
@@ -1119,7 +1180,7 @@ def test_fit_newton_step_that_cannot_be_formed(monkeypatch, caplog):
 
     for dims, m, seed, tail in [((3, 3), 2, 2, True), ((3, 3), 3, 0, False)]:
         s = sample_standard(dims, m, seed=[seed, 101, 0])
-        want, _, _ = solve_trial(s, _restart_inits(dims, 4, (seed, 202, 0)))
+        want, _, _, _ = solve_trial(s, _restart_inits(dims, 4, (seed, 202, 0)))
         assert all(f.status is FitStatus.CONVERGED for f in want)
         assert all(bool(f.newton_steps) is tail for f in want)
         caplog.clear()
@@ -1215,14 +1276,14 @@ def test_newton_step_safeguards(monkeypatch):
             before = _loglik(data, mats)
             norm, stepped = _newton(data, mats)
             assert stepped.all() and np.all(_loglik(data, mats) > before)
-        _, want, _ = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
+        _, _, want, _ = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
         with monkeypatch.context() as patch:
             patch.setattr(tnm.mle, "_newton_direction", lambda *a: [-v for v in newton_direction(*a)])
             kept = [a.copy() for a in mats]
             norm, stepped = _newton(data, mats)
             assert not stepped.any()
             assert all(np.array_equal(a, b) for a, b in zip(mats, kept))
-            fits, got, counts = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
+            fits, _, got, counts = solve_trial(s, _restart_inits((3, 3), 4, (0, 202, 0)))
         assert all(f.status is FitStatus.CONVERGED for f in fits)
         assert max(counts) < _REFINE_MAX_ITER
         for g, w in zip(trial_factors(got), trial_factors(want)):
@@ -1316,28 +1377,26 @@ def test_polish_restart_that_loses_its_scale_keeps_its_input(monkeypatch):
     # a restart whose block-1 statistic vanishes in its first refinement
     # sweep (its second root is set so small, as the sweep starts, that
     # S_1 underflows to 0) leaves after one iteration with the roots its
-    # fit ended at, those whose T^T T is its reported fit; its fit and the
-    # restarts beside it are bitwise as before.  The sweep finds the
-    # restart by the factors T^T T its roots stand for
+    # fit ended at, bitwise; its fit and the restarts beside it are bitwise
+    # as before.  The sweep finds the restart by those roots
     base = sample_standard((3, 3), 3, seed=[0, 101, 0])
     s = SampleSet(base.dims, base.m, 1e-20 * base.data)
     inits = _restart_inits((3, 3), 4, (0, 202, 0))
-    fits, refined, counts = solve_trial(s, [a.copy() for a in inits])
+    fits, ends, refined, counts = solve_trial(s, [a.copy() for a in inits])
     assert all(f.status is FitStatus.CONVERGED for f in fits)
-    end = fits[2].factors.factors
     sweep = tnm.mle._sweep
 
     def poisoned(data, mats, moment=False):
         for r in range(len(mats[0])):
-            if all(np.array_equal(a[r].T @ a[r], f) for a, f in zip(mats, end)):
+            if all(np.array_equal(a[r], t) for a, t in zip(mats, ends[2])):
                 mats[1][r] = 1e-290 * np.eye(3)
         return sweep(data, mats, moment)
 
     monkeypatch.setattr(tnm.mle, "_sweep", poisoned)
-    got_fits, got, got_counts = solve_trial(s, [a.copy() for a in inits])
-    assert all(_same_fit(a, b) for a, b in zip(got_fits, fits))
+    got_fits, got_ends, got, got_counts = solve_trial(s, [a.copy() for a in inits])
+    assert all(map(_same_fit, got_fits, got_ends, fits, ends))
     assert got_counts[2] == 1
-    assert all(np.array_equal(t.T @ t, f) for t, f in zip(got[2], end))
+    assert all(np.array_equal(x, y) for x, y in zip(got[2], ends[2]))
     for r in (0, 1, 3):
         assert got_counts[r] == counts[r] >= 1
         assert all(np.array_equal(x, y) for x, y in zip(got[r], refined[r]))
